@@ -103,13 +103,17 @@ def _cmd_fit(args) -> int:
         by_name = {c.family: c for c in default_candidates()}
         chosen = [by_name[n] for n in names]
     ranking = select_model(values, chosen)
-    gev_detail = None
-    try:
-        gev_detail = fit_gev_mle(values).to_json_dict()
-    except NotConverged as exc:
-        gev_detail = exc.fit.to_json_dict()
-    except (VoipQosError, ValueError) as exc:
-        gev_detail = {"skipped": f"fit failed: {exc}"}
+    # a ranked GEV entry already carries the fit
+    gev = next((f.gev for f in ranking if f.family == "GEV"), None)
+    if gev is not None:
+        gev_detail = gev.to_json_dict()
+    else:
+        try:
+            gev_detail = fit_gev_mle(values).to_json_dict()
+        except NotConverged as exc:
+            gev_detail = exc.fit.to_json_dict()
+        except (VoipQosError, ValueError) as exc:
+            gev_detail = {"skipped": f"fit failed: {exc}"}
     out = {
         "target": args.target,
         "n": len(values),

@@ -22,7 +22,7 @@ from ..errors import (
     VoipQosError,
     ZeroVariance,
 )
-from ..evt import default_candidates, fit_gev_mle, select_model
+from ..evt import MIN_FIT_POINTS, default_candidates, fit_gev_mle, select_model
 from ..ingest.capture import parse_jsonl, parse_pcap
 from ..ingest.codecs import load_codec_map
 from ..ingest.sessions import AssemblyConfig, CallSession, assemble_sessions
@@ -38,9 +38,6 @@ from ..metrics import (
     xr_metric_series,
 )
 from ..stats import bivariate_hist, empirical_cdf, pca
-
-#: Fits require this many values; mirrors the fitting module's floor.
-MIN_FIT_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -105,13 +102,7 @@ def _series_summary(series: MetricSeries) -> dict:
 def _fit_entry(values: np.ndarray, ranked_families: tuple | None) -> dict:
     if len(values) < MIN_FIT_POINTS:
         return {"skipped": f"need >= {MIN_FIT_POINTS} values, have {len(values)}"}
-    try:
-        fit = fit_gev_mle(values)
-    except NotConverged as exc:
-        fit = exc.fit  # best iterate, reported with converged=false
-    except (VoipQosError, ValueError) as exc:
-        return {"skipped": f"fit failed: {exc}"}
-    entry = fit.to_json_dict()
+    ranking = fit = None
     if ranked_families is not None:
         by_name = {c.family: c for c in default_candidates()}
         try:
@@ -119,6 +110,17 @@ def _fit_entry(values: np.ndarray, ranked_families: tuple | None) -> dict:
         except KeyError as exc:
             raise DomainError(f"unknown candidate family {exc.args[0]!r}") from exc
         ranking = select_model(values, chosen)
+        # a ranked GEV entry already carries the fit
+        fit = next((f.gev for f in ranking if f.family == "GEV"), None)
+    if fit is None:
+        try:
+            fit = fit_gev_mle(values)
+        except NotConverged as exc:
+            fit = exc.fit  # best iterate, reported with converged=false
+        except (VoipQosError, ValueError) as exc:
+            return {"skipped": f"fit failed: {exc}"}
+    entry = fit.to_json_dict()
+    if ranking is not None:
         entry["ranking"] = [f.to_json_dict() for f in ranking]
     return entry
 

@@ -28,13 +28,10 @@ class CandidateFamily:
     """A distribution family entered into the BIC ranking."""
 
     family: str
-    k: int  # free parameters counted by the Schwarz criterion
 
     def __post_init__(self) -> None:
         if self.family not in _FITTERS:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.k < 1:
-            raise ValueError("parameter count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,7 @@ class FamilyFit:
     """One ranked entry: family name, parameters, likelihood, BIC."""
 
     family: str
-    k: int
+    k: int  # free parameters counted by the Schwarz criterion
     params: dict
     loglik: float
     bic: float
@@ -153,6 +150,7 @@ def _fit_rayleigh(z):
     return {"scale": scale}, _sum_logpdf(_st.rayleigh, z, 0.0, scale), None
 
 
+#: family -> (free parameter count, fitter)
 _FITTERS = {
     "GEV": (3, _fit_gev),
     "Gumbel": (2, _fit_gumbel),
@@ -169,7 +167,7 @@ _FITTERS = {
 
 def default_candidates() -> list[CandidateFamily]:
     """The full ten-family candidate set."""
-    return [CandidateFamily(name, k) for name, (k, _) in _FITTERS.items()]
+    return [CandidateFamily(name) for name in _FITTERS]
 
 
 def select_model(data, candidates: list[CandidateFamily] | None = None) -> list[FamilyFit]:
@@ -188,7 +186,7 @@ def select_model(data, candidates: list[CandidateFamily] | None = None) -> list[
     n = int(z.size)
     fits: list[FamilyFit] = []
     for cand in candidates:
-        _, fitter = _FITTERS[cand.family]
+        k, fitter = _FITTERS[cand.family]
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -199,10 +197,10 @@ def select_model(data, candidates: list[CandidateFamily] | None = None) -> list[
         fits.append(
             FamilyFit(
                 family=cand.family,
-                k=cand.k,
+                k=k,
                 params=params,
                 loglik=loglik,
-                bic=cand.k * math.log(n) - 2.0 * loglik,
+                bic=k * math.log(n) - 2.0 * loglik,
                 n=n,
                 gev=gev,
             )

@@ -1,7 +1,11 @@
 """Per-call quality metrics over decoded sessions.
 
-Each metric comes back as a MetricSeries (unit-tagged time series) or a
-small summary dataclass. Jitter follows the absolute-difference form
+Each metric comes back as a MetricSeries or a small summary dataclass.
+A MetricSeries is a unit-tagged time series stored as two read-only
+float64 arrays (sample times and values), so the windowed metrics
+(moving_std, bandwidth_series) locate every trailing window with one
+searchsorted call instead of a per-sample loop. Jitter follows the
+absolute-difference form
 
     J_n = |(t_r(n) - t_t(n)) - (t_r(n-1) - t_t(n-1))|
 
@@ -14,7 +18,6 @@ jitter_series enables the classic 1/16 estimator for cross-checking.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +47,16 @@ DEFAULT_OVERHEAD_BYTES = 28
 
 @dataclass(frozen=True)
 class MetricSeries:
-    """Named, unit-tagged sequence of (time, value) samples."""
+    """Named, unit-tagged time series held as two read-only float64 arrays.
+
+    ``t`` holds strictly increasing sample times and ``v`` the value at
+    each; both are finite, equally long, and owned by the series.
+    """
 
     name: str
     unit: str
-    samples: tuple
+    t: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self) -> None:
         if self.name not in UNIT_BY_NAME:
@@ -58,39 +66,45 @@ class MetricSeries:
                 f"metric {self.name!r} must carry unit "
                 f"{UNIT_BY_NAME[self.name]!r}, got {self.unit!r}"
             )
-        object.__setattr__(self, "samples", tuple(tuple(s) for s in self.samples))
-        prev = -math.inf
-        for t, v in self.samples:
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise DomainError("sample times and values must be finite")
-            if t <= prev:
-                raise DomainError("sample times must be strictly increasing")
-            prev = t
+        t = np.array(self.t, dtype=np.float64)
+        v = np.array(self.v, dtype=np.float64)
+        if t.ndim != 1 or t.shape != v.shape:
+            raise DomainError("sample times and values must be equal-length 1-D")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise DomainError("sample times and values must be finite")
+        if np.any(np.diff(t) <= 0.0):
+            raise DomainError("sample times must be strictly increasing")
+        t.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "v", v)
 
     @classmethod
-    def create(cls, name: str, samples) -> "MetricSeries":
-        return cls(name=name, unit=UNIT_BY_NAME.get(name, ""), samples=tuple(samples))
+    def create(cls, name: str, times, values) -> "MetricSeries":
+        return cls(name=name, unit=UNIT_BY_NAME.get(name, ""), t=times, v=values)
 
     def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples], dtype=float)
+        return self.t
 
     def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.samples], dtype=float)
+        return self.v
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.t)
 
     def to_csv(self) -> str:
         lines = ["t,value,unit"]
-        for t, v in self.samples:
-            lines.append(f"{t!r},{v!r},{self.unit}")
+        lines += [
+            f"{t!r},{v!r},{self.unit}"
+            for t, v in zip(self.t.tolist(), self.v.tolist())
+        ]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
             "unit": self.unit,
-            "samples": [[t, v] for t, v in self.samples],
+            "samples": np.column_stack((self.t, self.v)).tolist(),
         }
 
 
@@ -146,9 +160,7 @@ def jitter_series(
             j += (d - j) / 16.0
             smoothed.append(j)
         diffs = smoothed
-    return MetricSeries.create(
-        "jitter", zip((p.capture_ts for p in stream[1:]), diffs)
-    )
+    return MetricSeries.create("jitter", t_r[1:], diffs)
 
 
 def moving_std(series: MetricSeries, window: float = 1.0) -> MetricSeries:
@@ -167,14 +179,30 @@ def moving_std(series: MetricSeries, window: float = 1.0) -> MetricSeries:
         )
     t = series.times()
     v = series.values()
-    out = []
-    lo = 0
-    for i in range(len(t)):
-        while t[lo] <= t[i] - window:
-            lo += 1
-        sd = float(np.std(v[lo : i + 1], ddof=1)) if i - lo + 1 >= 2 else 0.0
-        out.append((t[i], sd))
-    return MetricSeries.create(out_name, out)
+    sd = np.zeros(len(t))
+    # trailing window of sample i is v[lo[i] : i + 1]
+    lo = np.searchsorted(t, t - window, side="right")
+    count = np.arange(1, len(t) + 1) - lo
+    rows = np.nonzero(count >= 2)[0]
+    lo, count = lo[rows], count[rows]
+    # Two passes over the offset k inside each window, every window at
+    # once: sum the values, then the squared deviations from the mean.
+    # Values are taken relative to the window's first one, so a window
+    # of equal values gives exactly 0.
+    base = v[lo]
+    width = int(count.max(initial=0))
+    total = np.zeros(len(rows))
+    for k in range(width):
+        live = k < count
+        total[live] += v[lo[live] + k] - base[live]
+    mean = total / count
+    squares = np.zeros(len(rows))
+    for k in range(width):
+        live = k < count
+        dev = v[lo[live] + k] - base[live] - mean[live]
+        squares[live] += dev * dev
+    sd[rows] = np.sqrt(squares / (count - 1))
+    return MetricSeries.create(out_name, t, sd)
 
 
 def bandwidth_series(
@@ -191,22 +219,16 @@ def bandwidth_series(
         raise DomainError(f"window must be positive, got {window}")
     if overhead_bytes < 0:
         raise DomainError("overhead_bytes must be >= 0")
-    if not stream:
-        return MetricSeries.create("bandwidth", [])
     t = np.array([p.capture_ts for p in stream], dtype=float)
     size = np.array(
         [p.payload_len + p.header_len + overhead_bytes for p in stream], dtype=float
     )
-    out = []
-    lo = 0
-    acc = 0.0
-    for i in range(len(t)):
-        acc += size[i]
-        while t[lo] <= t[i] - window:
-            acc -= size[lo]
-            lo += 1
-        out.append((t[i], acc * 8.0 / window / 1000.0))
-    return MetricSeries.create("bandwidth", out)
+    # window (t - window, t] holds packets lo..i; sizes are integers, so
+    # the cumulative sums and their differences are exact
+    lo = np.searchsorted(t, t - window, side="right")
+    cum = np.concatenate(([0.0], np.cumsum(size)))
+    acc = cum[1:] - cum[lo]
+    return MetricSeries.create("bandwidth", t, acc * 8.0 / window / 1000.0)
 
 
 def loss_summary(stream: list[RtpPacket]) -> LossSummary:
@@ -227,14 +249,15 @@ def rtt_series(xr: list[VoipMetricsBlock]) -> MetricSeries:
     sharing one report time (one compound reporting several streams)
     keep only the first; feed per-direction block lists to avoid that.
     """
-    out = []
+    times, values = [], []
     seen = set()
     for b in sorted(xr, key=lambda b: b.report_ts):
         if b.round_trip_delay == 0 or b.report_ts in seen:
             continue
         seen.add(b.report_ts)
-        out.append((b.report_ts, float(b.round_trip_delay)))
-    return MetricSeries.create("rtt", out)
+        times.append(b.report_ts)
+        values.append(float(b.round_trip_delay))
+    return MetricSeries.create("rtt", times, values)
 
 
 def r_factor(r0: float, is_: float, id_: float, ieff: float, a: float) -> float:
@@ -246,15 +269,16 @@ def xr_metric_series(xr: list[VoipMetricsBlock], which: str) -> MetricSeries:
     """Project r_factor or signal_level over report times; 127 skipped."""
     if which not in ("r_factor", "signal_level"):
         raise DomainError(f"which must be r_factor or signal_level, got {which!r}")
-    out = []
+    times, values = [], []
     seen = set()
     for b in sorted(xr, key=lambda b: b.report_ts):
         value = getattr(b, which)
         if value == UNAVAILABLE or b.report_ts in seen:
             continue
         seen.add(b.report_ts)
-        out.append((b.report_ts, float(value)))
-    return MetricSeries.create(which, out)
+        times.append(b.report_ts)
+        values.append(float(value))
+    return MetricSeries.create(which, times, values)
 
 
 def sip_delays(dialog: list[SipMessage]) -> SipDelays:

@@ -1,9 +1,8 @@
 """Descriptive statistics: empirical CDFs, 2-D histograms, boxplots, PCA.
 
 Plot-ready data only; nothing here renders. The PCA eigendecomposition
-uses cyclic Jacobi rotations: the variable count is small (a handful of
-metrics per call), where Jacobi is simple, accurate, and has no failure
-modes worth handling.
+is LAPACK's symmetric solver (``np.linalg.eigh``) on the covariance or
+correlation matrix.
 """
 
 from __future__ import annotations
@@ -83,13 +82,14 @@ class BivariateHist:
         }
 
     def to_csv(self) -> str:
+        xe, ye = self.x_edges.tolist(), self.y_edges.tolist()
+        counts, density = self.counts.tolist(), self.density.tolist()
         lines = ["x_lo,x_hi,y_lo,y_hi,count,density"]
-        for i in range(self.counts.shape[0]):
-            for j in range(self.counts.shape[1]):
+        for i in range(len(counts)):
+            for j in range(len(counts[i])):
                 lines.append(
-                    f"{self.x_edges[i]!r},{self.x_edges[i + 1]!r},"
-                    f"{self.y_edges[j]!r},{self.y_edges[j + 1]!r},"
-                    f"{int(self.counts[i, j])},{self.density[i, j]!r}"
+                    f"{xe[i]!r},{xe[i + 1]!r},{ye[j]!r},{ye[j + 1]!r},"
+                    f"{counts[i][j]},{density[i][j]!r}"
                 )
         return "\n".join(lines) + "\n"
 
@@ -208,39 +208,6 @@ class PcaResult:
         }
 
 
-def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric matrix by cyclic Jacobi rotations."""
-    s = np.array(a, dtype=float)
-    m = s.shape[0]
-    v = np.eye(m)
-    if m == 1:
-        return np.array([s[0, 0]]), v
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(s)))
-    mask = ~np.eye(m, dtype=bool)
-    for _ in range(100):
-        off = float(np.sqrt(np.sum(s[mask] ** 2)))
-        if off <= tol:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                if abs(s[p, q]) <= tol / (m * m):
-                    continue
-                tau = (s[q, q] - s[p, p]) / (2.0 * s[p, q])
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                rot = np.eye(m)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = sn
-                rot[q, p] = -sn
-                s = rot.T @ s @ rot
-                v = v @ rot
-    return np.diag(s).copy(), v
-
-
 def pca(observations, k: int, standardize: bool = True,
         variables: tuple = ()) -> PcaResult:
     """Principal components of an n-observations x m-variables matrix.
@@ -272,7 +239,7 @@ def pca(observations, k: int, standardize: bool = True,
             )
         z = z / sd
     cov = z.T @ z / (n - 1)
-    vals, vecs = _jacobi_eigh(cov)
+    vals, vecs = np.linalg.eigh(cov)
     # covariance matrices are PSD; zero out the rounding-level negatives
     floor = -1e-9 * max(1.0, float(np.max(np.abs(vals))))
     vals = np.where((vals < 0.0) & (vals > floor), 0.0, vals)

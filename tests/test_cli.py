@@ -196,6 +196,20 @@ class TestAnalyze:
                 continue
             assert csv.read_text().splitlines()[0] == "t,value,unit", csv.name
 
+    def test_csv_cells_are_plain_numbers(self, capture, tmp_path):
+        assert entrypoint(["analyze", "--input", str(capture),
+                           "--out", str(tmp_path / "out")]) == 0
+        csvs = sorted((tmp_path / "out" / "call-1").glob("*.csv"))
+        assert "bandwidth_sigma_hist.csv" in [c.name for c in csvs]
+        for csv in csvs:
+            header, *rows = csv.read_text().splitlines()
+            columns = header.split(",")
+            assert rows, csv.name
+            for row in rows:
+                for column, cell in zip(columns, row.split(","), strict=True):
+                    if column != "unit":
+                        float(cell)  # raises on e.g. "np.float64(1.5)"
+
     def test_candidates_add_ranking(self, capture, tmp_path):
         entrypoint(["analyze", "--input", str(capture),
                     "--out", str(tmp_path / "out"),

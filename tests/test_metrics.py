@@ -62,6 +62,60 @@ def msg(kind, what, ts, cseq=1, cseq_method="INVITE", call_id="c1"):
     )
 
 
+def pairs(series):
+    return list(zip(series.times().tolist(), series.values().tolist()))
+
+
+def reference_moving_std(t, v, window):
+    """Per-window np.std(ddof=1) over (t - window, t]; 0 below two samples."""
+    out = []
+    for ti in t:
+        vals = v[(t > ti - window) & (t <= ti)]
+        out.append(float(np.std(vals, ddof=1)) if len(vals) >= 2 else 0.0)
+    return np.array(out)
+
+
+def running_sum_bandwidth(stream, window, overhead_bytes):
+    """Reference: the running window sum, one packet at a time."""
+    t = np.array([p.capture_ts for p in stream], dtype=float)
+    size = np.array(
+        [p.payload_len + p.header_len + overhead_bytes for p in stream], dtype=float
+    )
+    out = []
+    lo = 0
+    acc = 0.0
+    for i in range(len(t)):
+        acc += size[i]
+        while t[lo] <= t[i] - window:
+            acc -= size[lo]
+            lo += 1
+        out.append(acc * 8.0 / window / 1000.0)
+    return out
+
+
+@st.composite
+def spiky_series(draw):
+    """Jitter-like series: ms values on a 1 us grid, some 1e4x+ spikes,
+    and runs of one repeated value so that some windows are flat. Times
+    sit on a 1/1024 s grid, so dyadic windows put samples exactly on the
+    open end of a window."""
+    n = draw(st.integers(1, 120))
+    gaps = draw(st.lists(st.integers(1, 400), min_size=n, max_size=n))
+    t = np.cumsum(gaps) / 1024
+    base = st.integers(0, 100_000).map(lambda x: x / 1000)
+    v = np.array(draw(st.lists(st.one_of(base, st.just(0.1)),
+                               min_size=n, max_size=n)))
+    spikes = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(10**4, 10**6)),
+                           max_size=max(1, n // 4)))
+    floor = float(np.median(v)) + 1e-3
+    for i, factor in spikes:
+        v[i] = floor * factor
+    window = draw(st.sampled_from([5 / 1024, 0.0625, 0.375, 1.0, 3.0])
+                  | st.floats(0.001, 5.0))
+    return t, v, window
+
+
 class TestUnroll:
     def test_empty(self):
         assert unroll([], 2**16) == []
@@ -169,24 +223,27 @@ class TestJitter:
 
 class TestMovingStd:
     def test_constant_series_is_zero(self):
-        series = MetricSeries.create("jitter", [(float(t), 5.0) for t in range(10)])
-        out = moving_std(series, window=3.0)
-        assert out.name == "sigma_j" and out.unit == "ms"
-        assert list(out.values()) == [0.0] * 10
+        # 0.1 and 1/3 do not sum exactly, so their means round
+        for value in (5.0, 0.1, 1 / 3):
+            series = MetricSeries.create("jitter", np.arange(10.0),
+                                         np.full(10, value))
+            out = moving_std(series, window=3.0)
+            assert out.name == "sigma_j" and out.unit == "ms"
+            assert list(out.values()) == [0.0] * 10
 
     def test_two_values_hand_case(self):
-        series = MetricSeries.create("jitter", [(0.0, 0.0), (0.5, 2.0)])
+        series = MetricSeries.create("jitter", [0.0, 0.5], [0.0, 2.0])
         out = moving_std(series, window=1.0)
         assert out.values()[0] == 0.0
         assert out.values()[1] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_singleton_windows_are_zero(self):
-        series = MetricSeries.create("jitter", [(2.0 * t, 1.0 * t) for t in range(8)])
+        series = MetricSeries.create("jitter", 2.0 * np.arange(8), np.arange(8.0))
         out = moving_std(series, window=1.0)
         assert list(out.values()) == [0.0] * 8
 
     def test_signal_level_maps_to_sigma_sl(self):
-        series = MetricSeries.create("signal_level", [(0.0, -10.0), (0.5, -14.0)])
+        series = MetricSeries.create("signal_level", [0.0, 0.5], [-10.0, -14.0])
         out = moving_std(series, window=1.0)
         assert out.name == "sigma_sl" and out.unit == "dBm"
         assert out.values()[1] == pytest.approx(math.sqrt(8.0), rel=1e-12)
@@ -196,18 +253,31 @@ class TestMovingStd:
         t = np.sort(rng.uniform(0.0, 20.0, size=200))
         t = np.unique(t)
         v = rng.normal(5.0, 2.0, size=len(t))
-        series = MetricSeries.create("jitter", list(zip(t, np.abs(v))))
+        series = MetricSeries.create("jitter", t, np.abs(v))
         out = moving_std(series, window=0.37)
-        for i, (ti, sd) in enumerate(out.samples):
-            vals = [vv for tt, vv in series.samples if ti - 0.37 < tt <= ti]
-            want = float(np.std(vals, ddof=1)) if len(vals) >= 2 else 0.0
-            assert sd == pytest.approx(want, abs=1e-12)
+        assert np.array_equal(out.times(), t)
+        want = reference_moving_std(t, np.abs(v), 0.37)
+        assert out.values() == pytest.approx(want, abs=1e-12)
+
+    @given(spiky_series())
+    def test_matches_per_window_std(self, case):
+        t, v, window = case
+        got = moving_std(MetricSeries.create("jitter", t, v), window).values()
+        want = reference_moving_std(t, v, window)
+        for ti, g, w in zip(t, got, want):
+            vals = v[(t > ti - window) & (t <= ti)]
+            if np.all(vals == vals[0]):
+                assert g == 0.0
+            elif w == 0.0:
+                assert g == pytest.approx(0.0, abs=1e-12)
+            else:
+                assert g == pytest.approx(w, rel=1e-9)
 
     def test_rejects_bad_window_and_name(self):
-        series = MetricSeries.create("jitter", [(0.0, 1.0), (1.0, 2.0)])
+        series = MetricSeries.create("jitter", [0.0, 1.0], [1.0, 2.0])
         with pytest.raises(DomainError):
             moving_std(series, window=0.0)
-        bw = MetricSeries.create("bandwidth", [(0.0, 80.0)])
+        bw = MetricSeries.create("bandwidth", [0.0], [80.0])
         with pytest.raises(DomainError):
             moving_std(bw, window=1.0)
 
@@ -268,6 +338,24 @@ class TestBandwidth:
         a = bandwidth_series(base, window=1.0, overhead_bytes=0)
         b = bandwidth_series(doubled, window=1.0, overhead_bytes=0)
         assert list(b.values()) == [2.0 * v for v in a.values()]
+
+    @given(
+        gaps=st.lists(st.integers(1, 8), min_size=1, max_size=200),
+        sizes=st.lists(st.integers(0, 1500), min_size=200, max_size=200),
+        window=st.sampled_from([1 / 64, 1 / 16, 0.5, 1.0])
+        | st.floats(0.001, 3.0),
+        overhead=st.integers(0, 64),
+    )
+    def test_equals_running_sum(self, gaps, sizes, window, overhead):
+        # a 1/128 s grid puts packets exactly on the open end of dyadic
+        # windows
+        times = np.cumsum(gaps) / 128
+        stream = [pkt(float(ts), 160 * i, seq=i, payload_len=sizes[i])
+                  for i, ts in enumerate(times)]
+        series = bandwidth_series(stream, window=window, overhead_bytes=overhead)
+        assert series.times().tolist() == times.tolist()
+        assert series.values().tolist() == running_sum_bandwidth(
+            stream, window, overhead)
 
     def test_empty_stream(self):
         series = bandwidth_series([], window=1.0)
@@ -335,7 +423,7 @@ class TestRtt:
         blocks = [xr(1.0, 120), xr(2.5, 150)]
         series = rtt_series(blocks)
         assert series.name == "rtt" and series.unit == "ms"
-        assert series.samples == ((1.0, 120.0), (2.5, 150.0))
+        assert pairs(series) == [(1.0, 120.0), (2.5, 150.0)]
 
     def test_zero_means_unmeasured(self):
         blocks = [xr(1.0, 120), xr(2.0, 0), xr(3.0, 150)]
@@ -344,7 +432,7 @@ class TestRtt:
     def test_duplicate_report_time_keeps_first(self):
         blocks = [xr(1.0, 120), xr(1.0, 999)]
         series = rtt_series(blocks)
-        assert series.samples == ((1.0, 120.0),)
+        assert pairs(series) == [(1.0, 120.0)]
 
     def test_empty(self):
         assert len(rtt_series([])) == 0
@@ -386,7 +474,7 @@ class TestXrSeries:
         ]
         series = xr_metric_series(blocks, "r_factor")
         assert series.name == "r_factor" and series.unit == "score"
-        assert series.samples == ((1.0, 90.0), (3.0, 88.0))
+        assert pairs(series) == [(1.0, 90.0), (3.0, 88.0)]
 
     def test_signal_level_signed(self):
         block = xr(1.0, signal_level=-12)
@@ -394,12 +482,12 @@ class TestXrSeries:
         # offset 20 from the block header)
         assert encode_voip_metrics(block)[20] == 0xF4
         series = xr_metric_series([block], "signal_level")
-        assert series.samples == ((1.0, -12.0),)
+        assert pairs(series) == [(1.0, -12.0)]
         assert series.unit == "dBm"
 
     def test_unavailable_signal_skipped(self):
         blocks = [xr(1.0, signal_level=UNAVAILABLE), xr(2.0, signal_level=-3)]
-        assert xr_metric_series(blocks, "signal_level").samples == ((2.0, -3.0),)
+        assert pairs(xr_metric_series(blocks, "signal_level")) == [(2.0, -3.0)]
 
     def test_empty(self):
         assert len(xr_metric_series([], "r_factor")) == 0
@@ -478,37 +566,37 @@ class TestSipDelays:
 
 class TestMetricSeries:
     def test_unit_table_enforced(self):
-        series = MetricSeries.create("rtt", [(0.0, 150.0)])
+        series = MetricSeries.create("rtt", [0.0], [150.0])
         assert series.unit == "ms"
         with pytest.raises(DomainError):
-            MetricSeries(name="rtt", unit="kbps", samples=((0.0, 1.0),))
+            MetricSeries(name="rtt", unit="kbps", t=[0.0], v=[1.0])
         with pytest.raises(DomainError):
-            MetricSeries.create("mos", [(0.0, 1.0)])
+            MetricSeries.create("mos", [0.0], [1.0])
 
     def test_times_strictly_increasing(self):
         with pytest.raises(DomainError):
-            MetricSeries.create("jitter", [(0.0, 1.0), (0.0, 2.0)])
+            MetricSeries.create("jitter", [0.0, 0.0], [1.0, 2.0])
         with pytest.raises(DomainError):
-            MetricSeries.create("jitter", [(1.0, 1.0), (0.5, 2.0)])
+            MetricSeries.create("jitter", [1.0, 0.5], [1.0, 2.0])
 
     def test_finite_samples_only(self):
         with pytest.raises(DomainError):
-            MetricSeries.create("jitter", [(0.0, math.nan)])
+            MetricSeries.create("jitter", [0.0], [math.nan])
         with pytest.raises(DomainError):
-            MetricSeries.create("jitter", [(math.inf, 1.0)])
+            MetricSeries.create("jitter", [math.inf], [1.0])
 
     def test_csv_shape(self):
-        series = MetricSeries.create("jitter", [(0.5, 1.25), (1.0, 2.0)])
+        series = MetricSeries.create("jitter", [0.5, 1.0], [1.25, 2.0])
         assert series.to_csv() == "t,value,unit\n0.5,1.25,ms\n1.0,2.0,ms\n"
 
     def test_csv_values_round_trip(self):
-        series = MetricSeries.create("jitter", [(1 / 3, 2 / 7)])
+        series = MetricSeries.create("jitter", [1 / 3], [2 / 7])
         line = series.to_csv().splitlines()[1]
         t, v, unit = line.split(",")
         assert float(t) == 1 / 3 and float(v) == 2 / 7 and unit == "ms"
 
     def test_json_dict(self):
-        series = MetricSeries.create("bandwidth", [(0.0, 80.0)])
+        series = MetricSeries.create("bandwidth", [0.0], [80.0])
         assert series.to_json_dict() == {
             "name": "bandwidth",
             "unit": "kbps",
@@ -516,7 +604,7 @@ class TestMetricSeries:
         }
 
     def test_array_accessors(self):
-        series = MetricSeries.create("rtt", [(0.0, 120.0), (5.0, 150.0)])
+        series = MetricSeries.create("rtt", [0.0, 5.0], [120.0, 150.0])
         assert len(series) == 2
         assert series.times().tolist() == [0.0, 5.0]
         assert series.values().tolist() == [120.0, 150.0]

@@ -62,7 +62,7 @@ class TestTieBreaks:
 
     def test_candidate_subset_restricts_output(self):
         z = gev_sample(GevParams(xi=0.1, sigma=2.0, mu=30.0), 1000, seed=6)
-        subset = [CandidateFamily("Normal", 2), CandidateFamily("Logistic", 2)]
+        subset = [CandidateFamily("Normal"), CandidateFamily("Logistic")]
         fits = select_model(z, candidates=subset)
         assert {f.family for f in fits} == {"Normal", "Logistic"}
 
@@ -89,7 +89,7 @@ class TestExclusions:
 
     def test_unknown_family_rejected_at_construction(self):
         with pytest.raises(Exception):
-            CandidateFamily("Cauchy", 2)
+            CandidateFamily("Cauchy")
 
 
 class TestJsonShape:

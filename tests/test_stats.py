@@ -18,7 +18,6 @@ from voipqos.stats import (
     BoxplotStats,
     EmpiricalCdf,
     PcaResult,
-    _jacobi_eigh,
     bivariate_hist,
     boxplot_stats,
     empirical_cdf,
@@ -196,23 +195,32 @@ class TestBoxplot:
 
 
 class TestJacobi:
+    """Eigenpairs that ``pca`` takes from its symmetric solver.
+
+    The class keeps the name of the cyclic Jacobi solver it first covered;
+    ``pca`` now calls ``np.linalg.eigh``.
+    """
+
     def test_matches_lapack_on_random_symmetric(self):
+        # S v = lambda v on the unstandardized covariance S, for random
+        # symmetric S of several sizes
         rng = np.random.default_rng(42)
         for size in (2, 3, 5, 8):
-            a = rng.normal(size=(size, size))
-            s = (a + a.T) / 2.0
-            vals, vecs = _jacobi_eigh(s)
-            want = np.sort(np.linalg.eigvalsh(s))
-            assert np.sort(vals) == pytest.approx(want, abs=1e-10)
-            # eigenvector property: S v = lambda v
-            for j in range(size):
-                assert s @ vecs[:, j] == pytest.approx(
-                    vals[j] * vecs[:, j], abs=1e-9
-                )
+            obs = rng.normal(size=(3 * size + 2, size)) @ rng.normal(
+                size=(size, size))
+            out = pca(obs, k=size, standardize=False)
+            z = obs - obs.mean(axis=0)
+            s = z.T @ z / (len(obs) - 1)
+            want = np.sort(np.linalg.eigvalsh(s))[::-1]
+            assert out.explained == pytest.approx(want, abs=1e-10)
+            for lam, v in zip(out.explained, out.components):
+                assert s @ v == pytest.approx(lam * v, abs=1e-9)
 
     def test_one_by_one(self):
-        vals, vecs = _jacobi_eigh(np.array([[3.5]]))
-        assert vals.tolist() == [3.5] and vecs.tolist() == [[1.0]]
+        # 1..6 has sample variance exactly 3.5
+        out = pca(np.arange(1.0, 7.0)[:, None], k=1, standardize=False)
+        assert out.explained.tolist() == [3.5]
+        assert out.components.tolist() == [[1.0]]
 
 
 class TestPca:
