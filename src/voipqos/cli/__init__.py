@@ -7,7 +7,8 @@ Subcommands:
   report   session reports -> one cross-scenario comparison document
 
 Exit codes: 0 success, 1 fatal error (diagnostic on stderr), 2 partial
-success (the capture held records that could not be parsed).
+success (the capture held records that were set aside: unparsable,
+unbound, or duplicated RTP packets).
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def _cmd_analyze(args) -> int:
               f"rtp={meta['rtp_fwd']}+{meta['rtp_rev']} xr={meta['xr_blocks']}")
     if residue:
         print(
-            f"warning: {residue} record(s) were not parseable as RTP/RTCP/SIP",
+            f"warning: {residue} record(s) set aside: not parseable as "
+            "RTP/RTCP/SIP, not bound to a call, or a duplicated RTP packet",
             file=sys.stderr,
         )
         return 2

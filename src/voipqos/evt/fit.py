@@ -1,13 +1,19 @@
-"""Maximum-likelihood GEV fitting via safeguarded Newton-Raphson.
+"""Maximum-likelihood fitting by safeguarded Newton-Raphson.
 
-The likelihood is maximized over theta = (xi, sigma, mu) with gradient
-and Hessian formed by central finite differences (relative step 1e-6).
-Steps are damped by halving until the support constraint
-``1 + xi (z_i - mu) / sigma > 0`` holds for every point and the
-log-likelihood does not decrease, so the iterate sequence is monotone.
-When the negated Hessian is not positive-definite the step falls back
-to a ridge-shifted solve whose large-shift limit is steepest ascent,
-with a doubling line search so off-scale starts can still travel.
+:func:`maximize` is the one Newton engine of the package: every
+iterative fit, here and in :mod:`.select`, hands it an objective and its
+analytic gradient and Hessian. Steps are damped by halving until the
+objective does not decrease, so the iterate sequence is monotone. When
+the negated Hessian is not positive-definite the step falls back to a
+ridge-shifted solve whose large-shift limit is steepest ascent, with a
+doubling line search so off-scale starts can still travel.
+
+The GEV likelihood is maximized over theta = (xi, sigma, mu) with the
+analytic derivatives of Prescott & Walden (1980) and Hosking (1985,
+AS 215). The support constraint ``1 + xi (z_i - mu) / sigma > 0`` holds
+at every iterate because off-support points have likelihood ``-inf``.
+Near ``xi = 0`` the xi-derivatives use a power series in ``xi w``, so
+they are continuous through the Gumbel limit.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from .gev import (
 #: Fitting refuses fewer points than this as statistically meaningless.
 MIN_FIT_POINTS = 20
 
-_FD_REL_STEP = 1e-6
 _MAX_HALVINGS = 30
+_RESOLUTION = 16.0 * np.finfo(float).eps
 _EULER_GAMMA = 0.5772  # Gumbel moment initializer constant
 
 # Standard Gumbel quantiles used by the robust fallback initializer.
@@ -124,53 +130,83 @@ def _quantile_init(z: np.ndarray) -> np.ndarray:
     return np.array([0.1, sigma0, med - _GUMBEL_MEDIAN * sigma0])
 
 
-def _fd_once(f: Callable, theta: np.ndarray, h: np.ndarray):
-    g = np.empty(3)
-    hess = np.empty((3, 3))
-    f0 = f(theta)
-    for i in range(3):
-        tp = theta.copy()
-        tp[i] += h[i]
-        tm = theta.copy()
-        tm[i] -= h[i]
-        fp, fm = f(tp), f(tm)
-        g[i] = (fp - fm) / (2.0 * h[i])
-        hess[i, i] = (fp - 2.0 * f0 + fm) / h[i] ** 2
-    for i in range(3):
-        for j in range(i + 1, 3):
-            tpp = theta.copy()
-            tpp[i] += h[i]
-            tpp[j] += h[j]
-            tpm = theta.copy()
-            tpm[i] += h[i]
-            tpm[j] -= h[j]
-            tmp = theta.copy()
-            tmp[i] -= h[i]
-            tmp[j] += h[j]
-            tmm = theta.copy()
-            tmm[i] -= h[i]
-            tmm[j] -= h[j]
-            hess[i, j] = hess[j, i] = (f(tpp) - f(tpm) - f(tmp) + f(tmm)) / (
-                4.0 * h[i] * h[j]
-            )
-    return g, 0.5 * (hess + hess.T)
+# |xi w| below this takes the power series for the xi-derivatives of
+# log1p(xi w) / xi, whose closed forms cancel there; the closed forms
+# lose ~3 eps / (xi w)^2 relative at the cut, the 12-term series ~1e-20.
+_SERIES_CUT = 0.02
+_SERIES_TERMS = 12
+_J = np.arange(_SERIES_TERMS, dtype=float)
+# d/dxi and d2/dxi2 of log1p(x)/xi = w sum_k (-x)^k / (k + 1), x = xi w,
+# divided by w^2 and w^3: coefficients of x^j, highest power first
+_OM1_COEF = ((-1.0) ** (_J + 1) * (_J + 1) / (_J + 2))[::-1].copy()
+_OM2_COEF = ((-1.0) ** _J * (_J + 1) * (_J + 2) / (_J + 3))[::-1].copy()
 
 
-def _grad_hess(f: Callable, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradient and symmetrized Hessian of ``f``.
+def omega_derivs(xi: float, w: np.ndarray):
+    """``1 + xi w``, ``om = log1p(xi w) / xi`` and its first two xi-derivatives.
 
-    Near the support boundary a probe point can fall off-support and turn
-    a difference into inf-inf; the step is then halved until every probe
-    evaluates, since the support set is open around any feasible theta.
+    Every output is continuous through ``xi = 0``, where ``om = w``.
     """
-    h = _FD_REL_STEP * np.maximum(np.abs(theta), 1.0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for _ in range(45):
-            g, hess = _fd_once(f, theta, h)
-            if np.all(np.isfinite(g)) and np.all(np.isfinite(hess)):
-                break
-            h = h * 0.5
-    return g, hess
+    x = xi * w
+    a = 1.0 + x
+    if xi == 0.0:
+        return a, w.copy(), -0.5 * w * w, (2.0 / 3.0) * w ** 3
+    om = np.log1p(x) / xi
+    om1 = (w / a - om) / xi
+    om2 = -(w * w / (a * a) + 2.0 * om1) / xi
+    small = np.abs(x) < _SERIES_CUT
+    if np.any(small):
+        xs, ws = x[small], w[small]
+        om1[small] = ws * ws * np.polyval(_OM1_COEF, xs)
+        om2[small] = ws ** 3 * np.polyval(_OM2_COEF, xs)
+    return a, om, om1, om2
+
+
+def loc_scale_derivs(n: int, scale: float, y: np.ndarray, d1, d2):
+    """Gradient and Hessian in (loc, scale) of ``sum h(y_i) - n log(scale)``.
+
+    ``y = (z - loc) / scale``; ``d1`` and ``d2`` are ``h'`` and ``h''`` at
+    ``y``. Every location-scale likelihood in the package shares this
+    chain rule.
+    """
+    s1, s2 = float(np.sum(d1)), float(np.sum(d2))
+    yd1, yd2, yyd2 = float(y @ d1), float(y @ d2), float((y * y) @ d2)
+    g = np.array([-s1, -(n + yd1)]) / scale
+    hess = np.array([[s2, s1 + yd2], [s1 + yd2, n + 2.0 * yd1 + yyd2]])
+    return g, hess / (scale * scale)
+
+
+def _gev_derivs(theta: np.ndarray, z: np.ndarray):
+    """Analytic gradient and Hessian of the GEV log-likelihood.
+
+    With ``w = (z - mu) / sigma`` and ``om`` as in :func:`omega_derivs`,
+    each point contributes ``g = -(1 + xi) om - exp(-om)`` plus the
+    ``-log sigma`` term (Prescott & Walden 1980; Hosking 1985, AS 215).
+    """
+    xi, sigma, mu = (float(v) for v in theta)
+    w = (z - mu) / sigma
+    with np.errstate(over="ignore", under="ignore", divide="ignore",
+                     invalid="ignore"):
+        a, om, om1, om2 = omega_derivs(xi, w)
+        t = np.exp(-om)
+        u = t - 1.0 - xi  # dg/dom
+        ia = 1.0 / a
+        d1 = u * ia  # dg/dw
+        d2 = (1.0 + xi) * (xi - t) * ia * ia  # d2g/dw2
+        g_x = -om + u * om1  # dg/dxi
+        g_xw = -(t * om1 + 1.0) * ia - u * w * ia * ia
+        g_xx = -2.0 * om1 - t * om1 * om1 + u * om2
+        g_ls, h_ls = loc_scale_derivs(z.size, sigma, w, d1, d2)
+        cross = np.array([-float(np.sum(g_xw)), -float(w @ g_xw)]) / sigma
+    grad = np.array([float(np.sum(g_x)), g_ls[1], g_ls[0]])
+    hess = np.empty((3, 3))
+    hess[0, 0] = float(np.sum(g_xx))
+    hess[0, 1] = hess[1, 0] = cross[1]
+    hess[0, 2] = hess[2, 0] = cross[0]
+    hess[1, 1] = h_ls[1, 1]
+    hess[2, 2] = h_ls[0, 0]
+    hess[1, 2] = hess[2, 1] = h_ls[0, 1]
+    return grad, hess
 
 
 def _is_positive_definite(a: np.ndarray) -> bool:
@@ -207,6 +243,68 @@ def _expand(f, theta, direction, best, best_ll, limit):
     return best, best_ll
 
 
+def maximize(f, derivs, theta, tol: float = 1e-8, max_iter: int = 200):
+    """Safeguarded Newton ascent on ``f`` from a point where it is finite.
+
+    ``f(theta)`` is the objective (``-inf`` outside its domain) and
+    ``derivs(theta)`` its gradient and Hessian. Each step is damped by
+    halving until ``f`` does not decrease, so the iterates are monotone.
+    When the negated Hessian is not positive-definite the step is a
+    ridge-shifted solve, whose large-shift limit is steepest ascent, with
+    a doubling line search so off-scale starts can still travel.
+    Convergence is declared when every step component is below ``tol``
+    relative to ``max(1, |theta_i|)``, when twice the gain a Newton step
+    predicts is below the resolution of ``f`` (``_RESOLUTION`` relative),
+    or when no step along either direction improves ``f`` at any scale
+    down to ``2^-30``.
+
+    Returns ``(theta, f(theta), iterations, converged)``.
+    """
+    theta = np.asarray(theta, dtype=float)
+    ll = f(theta)
+    g, hess = derivs(theta)
+    eye = np.eye(theta.size)
+    for it in range(1, max_iter + 1):
+        g = np.where(np.isfinite(g), g, 0.0)
+        usable_hess = bool(np.all(np.isfinite(hess)))
+        neg_hess = -hess if usable_hess else eye
+        newton = usable_hess and _is_positive_definite(neg_hess)
+        if newton:
+            step = np.linalg.solve(neg_hess, g)
+        else:
+            try:
+                ev = np.linalg.eigvalsh(neg_hess)
+                lam = abs(ev[0]) * 1.5 + 1e-6 * max(1.0, abs(ev[-1]))
+                step = np.linalg.solve(neg_hess + lam * eye, g)
+            except np.linalg.LinAlgError:
+                step = g
+        if np.max(np.abs(step) / np.maximum(np.abs(theta), 1.0)) < tol:
+            return theta, ll, it, True
+        if newton and float(g @ step) <= _RESOLUTION * max(1.0, abs(ll)):
+            # the predicted gain is below what f can resolve, so no line
+            # search could confirm the step
+            return theta, ll, it, True
+        cand, llc, scale = _backtrack(f, theta, ll, step)
+        if cand is not None and not newton and scale == 1.0:
+            cand, llc = _expand(f, theta, step, cand, llc, 2.0 ** 20)
+        if cand is None:
+            # Newton direction failed outright; try scaled ascent
+            d = g * np.maximum(np.abs(theta), 1.0)
+            norm = float(np.linalg.norm(d))
+            if norm == 0.0:
+                return theta, ll, it, True  # exactly stationary gradient
+            d = d / norm * np.maximum(np.abs(theta), 1.0) * 1e-3
+            cand, llc, scale = _backtrack(f, theta, ll, d)
+            if cand is not None and scale == 1.0:
+                cand, llc = _expand(f, theta, d, cand, llc, 2.0 ** 30)
+            if cand is None:
+                # the objective is resolved to its floating-point plateau
+                return theta, ll, it, True
+        theta, ll = cand, llc
+        g, hess = derivs(theta)
+    return theta, ll, max_iter, False
+
+
 def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
     """Fit a GEV by damped Newton-Raphson on the log-likelihood.
 
@@ -214,8 +312,7 @@ def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
     ``mean - 0.5772 scale``, shape 0.1); when the negated Hessian at that
     start is not positive-definite (the symptom of tail-dominated sample
     moments) the start is rebuilt from Gumbel quantile matching instead.
-    Convergence is declared when every Newton step component is below
-    ``tol`` relative to its parameter scale ``max(1, |theta_i|)``.
+    :func:`maximize` then runs with ``tol`` and ``max_iter``.
 
     Raises :class:`NotConverged` (carrying the best fit reached) when the
     iteration budget runs out; the carried fit has ``converged=False``.
@@ -236,6 +333,9 @@ def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
             return -math.inf
         return _loglik_kernel(xi, sigma, mu, z)
 
+    def derivs(theta: np.ndarray):
+        return _gev_derivs(theta, z)
+
     def widen(theta0: np.ndarray) -> np.ndarray:
         # A start whose support excludes some point has -inf likelihood
         # and no usable derivatives; growing sigma always covers the data
@@ -247,67 +347,19 @@ def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
         return theta0
 
     theta = widen(_moment_init(z))
-    ll = f(theta)
-    g, hess = _grad_hess(f, theta)
+    _, hess = derivs(theta)
     if not _is_positive_definite(-hess):
         cand = widen(_quantile_init(z))
-        llc = f(cand)
-        if math.isfinite(llc):
-            theta, ll = cand, llc
-            g, hess = _grad_hess(f, theta)
+        if math.isfinite(f(cand)):
+            theta = cand
 
-    iterations = max_iter
-    converged = False
-    for it in range(1, max_iter + 1):
-        g = np.where(np.isfinite(g), g, 0.0)
-        usable_hess = bool(np.all(np.isfinite(hess)))
-        neg_hess = -hess if usable_hess else np.eye(3)
-        newton = usable_hess and _is_positive_definite(neg_hess)
-        if newton:
-            step = np.linalg.solve(neg_hess, g)
-        else:
-            # ridge shift keeps the solve ascent-directed; its large-shift
-            # limit is plain steepest ascent
-            try:
-                ev = np.linalg.eigvalsh(neg_hess)
-                lam = abs(ev[0]) * 1.5 + 1e-6 * max(1.0, abs(ev[-1]))
-                step = np.linalg.solve(neg_hess + lam * np.eye(3), g)
-            except np.linalg.LinAlgError:
-                step = g
-        if np.max(np.abs(step) / np.maximum(np.abs(theta), 1.0)) < tol:
-            iterations, converged = it, True
-            break
-        cand, llc, scale = _backtrack(f, theta, ll, step)
-        if cand is not None and not newton and scale == 1.0:
-            cand, llc = _expand(f, theta, step, cand, llc, 2.0 ** 20)
-        if cand is None:
-            # Newton direction failed outright; try scaled ascent
-            d = g * np.maximum(np.abs(theta), 1.0)
-            norm = float(np.linalg.norm(d))
-            if norm == 0.0:
-                # exactly stationary gradient
-                iterations, converged = it, True
-                break
-            d = d / norm * np.maximum(np.abs(theta), 1.0) * 1e-3
-            cand, llc, scale = _backtrack(f, theta, ll, d)
-            if cand is not None and scale == 1.0:
-                cand, llc = _expand(f, theta, d, cand, llc, 2.0 ** 30)
-            if cand is None:
-                # No improving step exists along either direction at any
-                # scale down to 2^-30: the likelihood is resolved to its
-                # floating-point plateau, so the maximizer is reached even
-                # though difference noise keeps the nominal step above tol.
-                iterations, converged = it, True
-                break
-        theta, ll = cand, llc
-        g, hess = _grad_hess(f, theta)
-
+    theta, ll, iterations, converged = maximize(f, derivs, theta, tol, max_iter)
     params = GevParams(xi=float(theta[0]), sigma=float(theta[1]), mu=float(theta[2]))
     tail, regime = classify(params)
     fit = GevFit(
         params=params,
-        loglik=ll,
-        bic=3.0 * math.log(z.size) - 2.0 * ll,
+        loglik=float(ll),
+        bic=3.0 * math.log(z.size) - 2.0 * float(ll),
         e_max=ks_distance(z, lambda x: gev_cdf(params, x)),
         tail=tail,
         regime=regime,

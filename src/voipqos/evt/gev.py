@@ -174,15 +174,21 @@ def gev_sample(p: GevParams, n: int, seed: int) -> np.ndarray:
 
 
 def _loglik_kernel(xi: float, sigma: float, mu: float, z: np.ndarray) -> float:
-    """Log-likelihood on raw parameters; the hot path of the fitter."""
+    """Log-likelihood on raw parameters; the hot path of the fitter.
+
+    ``log1p(xi w) / xi`` keeps full precision as ``xi`` approaches 0, so
+    the value is smooth in ``xi`` with no switch at :data:`XI_EPS`; only
+    ``xi == 0`` itself takes the Gumbel form ``w``.
+    """
+    xi, sigma, mu = float(xi), float(sigma), float(mu)
     w = (z - mu) / sigma
-    if abs(xi) < XI_EPS:
+    if xi == 0.0:
         om = w
     else:
-        arg = 1.0 + xi * w
-        if np.any(arg <= 0.0):
+        xw = xi * w
+        if np.any(xw <= -1.0):
             return -math.inf
-        om = np.log(arg) / xi
+        om = np.log1p(xw) / xi
     with np.errstate(over="ignore", under="ignore"):
         val = -z.size * math.log(sigma) - (1.0 + xi) * float(np.sum(om)) - float(
             np.sum(np.exp(-om))
@@ -195,8 +201,8 @@ def gev_loglik(p: GevParams, data) -> float:
 
     Equals the sum of ``log pdf`` over the points, written in the
     standard form ``-n log(sigma) - (1 + xi) sum(w_i) - sum(exp(-w_i))``
-    with ``w_i = log(1 + xi (z_i - mu) / sigma) / xi`` (the Gumbel branch
-    uses ``w_i = (z_i - mu) / sigma``).
+    with ``w_i = log(1 + xi (z_i - mu) / sigma) / xi`` (at ``xi = 0``,
+    ``w_i = (z_i - mu) / sigma``).
     """
     z = np.asarray(data, dtype=float)
     if z.size == 0:

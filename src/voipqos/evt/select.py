@@ -1,26 +1,49 @@
 """Schwarz-criterion model selection among ten candidate families.
 
-Each family is fitted by its own maximum-likelihood estimator and the
-candidates are ranked ascending by BIC = k ln(n) - 2 loglik.  Families
-whose fit fails on the given data (wrong support, no convergence,
-non-finite likelihood) are excluded from the ranking rather than
-aborting it.
+Each family is fitted by its own exact maximum-likelihood estimator and
+the candidates are ranked ascending by BIC = k ln(n) - 2 loglik.
+Log-likelihoods are plain numpy sums. Normal, LogNormal, Exponential
+and Rayleigh have closed-form estimators; the others run the Newton
+engine of :mod:`.fit`:
+
+- GEV: :func:`fit_gev_mle`;
+- Gumbel and Logistic: Newton on (loc, scale) of the standardized data;
+- Weibull and Gamma (location fixed at 0): Newton on the shape of the
+  profile likelihood, whose scale is then closed-form;
+- GeneralizedPareto: location at the sample minimum, then Newton on the
+  profile likelihood in ``theta = c / scale`` (Grimshaw 1993), kept to
+  ``c > -1``, where raising the location to the minimum never lowers the
+  likelihood. Without an interior maximum there the family is excluded.
+
+Families whose fit fails on the given data (wrong support, no interior
+maximum, non-finite likelihood) are excluded from the ranking rather
+than aborting it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats as _st
 
-from ..errors import NotConverged, TooFewPoints
-from .fit import MIN_FIT_POINTS, GevFit, fit_gev_mle
+from ..errors import NotConverged, TooFewPoints, VoipQosError
+from .fit import (
+    _EULER_GAMMA,
+    MIN_FIT_POINTS,
+    GevFit,
+    fit_gev_mle,
+    loc_scale_derivs,
+    maximize,
+    omega_derivs,
+)
+from .gev import _loglik_kernel
 
 log = logging.getLogger(__name__)
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -60,16 +83,145 @@ class FamilyFit:
         return out
 
 
-def _sum_logpdf(dist, z: np.ndarray, *params) -> float:
-    val = float(np.sum(dist.logpdf(z, *params)))
-    if not math.isfinite(val):
-        raise ValueError("non-finite log-likelihood")
-    return val
+# --- special functions -----------------------------------------------------
 
+# digamma's positive root as a double-double, and the Taylor coefficients
+# of digamma about it, (-1)^(k+1) zeta(k+1, root), highest power first
+_PSI_ROOT_HI = 1.4616321449683622
+_PSI_ROOT_LO = 9.549995429965697e-17
+_PSI_ROOT_COEF = (
+    -0.00016170622091974803, 0.00023635601564027053, -0.0003454680251063077,
+    0.000504953265834602, -0.0007380709389960052, 0.0010788252019162967,
+    -0.0015769367714301972, 0.002305126326734928, -0.003369801655439328,
+    0.004926781395729853, -0.007204534386356869, 0.010538791616612175,
+    -0.01542476590494896, 0.022597648232218104, -0.03316112647484736,
+    0.04880428816414311, -0.07219956125645471, 0.10782405069126237,
+    -0.16394270544240652, 0.258499760955651, -0.4427631689835921,
+    0.9676722454476212,
+)
+# Bernoulli-number tails of the asymptotic series at 1/x^2, highest first
+_PSI_ASYM = (-1 / 12, 691 / 32760, -1 / 132, 1 / 240, -1 / 252, 1 / 120, -1 / 12)
+_TRIGAMMA_ASYM = (7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)
+_ASYM_FROM = 10.0
+
+
+def _horner(coef, x: float) -> float:
+    acc = 0.0
+    for c in coef:
+        acc = acc * x + c
+    return acc
+
+
+def digamma(x: float) -> float:
+    """psi(x) for x > 0: recurrence up to 10, then the asymptotic series.
+
+    Within 0.2 of the positive root a Taylor series about the root keeps
+    full relative precision where the recurrence would cancel.
+    """
+    h = (x - _PSI_ROOT_HI) - _PSI_ROOT_LO
+    if abs(h) < 0.2:
+        return h * _horner(_PSI_ROOT_COEF, h)
+    shift = 0.0
+    while x < _ASYM_FROM:
+        shift += 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    return math.log(x) - 0.5 / x + inv2 * _horner(_PSI_ASYM, inv2) - shift
+
+
+def trigamma(x: float) -> float:
+    """psi'(x) for x > 0: recurrence up to 10, then the asymptotic series."""
+    shift = 0.0
+    while x < _ASYM_FROM:
+        shift += 1.0 / (x * x)
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    return 1.0 / x + 0.5 * inv2 + inv2 / x * _horner(_TRIGAMMA_ASYM, inv2) + shift
+
+
+# --- log-likelihoods: sums of log densities, -inf off support --------------
+
+def _finite_sum(terms) -> float:
+    val = float(np.sum(terms))
+    return val if math.isfinite(val) else -math.inf
+
+
+def _ll_gumbel(z, loc, scale):
+    y = (z - loc) / scale
+    return _finite_sum(-y - np.exp(-y)) - z.size * math.log(scale)
+
+
+def _ll_logistic(z, loc, scale):
+    y = -np.abs((z - loc) / scale)
+    return _finite_sum(y - 2.0 * np.log1p(np.exp(y))) - z.size * math.log(scale)
+
+
+def _ll_normal(z, loc, scale):
+    y = (z - loc) / scale
+    return _finite_sum(-0.5 * y * y) - z.size * (_HALF_LOG_2PI + math.log(scale))
+
+
+def _ll_lognormal(z, s, scale):
+    ly = np.log(z / scale)
+    return (_finite_sum(-ly - 0.5 * (ly / s) ** 2)
+            - z.size * (_HALF_LOG_2PI + math.log(s) + math.log(scale)))
+
+
+def _ll_exponential(z, scale):
+    if float(z.min()) < 0.0:
+        return -math.inf
+    return _finite_sum(-z) / scale - z.size * math.log(scale)
+
+
+def _ll_rayleigh(z, scale):
+    if float(z.min()) < 0.0:
+        return -math.inf
+    r = z / scale
+    return _finite_sum(np.log(r) - 0.5 * r * r) - z.size * math.log(scale)
+
+
+def _ll_weibull(z, shape, scale):
+    if float(z.min()) < 0.0:
+        return -math.inf
+    ly = np.log(z / scale)
+    return (_finite_sum((shape - 1.0) * ly - np.exp(shape * ly))
+            + z.size * (math.log(shape) - math.log(scale)))
+
+
+def _ll_gamma(z, a, scale):
+    if float(z.min()) < 0.0:
+        return -math.inf
+    y = z / scale
+    return (_finite_sum((a - 1.0) * np.log(y) - y)
+            - z.size * (math.lgamma(a) + math.log(scale)))
+
+
+def _ll_genpareto(z, c, loc, scale):
+    y = (z - loc) / scale
+    if float(y.min()) < 0.0:
+        return -math.inf
+    if c == 0.0:
+        return _finite_sum(-y) - z.size * math.log(scale)
+    if float(np.min(c * y)) <= -1.0:
+        return -math.inf
+    om = np.log1p(c * y) / c
+    return _finite_sum(-(1.0 + c) * om) - z.size * math.log(scale)
+
+
+def _ll_gev(z, xi, sigma, mu):
+    return _loglik_kernel(xi, sigma, mu, z)
+
+
+# --- fitters: (params in report order, GevFit or None) ---------------------
 
 def _require_positive(z: np.ndarray) -> None:
     if float(z.min()) <= 0.0:
         raise ValueError("family needs strictly positive data")
+
+
+def _require_converged(name: str, converged: bool) -> None:
+    if not converged:
+        raise ValueError(f"{name} fit did not converge")
 
 
 def _fit_gev(z):
@@ -78,29 +230,188 @@ def _fit_gev(z):
     except NotConverged as exc:
         raise ValueError(str(exc)) from exc
     p = fit.params
-    return {"xi": p.xi, "sigma": p.sigma, "mu": p.mu}, fit.loglik, fit
+    return {"xi": p.xi, "sigma": p.sigma, "mu": p.mu}, fit
+
+
+def _standardize(z: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """``(m, s, (z - m) / s)`` with the mean ``m`` and deviation ``s``.
+
+    Deviations are divided by their largest magnitude before squaring,
+    so the deviation neither underflows nor overflows at extreme scales.
+    """
+    m = float(np.mean(z))
+    dev = z - m
+    top = float(np.max(np.abs(dev)))
+    if not (top > 0.0 and math.isfinite(top)):
+        raise ValueError("zero or non-finite spread")
+    dev /= top
+    s = float(np.std(dev))
+    return m, top * s, dev / s
+
+
+def _fit_loc_scale(z, name, loglik, h_derivs, start):
+    """Newton on (loc, scale) of the standardized data, then map back.
+
+    ``h_derivs(y)`` gives the first two derivatives of the standard log
+    density at ``y``.
+    """
+    m, s, x = _standardize(z)
+
+    def f(theta):
+        loc, scale = theta
+        if not scale > 0.0:
+            return -math.inf
+        return loglik(x, loc, scale)
+
+    def derivs(theta):
+        loc, scale = theta
+        y = (x - loc) / scale
+        return loc_scale_derivs(x.size, scale, y, *h_derivs(y))
+
+    theta, _, _, converged = maximize(f, derivs, start)
+    _require_converged(name, converged)
+    return {"loc": m + s * float(theta[0]), "scale": s * float(theta[1])}, None
+
+
+def _gumbel_h(y):
+    e = np.exp(-y)
+    return e - 1.0, -e
+
+
+def _logistic_h(y):
+    t = np.tanh(0.5 * y)
+    return -t, -0.5 * (1.0 - t * t)
 
 
 def _fit_gumbel(z):
-    loc, scale = _st.gumbel_r.fit(z)
-    return {"loc": loc, "scale": scale}, _sum_logpdf(_st.gumbel_r, z, loc, scale), None
+    scale0 = math.sqrt(6.0) / math.pi
+    return _fit_loc_scale(z, "Gumbel", _ll_gumbel, _gumbel_h,
+                          [-_EULER_GAMMA * scale0, scale0])
+
+
+def _fit_logistic(z):
+    return _fit_loc_scale(z, "Logistic", _ll_logistic, _logistic_h,
+                          [0.0, math.sqrt(3.0) / math.pi])
 
 
 def _fit_weibull(z):
+    """Profile in the shape c: scale^c = mean(z^c), and
+    l(c) = n log c - n log mean(z^c) + (c - 1) sum(log z) - n."""
     _require_positive(z)
-    c, loc, scale = _st.weibull_min.fit(z, floc=0.0)
-    return (
-        {"shape": c, "scale": scale},
-        _sum_logpdf(_st.weibull_min, z, c, loc, scale),
-        None,
-    )
+    lz = np.log(z)
+    top = float(lz.max())
+    lm = lz - top  # <= 0, so exp(c lm) cannot overflow
+    n, sum_lm = z.size, float(np.sum(lm))
+    spread = float(np.std(lz))
+    if not spread > 0.0:
+        raise ValueError("zero variance in log space")
+
+    def f(theta):
+        c = theta[0]
+        if not c > 0.0:
+            return -math.inf
+        mean_e = float(np.mean(np.exp(c * lm)))
+        if not mean_e > 0.0:
+            return -math.inf
+        return n * (math.log(c) - math.log(mean_e)) + (c - 1.0) * sum_lm
+
+    def derivs(theta):
+        c = theta[0]
+        e = np.exp(c * lm)
+        w = e / np.sum(e)
+        m1 = float(w @ lm)
+        var = float(w @ (lm - m1) ** 2)
+        return (np.array([n / c - n * m1 + sum_lm]),
+                np.array([[-n / (c * c) - n * var]]))
+
+    # the log of a Weibull variate has standard deviation pi / (c sqrt 6)
+    theta, _, _, converged = maximize(
+        f, derivs, [math.pi / (math.sqrt(6.0) * spread)])
+    _require_converged("Weibull", converged)
+    c = float(theta[0])
+    scale = math.exp(top + math.log(float(np.mean(np.exp(c * lm)))) / c)
+    return {"shape": c, "scale": scale}, None
+
+
+def _fit_gamma(z):
+    """Profile in the shape a: scale = mean / a, and the score is
+    n (log a - psi(a) - s) with s = log mean(z) - mean(log z)."""
+    _require_positive(z)
+    mean = float(np.mean(z))
+    s = math.log(mean) - float(np.mean(np.log(z)))
+    if not s > 0.0:
+        raise ValueError("zero variance")
+
+    def f(theta):
+        a = theta[0]
+        if not a > 0.0:
+            return -math.inf
+        return a * (math.log(a) - 1.0 - s) - math.lgamma(a)
+
+    def derivs(theta):
+        a = theta[0]
+        return (np.array([math.log(a) - digamma(a) - s]),
+                np.array([[1.0 / a - trigamma(a)]]))
+
+    # Minka's closed-form approximation of the root
+    a0 = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    theta, _, _, converged = maximize(f, derivs, [a0])
+    _require_converged("Gamma", converged)
+    a = float(theta[0])
+    return {"a": a, "scale": mean / a}, None
+
+
+def _fit_genpareto(z):
+    """Location at min(z); on u = (z - loc) / mean, the profile in
+    theta = c / scale is l(theta) = -n (1 + c + log M) with
+    M = mean(log1p(theta u) / theta) = scale and c = theta M."""
+    loc = float(z.min())
+    y = z - loc
+    unit = float(np.mean(y))
+    if not (unit > 0.0 and math.isfinite(unit)):
+        raise ValueError("zero or non-finite spread")
+    u = y / unit
+    n, umax, umean = u.size, float(u.max()), float(np.mean(u))
+
+    def profile_scale(t):
+        return float(np.mean(np.log1p(t * u))) / t if t != 0.0 else umean
+
+    def f(theta):
+        t = theta[0]
+        if not t * umax > -1.0:
+            return -math.inf
+        big_m = profile_scale(t)
+        if not (big_m > 0.0 and t * big_m > -1.0):
+            return -math.inf
+        return -n * (1.0 + t * big_m + math.log(big_m))
+
+    def derivs(theta):
+        t = theta[0]
+        _, om, om1, om2 = omega_derivs(t, u)
+        big_m, m1, m2 = float(np.mean(om)), float(np.mean(om1)), float(np.mean(om2))
+        return (np.array([-n * (big_m + t * m1 + m1 / big_m)]),
+                np.array([[-n * (2.0 * m1 + t * m2 + m2 / big_m - (m1 / big_m) ** 2)]]))
+
+    # start from the best point of a grid over x = theta * max(u) in
+    # (-1, inf), dense toward the bounded-tail end x -> -1
+    grid = np.concatenate([-(1.0 - np.logspace(-0.05, -6.0, 13)), [0.0],
+                           np.logspace(-2.0, 6.0, 17)]) / umax
+    start = grid[int(np.argmax([f([t]) for t in grid]))]
+    theta, _, _, converged = maximize(f, derivs, [start])
+    g, hess = derivs(theta)
+    t = float(theta[0])
+    if not (converged and hess[0, 0] < 0.0
+            and abs(g[0] / hess[0, 0]) <= 1e-6 * max(1.0, abs(t))):
+        raise ValueError("no interior likelihood maximum with c > -1")
+    big_m = profile_scale(t)
+    return {"c": t * big_m, "loc": loc, "scale": big_m * unit}, None
 
 
 def _fit_normal(z):
     loc, scale = float(np.mean(z)), float(np.std(z))
     if scale == 0.0:
         raise ValueError("zero variance")
-    return {"loc": loc, "scale": scale}, _sum_logpdf(_st.norm, z, loc, scale), None
+    return {"loc": loc, "scale": scale}, None
 
 
 def _fit_lognormal(z):
@@ -109,7 +420,7 @@ def _fit_lognormal(z):
     s, scale = float(np.std(lz)), float(np.exp(np.mean(lz)))
     if s == 0.0:
         raise ValueError("zero variance in log space")
-    return {"s": s, "scale": scale}, _sum_logpdf(_st.lognorm, z, s, 0.0, scale), None
+    return {"s": s, "scale": scale}, None
 
 
 def _fit_exponential(z):
@@ -118,27 +429,7 @@ def _fit_exponential(z):
     scale = float(np.mean(z))
     if scale == 0.0:
         raise ValueError("all-zero data")
-    return {"scale": scale}, _sum_logpdf(_st.expon, z, 0.0, scale), None
-
-
-def _fit_gamma(z):
-    _require_positive(z)
-    a, loc, scale = _st.gamma.fit(z, floc=0.0)
-    return {"a": a, "scale": scale}, _sum_logpdf(_st.gamma, z, a, loc, scale), None
-
-
-def _fit_logistic(z):
-    loc, scale = _st.logistic.fit(z)
-    return {"loc": loc, "scale": scale}, _sum_logpdf(_st.logistic, z, loc, scale), None
-
-
-def _fit_genpareto(z):
-    c, loc, scale = _st.genpareto.fit(z)
-    return (
-        {"c": c, "loc": loc, "scale": scale},
-        _sum_logpdf(_st.genpareto, z, c, loc, scale),
-        None,
-    )
+    return {"scale": scale}, None
 
 
 def _fit_rayleigh(z):
@@ -147,22 +438,30 @@ def _fit_rayleigh(z):
     scale = math.sqrt(float(np.mean(z ** 2)) / 2.0)
     if scale == 0.0:
         raise ValueError("all-zero data")
-    return {"scale": scale}, _sum_logpdf(_st.rayleigh, z, 0.0, scale), None
+    return {"scale": scale}, None
 
 
-#: family -> (free parameter count, fitter)
+class _Family(NamedTuple):
+    k: int  # free parameters counted by the Schwarz criterion
+    fit: Callable  # data -> (params in report order, GevFit or None)
+    loglik: Callable  # (data, *params) -> log-likelihood, -inf off support
+
+
 _FITTERS = {
-    "GEV": (3, _fit_gev),
-    "Gumbel": (2, _fit_gumbel),
-    "Weibull": (2, _fit_weibull),
-    "Normal": (2, _fit_normal),
-    "LogNormal": (2, _fit_lognormal),
-    "Exponential": (1, _fit_exponential),
-    "Gamma": (2, _fit_gamma),
-    "Logistic": (2, _fit_logistic),
-    "GeneralizedPareto": (3, _fit_genpareto),
-    "Rayleigh": (1, _fit_rayleigh),
+    "GEV": _Family(3, _fit_gev, _ll_gev),
+    "Gumbel": _Family(2, _fit_gumbel, _ll_gumbel),
+    "Weibull": _Family(2, _fit_weibull, _ll_weibull),
+    "Normal": _Family(2, _fit_normal, _ll_normal),
+    "LogNormal": _Family(2, _fit_lognormal, _ll_lognormal),
+    "Exponential": _Family(1, _fit_exponential, _ll_exponential),
+    "Gamma": _Family(2, _fit_gamma, _ll_gamma),
+    "Logistic": _Family(2, _fit_logistic, _ll_logistic),
+    "GeneralizedPareto": _Family(3, _fit_genpareto, _ll_genpareto),
+    "Rayleigh": _Family(1, _fit_rayleigh, _ll_rayleigh),
 }
+
+#: what a fitter raises when its family does not fit the data
+_EXCLUDING = (ValueError, ArithmeticError, np.linalg.LinAlgError, VoipQosError)
 
 
 def default_candidates() -> list[CandidateFamily]:
@@ -186,21 +485,23 @@ def select_model(data, candidates: list[CandidateFamily] | None = None) -> list[
     n = int(z.size)
     fits: list[FamilyFit] = []
     for cand in candidates:
-        k, fitter = _FITTERS[cand.family]
+        family = _FITTERS[cand.family]
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                params, loglik, gev = fitter(z)
-        except Exception as exc:  # noqa: BLE001 - exclusion, not failure
+            with np.errstate(all="ignore"):
+                params, gev = family.fit(z)
+                loglik = family.loglik(z, *params.values())
+            if not math.isfinite(loglik):
+                raise ValueError("non-finite log-likelihood")
+        except _EXCLUDING as exc:
             log.debug("excluding %s: %s", cand.family, exc)
             continue
         fits.append(
             FamilyFit(
                 family=cand.family,
-                k=k,
+                k=family.k,
                 params=params,
                 loglik=loglik,
-                bic=k * math.log(n) - 2.0 * loglik,
+                bic=family.k * math.log(n) - 2.0 * loglik,
                 n=n,
                 gev=gev,
             )

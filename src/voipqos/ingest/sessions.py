@@ -5,8 +5,10 @@ version 2 are RTP or RTCP (told apart by the RTCP packet-type range in
 the second byte), anything else is offered to the SIP parser. RTP
 streams are grouped by (ssrc, 5-tuple), SIP messages by Call-ID, and
 streams are bound to the dialog whose SDP audio ports they use. Nothing
-is dropped silently: unclassifiable or unbindable packets come back in
-the residue list.
+is dropped silently: unclassifiable or unbindable packets, and RTP
+packets that repeat the sequence number and capture time of a packet
+already in their stream (span-port duplicates), come back in the
+residue list.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ class _Stream(NamedTuple):
     key: tuple
     packets: list[RtpPacket]
     record: PacketRecord  # representative packet for endpoint info
+    seen: set[tuple[int, float]]  # (seq, capture_ts) of every packet
 
 
 def _classify(rec: PacketRecord):
@@ -124,9 +127,15 @@ def assemble_sessions(
             dialogs.setdefault(obj.call_id, []).append(obj)
         elif kind == "rtp":
             key = (obj.ssrc, rec.src_addr, rec.src_port, rec.dst_addr, rec.dst_port)
-            if key not in streams:
-                streams[key] = _Stream(key, [], rec)
-            streams[key].packets.append(obj)
+            stream = streams.get(key)
+            if stream is None:
+                stream = streams[key] = _Stream(key, [], rec, set())
+            mark = (obj.seq, obj.capture_ts)
+            if mark in stream.seen:
+                residue.append(rec)  # a duplicate of a captured packet
+                continue
+            stream.seen.add(mark)
+            stream.packets.append(obj)
         else:  # xr
             if obj:
                 xr_records.append((rec, obj))

@@ -258,6 +258,37 @@ class TestAnalyze:
         assert rc == 2
         assert "not parseable" in capsys.readouterr().err
 
+    def test_duplicated_rtp_packet_is_residue(self, tmp_path, capsys):
+        # a span port can deliver one RTP packet twice with one timestamp
+        scn = write_scenario(tmp_path)
+        clean = tmp_path / "clean.jsonl"
+        assert entrypoint(["synth", "--scenario", str(scn),
+                           "--out", str(clean)]) == 0
+        lines = clean.read_text().splitlines(keepends=True)
+
+        def is_rtp(line):
+            payload = bytes.fromhex(json.loads(line)["payload_hex"])
+            return payload[0] >> 6 == 2 and not 200 <= payload[1] <= 207
+
+        rtp = [k for k, line in enumerate(lines) if is_rtp(line)]
+        k = rtp[len(rtp) // 2]
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text("".join(lines[:k + 1] + [lines[k]] + lines[k + 1:]))
+        assert entrypoint(["analyze", "--input", str(clean),
+                           "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        rc = entrypoint(["analyze", "--input", str(dup),
+                         "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert "1 record(s) set aside" in capsys.readouterr().err
+        # the duplicate is set aside; every output equals the clean run's
+        files = sorted(p.relative_to(tmp_path / "a")
+                       for p in (tmp_path / "a").rglob("*") if p.is_file())
+        assert files
+        for rel in files:
+            assert (tmp_path / "b" / rel).read_bytes() == \
+                (tmp_path / "a" / rel).read_bytes(), rel
+
     def test_format_flag_beats_extension(self, capture, tmp_path):
         records = parse_pcap(capture.read_bytes())
         odd = tmp_path / "capture.dat"

@@ -101,6 +101,7 @@ class TestFitReport:
         z = gev_sample(GevParams(xi=xi, sigma=sigma, mu=mu), 2000, seed=2)
         fit = fit_gev_mle(z)
         assert fit.n == 2000
+        assert type(fit.loglik) is float and type(fit.bic) is float
         assert fit.bic == pytest.approx(3.0 * math.log(2000) - 2.0 * fit.loglik)
         assert 0.0 < fit.e_max < 0.05
         assert fit.tail is TailKind.WEIBULL
