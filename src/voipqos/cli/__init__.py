@@ -8,7 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 fatal error (diagnostic on stderr), 2 partial
 success (the capture held records that were set aside: unparsable,
-unbound, or duplicated RTP packets).
+unbound, or duplicated RTP packets; or a session failed, e.g. two of
+its RTP packets share a capture time, and was skipped while every other
+session was written; stderr names it and the reason).
 """
 
 from __future__ import annotations
@@ -64,22 +66,24 @@ def _cmd_analyze(args) -> int:
         candidates=_parse_candidates(args.candidates),
         seed=args.seed,
     )
-    reports, residue = analyze_capture(config)
-    if not reports:
+    reports, residue, failures = analyze_capture(config)
+    if not reports and not failures:
         print("warning: no call sessions found in the input", file=sys.stderr)
     print(f"wrote {len(reports)} session report(s) under {args.out}")
     for report in reports:
         meta = report["session"]
         print(f"  {meta['directory']}: codec={meta['codec']} "
               f"rtp={meta['rtp_fwd']}+{meta['rtp_rev']} xr={meta['xr_blocks']}")
+    for session_id, reason in failures:
+        print(f"warning: session {session_id} skipped: {reason}",
+              file=sys.stderr)
     if residue:
         print(
             f"warning: {residue} record(s) set aside: not parseable as "
             "RTP/RTCP/SIP, not bound to a call, or a duplicated RTP packet",
             file=sys.stderr,
         )
-        return 2
-    return 0
+    return 2 if residue or failures else 0
 
 
 def _read_values(path: str) -> list:

@@ -66,6 +66,9 @@ class AnalysisConfig:
         bad = set(self.fit_targets) - {"jitter", "rtt"}
         if bad:
             raise DomainError(f"unknown fit targets: {sorted(bad)}")
+        bad = set(self.candidates or ()) - {c.family for c in default_candidates()}
+        if bad:
+            raise DomainError(f"unknown candidate families: {sorted(bad)}")
 
 
 def read_records(path: str | Path, fmt: str = "auto"):
@@ -105,10 +108,7 @@ def _fit_entry(values: np.ndarray, ranked_families: tuple | None) -> dict:
     ranking = fit = None
     if ranked_families is not None:
         by_name = {c.family: c for c in default_candidates()}
-        try:
-            chosen = [by_name[name] for name in ranked_families]
-        except KeyError as exc:
-            raise DomainError(f"unknown candidate family {exc.args[0]!r}") from exc
+        chosen = [by_name[name] for name in ranked_families]
         ranking = select_model(values, chosen)
         # a ranked GEV entry already carries the fit
         fit = next((f.gev for f in ranking if f.family == "GEV"), None)
@@ -298,8 +298,10 @@ def _safe_dir_name(session_id: str, taken: set) -> str:
     return name
 
 
-def analyze_capture(config: AnalysisConfig) -> tuple[list, int]:
-    """Run the full pipeline; returns (reports, unparsed record count)."""
+def analyze_capture(config: AnalysisConfig) -> tuple[list, int, list]:
+    """Run the full pipeline; returns (reports, set-aside record count,
+    [(session id, reason)] for each session whose report failed and was
+    skipped)."""
     records = []
     for path in config.inputs:
         records.extend(read_records(path, config.fmt))
@@ -312,10 +314,14 @@ def analyze_capture(config: AnalysisConfig) -> tuple[list, int]:
     )
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    reports = []
+    reports, failures = [], []
     taken: set = set()
     for session in result.sessions:
-        report, files = build_session_report(session, config)
+        try:
+            report, files = build_session_report(session, config)
+        except VoipQosError as exc:
+            failures.append((session.session_id, str(exc)))
+            continue
         dir_name = _safe_dir_name(report["session"]["id"], taken)
         report["session"]["directory"] = dir_name
         session_dir = out_root / dir_name
@@ -326,4 +332,4 @@ def analyze_capture(config: AnalysisConfig) -> tuple[list, int]:
             json.dumps(report, sort_keys=True, indent=2) + "\n"
         )
         reports.append(report)
-    return reports, len(result.residue)
+    return reports, len(result.residue), failures

@@ -17,7 +17,9 @@ import numpy as np
 
 from ..errors import DomainError, EmptyData
 
-#: Shapes with |xi| below this evaluate on the Gumbel limit branch.
+#: Shapes with |xi| below this are named Gumbel, and the CDF, quantile
+#: and sampler evaluate them on the Gumbel limit; the densities and the
+#: log-likelihood take the Gumbel form only at ``xi == 0``.
 XI_EPS = 1e-6
 
 
@@ -39,7 +41,7 @@ class GevParams:
 
     def support(self) -> tuple[float, float]:
         """Closed support interval; one side is always infinite."""
-        if abs(self.xi) < XI_EPS:
+        if self.xi == 0.0:
             return (-math.inf, math.inf)
         endpoint = self.mu - self.sigma / self.xi
         if self.xi > 0:
@@ -99,52 +101,51 @@ def _scalar_or_array(x, out: np.ndarray):
     return out
 
 
+def _omega(xi: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``om = log1p(xi w) / xi`` and the on-support mask ``1 + xi w > 0``.
+
+    ``log1p`` keeps full precision as ``xi`` approaches 0, so ``om`` is
+    smooth in ``xi``; only ``xi == 0`` itself takes the Gumbel form
+    ``om = w``, which has no endpoint. Off-support entries of ``om`` are 0.
+    The CDF is ``exp(-exp(-om))`` and the log density
+    ``-(1 + xi) om - exp(-om) - log(sigma)``.
+    """
+    if xi == 0.0:
+        return w, np.ones(w.shape, dtype=bool)
+    xw = xi * w
+    on = xw > -1.0
+    return np.log1p(np.where(on, xw, 0.0)) / xi, on
+
+
 def gev_cdf(p: GevParams, x):
     """Distribution function.
 
     Off-support points return the limit value for their side: 0 below a
     Frechet-type lower endpoint, 1 above a Weibull-type upper endpoint.
+    Shapes with ``|xi| <`` :data:`XI_EPS` evaluate the Gumbel limit, as
+    :func:`gev_quantile` does, so quantiles round-trip there.
     """
-    z = _standardize(p, x)
+    xi = 0.0 if abs(p.xi) < XI_EPS else p.xi
+    om, on = _omega(xi, _standardize(p, x))
     with np.errstate(over="ignore", under="ignore"):
-        if abs(p.xi) < XI_EPS:
-            out = np.exp(-np.exp(-z))
-        else:
-            arg = 1.0 + p.xi * z
-            on = arg > 0.0
-            # t = arg**(-1/xi), evaluated in log space to avoid overflow
-            t = np.exp(-np.log(np.where(on, arg, 1.0)) / p.xi)
-            out = np.where(on, np.exp(-t), 1.0 if p.xi < 0 else 0.0)
-    return _scalar_or_array(x, out)
-
-
-def gev_pdf(p: GevParams, x):
-    """Probability density; 0 at and beyond the finite support endpoint."""
-    z = _standardize(p, x)
-    with np.errstate(over="ignore", under="ignore"):
-        if abs(p.xi) < XI_EPS:
-            out = np.exp(-z - np.exp(-z)) / p.sigma
-        else:
-            arg = 1.0 + p.xi * z
-            on = arg > 0.0
-            la = np.log(np.where(on, arg, 1.0))
-            t = np.exp(-la / p.xi)
-            out = np.where(on, np.exp(-t - (1.0 / p.xi + 1.0) * la) / p.sigma, 0.0)
+        out = np.where(on, np.exp(-np.exp(-om)), 1.0 if xi < 0 else 0.0)
     return _scalar_or_array(x, out)
 
 
 def gev_logpdf(p: GevParams, x):
     """Log density; -inf off support."""
-    z = _standardize(p, x)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        if abs(p.xi) < XI_EPS:
-            out = -z - np.exp(-z) - math.log(p.sigma)
-        else:
-            arg = 1.0 + p.xi * z
-            on = arg > 0.0
-            la = np.log(np.where(on, arg, 1.0))
-            t = np.exp(-la / p.xi)
-            out = np.where(on, -t - (1.0 / p.xi + 1.0) * la - math.log(p.sigma), -np.inf)
+    om, on = _omega(p.xi, _standardize(p, x))
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.where(
+            on, -(1.0 + p.xi) * om - np.exp(-om) - math.log(p.sigma), -np.inf
+        )
+    return _scalar_or_array(x, out)
+
+
+def gev_pdf(p: GevParams, x):
+    """Probability density; 0 at and beyond the finite support endpoint."""
+    with np.errstate(under="ignore"):
+        out = np.exp(gev_logpdf(p, x))
     return _scalar_or_array(x, out)
 
 
@@ -176,19 +177,13 @@ def gev_sample(p: GevParams, n: int, seed: int) -> np.ndarray:
 def _loglik_kernel(xi: float, sigma: float, mu: float, z: np.ndarray) -> float:
     """Log-likelihood on raw parameters; the hot path of the fitter.
 
-    ``log1p(xi w) / xi`` keeps full precision as ``xi`` approaches 0, so
-    the value is smooth in ``xi`` with no switch at :data:`XI_EPS`; only
-    ``xi == 0`` itself takes the Gumbel form ``w``.
+    Built on :func:`_omega`, so it is smooth in ``xi`` with no switch at
+    :data:`XI_EPS` and equals the sum of :func:`gev_logpdf`.
     """
     xi, sigma, mu = float(xi), float(sigma), float(mu)
-    w = (z - mu) / sigma
-    if xi == 0.0:
-        om = w
-    else:
-        xw = xi * w
-        if np.any(xw <= -1.0):
-            return -math.inf
-        om = np.log1p(xw) / xi
+    om, on = _omega(xi, (z - mu) / sigma)
+    if not on.all():
+        return -math.inf
     with np.errstate(over="ignore", under="ignore"):
         val = -z.size * math.log(sigma) - (1.0 + xi) * float(np.sum(om)) - float(
             np.sum(np.exp(-om))

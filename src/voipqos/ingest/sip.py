@@ -22,6 +22,8 @@ _STATUS_RE = re.compile(r"^SIP/2\.0 (\d{3})(?: (.*))?$")
 _CSEQ_RE = re.compile(r"^(\d+)\s+(\S+)$")
 _TAG_RE = re.compile(r";\s*tag=([^;\s]+)", re.IGNORECASE)
 _AUDIO_RE = re.compile(r"^m=audio\s+(\d+)\s", re.MULTILINE)
+# compact header forms read here (RFC 3261 section 7.3.3)
+_COMPACT = {"i": "call-id", "f": "from", "t": "to"}
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,7 @@ def _headers(lines: list[str]) -> dict[str, str]:
         name, sep, value = line.partition(":")
         if sep:
             key = name.strip().lower()
+            key = _COMPACT.get(key, key)
             if key not in out:  # first occurrence wins
                 out[key] = value.strip()
     return out

@@ -242,22 +242,30 @@ def loss_summary(stream: list[RtpPacket]) -> LossSummary:
     return LossSummary(expected=expected, received=received, loss_pct=loss_pct)
 
 
-def rtt_series(xr: list[VoipMetricsBlock]) -> MetricSeries:
-    """Round-trip delay over report times, ms.
+def _xr_projection(
+    xr: list[VoipMetricsBlock], name: str, field: str, missing: int
+) -> MetricSeries:
+    """Series ``name`` of block attribute ``field`` over report times.
 
-    A round_trip_delay of 0 marks "not measured" and is skipped. Blocks
-    sharing one report time (one compound reporting several streams)
-    keep only the first; feed per-direction block lists to avoid that.
+    Blocks whose value is ``missing`` are skipped. Blocks sharing one
+    report time (one compound reporting several streams) keep only the
+    first; feed per-direction block lists to avoid that.
     """
     times, values = [], []
     seen = set()
     for b in sorted(xr, key=lambda b: b.report_ts):
-        if b.round_trip_delay == 0 or b.report_ts in seen:
+        value = getattr(b, field)
+        if value == missing or b.report_ts in seen:
             continue
         seen.add(b.report_ts)
         times.append(b.report_ts)
-        values.append(float(b.round_trip_delay))
-    return MetricSeries.create("rtt", times, values)
+        values.append(float(value))
+    return MetricSeries.create(name, times, values)
+
+
+def rtt_series(xr: list[VoipMetricsBlock]) -> MetricSeries:
+    """Round-trip delay over report times, ms; 0 ("not measured") skipped."""
+    return _xr_projection(xr, "rtt", "round_trip_delay", 0)
 
 
 def r_factor(r0: float, is_: float, id_: float, ieff: float, a: float) -> float:
@@ -269,16 +277,7 @@ def xr_metric_series(xr: list[VoipMetricsBlock], which: str) -> MetricSeries:
     """Project r_factor or signal_level over report times; 127 skipped."""
     if which not in ("r_factor", "signal_level"):
         raise DomainError(f"which must be r_factor or signal_level, got {which!r}")
-    times, values = [], []
-    seen = set()
-    for b in sorted(xr, key=lambda b: b.report_ts):
-        value = getattr(b, which)
-        if value == UNAVAILABLE or b.report_ts in seen:
-            continue
-        seen.add(b.report_ts)
-        times.append(b.report_ts)
-        values.append(float(value))
-    return MetricSeries.create(which, times, values)
+    return _xr_projection(xr, which, which, UNAVAILABLE)
 
 
 def sip_delays(dialog: list[SipMessage]) -> SipDelays:

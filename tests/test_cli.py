@@ -11,11 +11,23 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from voipqos.cli import entrypoint, load_scenario, synth_to_file
+from voipqos.cli import (
+    AnalysisConfig,
+    entrypoint,
+    load_scenario,
+    synth_to_file,
+)
 from voipqos.errors import BadSpec, VoipQosError
 from voipqos.evt import GevParams, gev_sample
-from voipqos.ingest import parse_pcap, write_jsonl, write_pcap
+from voipqos.ingest import (
+    PacketRecord,
+    encode_rtp,
+    parse_pcap,
+    write_jsonl,
+    write_pcap,
+)
 
+from . import builders
 from .gev_models import JITTER_MODELS, RTT_MODELS
 
 SCHEMA = json.loads(
@@ -229,6 +241,11 @@ class TestAnalyze:
         assert rc == 1
         assert "Zipf" in capsys.readouterr().err
 
+    def test_unknown_candidate_rejected_by_config(self):
+        # library callers fail once, up front, not once per session
+        with pytest.raises(VoipQosError, match="Zipf"):
+            AnalysisConfig(inputs=("x.pcap",), candidates=("GEV", "Zipf"))
+
     def test_empty_capture_warns_and_exits_zero(self, tmp_path, capsys):
         empty = tmp_path / "empty.pcap"
         empty.write_bytes(write_pcap([]))
@@ -282,6 +299,44 @@ class TestAnalyze:
         assert rc == 2
         assert "1 record(s) set aside" in capsys.readouterr().err
         # the duplicate is set aside; every output equals the clean run's
+        files = sorted(p.relative_to(tmp_path / "a")
+                       for p in (tmp_path / "a").rglob("*") if p.is_file())
+        assert files
+        for rel in files:
+            assert (tmp_path / "b" / rel).read_bytes() == \
+                (tmp_path / "a" / rel).read_bytes(), rel
+
+    def test_tied_rtp_times_skip_only_their_session(self, tmp_path, capsys):
+        def call(call_id, t0, caller, callee, tie=False):
+            records = builders.basic_dialog(
+                call_id, invite_ts=t0, ringing_ts=t0 + 0.2, answer_ts=t0 + 0.4,
+                bye_ts=t0 + 3.0, bye_ok_ts=t0 + 3.1,
+                caller_port=caller, callee_port=callee,
+            )
+            for i in range(100):
+                # two packets, different sequence numbers, one capture time
+                ts = t0 + 0.5 + 0.02 * (i - 1 if tie and i == 50 else i)
+                records.append(PacketRecord(
+                    ts, builders.A_ADDR, builders.B_ADDR, caller, callee, "udp",
+                    encode_rtp(8, i, 160 * i, 0xA000 + caller, b"\x00" * 160),
+                ))
+            return records
+
+        clean = call("call-a", 1.0, 40000, 42000)
+        tied = call("call-b", 1.3, 50000, 52000, tie=True)
+        alone, both = tmp_path / "alone.jsonl", tmp_path / "both.jsonl"
+        alone.write_text(write_jsonl(clean))
+        both.write_text(write_jsonl(sorted(clean + tied, key=lambda r: r.ts)))
+        assert entrypoint(["analyze", "--input", str(alone),
+                           "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        rc = entrypoint(["analyze", "--input", str(both),
+                         "--out", str(tmp_path / "b")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "session call-b skipped" in err
+        assert "strictly increasing" in err
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["call-a"]
         files = sorted(p.relative_to(tmp_path / "a")
                        for p in (tmp_path / "a").rglob("*") if p.is_file())
         assert files

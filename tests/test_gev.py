@@ -247,6 +247,15 @@ class TestLoglik:
         want = float(np.sum(gev_logpdf(p, z)))
         assert gev_loglik(p, z) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("xi", [0.0, 5e-7, -5e-7, 2e-6, -2e-6, 0.3])
+    def test_matches_sum_of_logpdf_near_zero_shape(self, xi):
+        # one evaluation path for every shape: no Gumbel switch below
+        # XI_EPS in the density that the log-likelihood lacks
+        z = gev_sample(params(0.0, 2.0, 8.0), 1000, seed=13)
+        p = params(xi, 2.0, 8.0)
+        want = float(np.sum(gev_logpdf(p, z)))
+        assert gev_loglik(p, z) == pytest.approx(want, rel=1e-12)
+
     def test_neg_inf_off_support(self):
         p = params(-0.5, 1.0, 0.0)  # support ends at mu + 2
         z = np.array([0.0, 1.0, 5.0])
@@ -309,6 +318,11 @@ class TestParamsValidation:
         assert lo == -math.inf and hi == 10.0 + 2.0 / 0.4
         lo, hi = params(0.0, 2.0, 10.0).support()
         assert lo == -math.inf and hi == math.inf
+        # any nonzero shape has an endpoint, where the density drops to 0
+        p = params(5e-7, 2.0, 10.0)
+        lo, hi = p.support()
+        assert lo == 10.0 - 2.0 / 5e-7 and hi == math.inf
+        assert gev_pdf(p, lo) == 0.0 and gev_cdf(p, lo) == 0.0
 
 
 class TestKsDistance:

@@ -1,5 +1,6 @@
 """Wire formats and session assembly."""
 
+import dataclasses
 import json
 import struct
 
@@ -49,6 +50,12 @@ def hand_built_pcap(ts_sec=100, ts_usec=500_000, payload=b"hi", endian="<"):
     head = struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
     rec = struct.pack(endian + "IIII", ts_sec, ts_usec, len(frame), len(frame))
     return head + rec + frame
+
+
+def compact_headers(payload: bytes) -> bytes:
+    """The same SIP message with compact Call-ID, From and To headers."""
+    return (payload.replace(b"Call-ID:", b"i:")
+            .replace(b"From:", b"f:").replace(b"To:", b"t:"))
 
 
 class TestPcap:
@@ -312,6 +319,15 @@ class TestSip:
         assert msg.from_tag == "atag"
         assert msg.media_port == 4444
 
+    def test_compact_headers(self):
+        long_form = ingest.format_sip_request(
+            "INVITE", "sip:b@remote", "c-9", 1, media_port=40000
+        )
+        compact = compact_headers(long_form)
+        assert b"Call-ID" not in compact
+        assert parse_sip(compact, 1.0) == parse_sip(long_form, 1.0)
+        assert parse_sip(compact, 1.0).call_id == "c-9"
+
     def test_status_code_bounds(self):
         with pytest.raises(NotSip):
             parse_sip(b"SIP/2.0 042 Odd\r\nCall-ID: 7\r\nCSeq: 1 X\r\n\r\n", 0.0)
@@ -340,6 +356,26 @@ class TestAssembly:
         assert s.codec == "G711-A" and s.clock_rate == 8000
         assert len(s.sip_dialog) == 5
         assert result.residue == []
+
+    def test_compact_header_dialog_binds_like_long_form(self):
+        media = [
+            builders.rtp_record(20.0 + i * 0.02, i, i * 160, ssrc=0xAAAA)
+            for i in range(6)
+        ] + [
+            builders.rtp_record(
+                20.01 + i * 0.02, i, i * 160, ssrc=0xBBBB, reverse=True
+            )
+            for i in range(6)
+        ]
+        dialog = builders.basic_dialog()
+        want = assemble_sessions(dialog + media)
+        got = assemble_sessions([
+            dataclasses.replace(r, payload=compact_headers(r.payload))
+            for r in dialog
+        ] + media)
+        assert [s.session_id for s in got.sessions] == ["call-1"]
+        assert got.sessions == want.sessions
+        assert got.residue == want.residue == []
 
     def test_rtp_only_session(self):
         cfg = AssemblyConfig(scenario_tag="mobile")
