@@ -64,7 +64,6 @@ def _cmd_analyze(args) -> int:
         bandwidth_window=args.bw_window,
         scenario_tag=args.scenario,
         candidates=_parse_candidates(args.candidates),
-        seed=args.seed,
     )
     reports, residue, failures = analyze_capture(config)
     if not reports and not failures:
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--bw-window", type=float, default=1.0,
                     help="bandwidth moving-average window, seconds (default 1.0)")
     pa.add_argument("--seed", type=int, default=0,
-                    help="deterministic seed recorded in the run (default 0)")
+                    help="ignored: analyze draws no random numbers")
     pa.add_argument("--codecs-map", default=None,
                     help="JSON file mapping payload types to codec names")
     pa.add_argument("--candidates", default=None,

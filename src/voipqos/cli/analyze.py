@@ -4,6 +4,10 @@ Report building is pure: ``build_session_report`` returns the report
 dict plus every export file as text, and ``analyze_capture`` only then
 touches the filesystem. Everything is deterministic for fixed inputs,
 so two runs produce byte-identical output trees.
+
+Each artifact is written once (report schema version 2): units and the
+sigma_j/RTT quantiles live in report.json, samples in the series CSVs,
+which also rebuild the PCA scores that pca.json leaves out.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from ..ingest.capture import parse_jsonl, parse_pcap
 from ..ingest.codecs import load_codec_map
 from ..ingest.sessions import AssemblyConfig, CallSession, assemble_sessions
 from ..metrics import (
-    DEFAULT_OVERHEAD_BYTES,
     MetricSeries,
     bandwidth_series,
     jitter_series,
@@ -39,6 +42,10 @@ from ..metrics import (
 )
 from ..stats import bivariate_hist, empirical_cdf, pca
 
+SCHEMA_VERSION = 2
+#: p = 0, 0.05, ..., 1 for the sigma_j and RTT quantiles in report.json
+QUANTILE_PROBS = np.linspace(0.0, 1.0, 21)
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -48,11 +55,8 @@ class AnalysisConfig:
     payload_type_map: dict = field(default_factory=load_codec_map)
     sigma_window: float = 1.0
     bandwidth_window: float = 1.0
-    overhead_bytes: int = DEFAULT_OVERHEAD_BYTES
     scenario_tag: str = ""
-    fit_targets: tuple = ("jitter", "rtt")
     candidates: tuple | None = None  # family names; None fits GEV only
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.inputs:
@@ -61,11 +65,6 @@ class AnalysisConfig:
             raise DomainError(f"format must be pcap or jsonl, got {self.fmt!r}")
         if not self.sigma_window > 0 or not self.bandwidth_window > 0:
             raise DomainError("windows must be positive")
-        if self.overhead_bytes < 0:
-            raise DomainError("overhead_bytes must be >= 0")
-        bad = set(self.fit_targets) - {"jitter", "rtt"}
-        if bad:
-            raise DomainError(f"unknown fit targets: {sorted(bad)}")
         bad = set(self.candidates or ()) - {c.family for c in default_candidates()}
         if bad:
             raise DomainError(f"unknown candidate families: {sorted(bad)}")
@@ -91,7 +90,7 @@ def read_records(path: str | Path, fmt: str = "auto"):
 
 def _series_summary(series: MetricSeries) -> dict:
     v = series.values()
-    return {
+    summary = {
         "unit": series.unit,
         "count": int(len(v)),
         "mean": float(np.mean(v)),
@@ -100,6 +99,9 @@ def _series_summary(series: MetricSeries) -> dict:
         "max": float(np.max(v)),
         "csv": f"{series.name}.csv",
     }
+    if series.name in ("sigma_j", "rtt"):  # the CDF figures' metrics
+        summary["quantiles"] = empirical_cdf(v).quantile(QUANTILE_PROBS).tolist()
+    return summary
 
 
 def _fit_entry(values: np.ndarray, ranked_families: tuple | None) -> dict:
@@ -126,11 +128,11 @@ def _fit_entry(values: np.ndarray, ranked_families: tuple | None) -> dict:
 
 
 def _session_span(session: CallSession) -> tuple[float, float]:
-    times = [p.capture_ts for p in session.rtp_fwd]
-    times += [p.capture_ts for p in session.rtp_rev]
-    times += [b.report_ts for b in session.xr_blocks]
-    times += [m.capture_ts for m in session.sip_dialog]
-    return (min(times), max(times)) if times else (0.0, 0.0)
+    """First and last time seen; assembly keeps every list time-sorted."""
+    ends = [m.capture_ts for x in (session.rtp_fwd, session.rtp_rev,
+                                   session.sip_dialog) for m in x[:1] + x[-1:]]
+    ends += [b.report_ts for b in session.xr_blocks[:1] + session.xr_blocks[-1:]]
+    return (min(ends), max(ends)) if ends else (0.0, 0.0)
 
 
 def build_session_report(
@@ -157,9 +159,7 @@ def build_session_report(
         series_by_name["sigma_j"] = sigma_j
     if stream:
         series_by_name["bandwidth"] = bandwidth_series(
-            stream,
-            window=config.bandwidth_window,
-            overhead_bytes=config.overhead_bytes,
+            stream, window=config.bandwidth_window
         )
     rtt = rtt_series(session.xr_blocks)
     if len(rtt):
@@ -182,51 +182,24 @@ def build_session_report(
     exports: dict = {
         "series_csv": {n: f"{n}.csv" for n in sorted(metrics)},
         "bandwidth_sigma_hist": None,
-        "cdf": {},
         "pca": None,
     }
 
-    if jitter is not None and "bandwidth" in series_by_name:
+    if jitter is not None:
         bw = series_by_name["bandwidth"]
         bw_at_jitter = np.interp(jitter.times(), bw.times(), bw.values())
-        hist = bivariate_hist(
-            bw_at_jitter,
-            series_by_name["sigma_j"].values(),
-            x_label="bandwidth (kbps)",
-            y_label="sigma_j (ms)",
-        )
-        files["bandwidth_sigma_hist.json"] = (
-            json.dumps(hist.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        )
+        hist = bivariate_hist(bw_at_jitter, sigma_j.values())
         files["bandwidth_sigma_hist.csv"] = hist.to_csv()
-        exports["bandwidth_sigma_hist"] = {
-            "json": "bandwidth_sigma_hist.json",
-            "csv": "bandwidth_sigma_hist.csv",
-        }
+        exports["bandwidth_sigma_hist"] = "bandwidth_sigma_hist.csv"
 
-    for name in ("sigma_j", "rtt"):
-        series = series_by_name.get(name)
-        if series is not None and len(series):
-            cdf = empirical_cdf(series.values())
-            fname = f"{name}_cdf.json"
-            files[fname] = (
-                json.dumps(cdf.to_json_dict(), sort_keys=True, indent=2) + "\n"
-            )
-            exports["cdf"][name] = fname
-
-    if jitter is not None and len(jitter) >= 2:
         columns = [
             ("jitter", jitter.values()),
-            ("sigma_j", series_by_name["sigma_j"].values()),
+            ("sigma_j", sigma_j.values()),
+            ("bandwidth", bw_at_jitter),
         ]
-        bw = series_by_name["bandwidth"]
-        columns.append(
-            ("bandwidth", np.interp(jitter.times(), bw.times(), bw.values()))
-        )
-        if "rtt" in series_by_name and len(series_by_name["rtt"]) >= 2:
-            r = series_by_name["rtt"]
+        if len(rtt) >= 2:
             columns.append(
-                ("rtt", np.interp(jitter.times(), r.times(), r.values()))
+                ("rtt", np.interp(jitter.times(), rtt.times(), rtt.values()))
             )
         matrix = np.column_stack([c[1] for c in columns])
         try:
@@ -236,8 +209,10 @@ def build_session_report(
                 standardize=True,
                 variables=tuple(c[0] for c in columns),
             )
+            projection = result.to_json_dict()
+            del projection["scores"]  # the series CSVs rebuild them
             files["pca.json"] = (
-                json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
+                json.dumps(projection, sort_keys=True, indent=2) + "\n"
             )
             exports["pca"] = "pca.json"
         except (ZeroVariance, TooFewPoints):
@@ -258,13 +233,14 @@ def build_session_report(
         delays = {"csd": d.csd, "sdd": d.sdd}
 
     fits = {}
-    for target in config.fit_targets:
+    for target in ("jitter", "rtt"):
         source = series_by_name.get(target)
         values = source.values() if source is not None else np.empty(0)
         fits[target] = _fit_entry(values, config.candidates)
 
     start, end = _session_span(session)
     report = {
+        "schema_version": SCHEMA_VERSION,
         "session": {
             "id": session.session_id,
             "codec": session.codec,

@@ -93,11 +93,9 @@ class MetricSeries:
         return len(self.t)
 
     def to_csv(self) -> str:
-        lines = ["t,value,unit"]
-        lines += [
-            f"{t!r},{v!r},{self.unit}"
-            for t, v in zip(self.t.tolist(), self.v.tolist())
-        ]
+        """``t,value`` rows; the unit is fixed per name (UNIT_BY_NAME)."""
+        lines = ["t,value"]
+        lines += [f"{t!r},{v!r}" for t, v in zip(self.t.tolist(), self.v.tolist())]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:

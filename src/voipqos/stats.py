@@ -41,6 +41,18 @@ class EmpiricalCdf:
         out = idx / n
         return float(out) if np.isscalar(x) else out
 
+    def quantile(self, p) -> np.ndarray:
+        """Inverse CDF: the smallest point x with F(x) >= p, per p in [0, 1].
+
+        The same order statistics as ``np.quantile(data, p,
+        method="inverted_cdf")``.
+        """
+        p = np.asarray(p, dtype=float)
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise DomainError("probabilities must lie in [0, 1]")
+        idx = np.maximum(np.ceil(len(self.points) * p - 1.0), 0.0)
+        return self.points[idx.astype(int)]
+
     def to_json_dict(self) -> dict:
         return {
             "points": self.points.tolist(),
@@ -82,15 +94,16 @@ class BivariateHist:
         }
 
     def to_csv(self) -> str:
+        """One row per non-empty cell, in row-major (x, then y) order."""
         xe, ye = self.x_edges.tolist(), self.y_edges.tolist()
-        counts, density = self.counts.tolist(), self.density.tolist()
+        ii, jj = np.nonzero(self.counts)
+        cells = zip(ii.tolist(), jj.tolist(), self.counts[ii, jj].tolist(),
+                    self.density[ii, jj].tolist())
         lines = ["x_lo,x_hi,y_lo,y_hi,count,density"]
-        for i in range(len(counts)):
-            for j in range(len(counts[i])):
-                lines.append(
-                    f"{xe[i]!r},{xe[i + 1]!r},{ye[j]!r},{ye[j + 1]!r},"
-                    f"{counts[i][j]},{density[i][j]!r}"
-                )
+        lines += [
+            f"{xe[i]!r},{xe[i + 1]!r},{ye[j]!r},{ye[j + 1]!r},{c},{d!r}"
+            for i, j, c, d in cells
+        ]
         return "\n".join(lines) + "\n"
 
 

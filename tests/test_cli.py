@@ -206,7 +206,7 @@ class TestAnalyze:
         for csv in (tmp_path / "out" / "call-1").glob("*.csv"):
             if csv.name == "bandwidth_sigma_hist.csv":
                 continue
-            assert csv.read_text().splitlines()[0] == "t,value,unit", csv.name
+            assert csv.read_text().splitlines()[0] == "t,value", csv.name
 
     def test_csv_cells_are_plain_numbers(self, capture, tmp_path):
         assert entrypoint(["analyze", "--input", str(capture),

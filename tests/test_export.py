@@ -1,0 +1,195 @@
+"""Export layout (report schema version 2): each artifact is one file.
+
+The session directory holds report.json, the series CSVs, the sparse
+bandwidth-vs-sigma_j histogram and pca.json. Nothing it dropped is lost:
+these tests rebuild the dense histogram, the sigma_j/RTT quantiles and
+the PCA scores from what is written, and compare them with the library
+functions run on the decoded session.
+"""
+
+import json
+from pathlib import Path
+
+import jsonschema
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from voipqos.cli import entrypoint
+from voipqos.errors import DomainError
+from voipqos.ingest import assemble_sessions, parse_pcap
+from voipqos.metrics import bandwidth_series, jitter_series, moving_std, rtt_series
+from voipqos.stats import bivariate_hist, empirical_cdf, pca
+
+SCHEMA = json.loads(
+    (Path(__file__).parent.parent / "src" / "voipqos" / "schemas"
+     / "session_report.schema.json").read_text()
+)
+GRID = np.linspace(0.0, 1.0, 21)
+
+# the scenario of acceptance criterion 10
+SCENARIO = {
+    "codec": "G711-A",
+    "duration": 10.0,
+    "interval": 0.02,
+    "seed": 10,
+    "loss_probability": 0.01,
+    "jitter_model": {"xi": -0.125761, "sigma": 1.84636, "mu": 7.27644},
+    "rtt_model": {"xi": 0.2077, "sigma": 12.0708, "mu": 123.9454},
+    "xr_interval": 0.5,
+    "scenario_tag": "golden",
+    "call_id": "golden-1",
+}
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """(session directory, report, in-memory series of the session)."""
+    tmp = tmp_path_factory.mktemp("export")
+    scn = tmp / "scenario.json"
+    scn.write_text(json.dumps(SCENARIO))
+    cap = tmp / "capture.pcap"
+    assert entrypoint(["synth", "--scenario", str(scn), "--out", str(cap)]) == 0
+    assert entrypoint(["analyze", "--input", str(cap), "--out", str(tmp / "out"),
+                       "--scenario", "golden"]) == 0
+    session_dir = tmp / "out" / "golden-1"
+    report = json.loads((session_dir / "report.json").read_text())
+
+    (session,) = assemble_sessions(parse_pcap(cap.read_bytes())).sessions
+    jitter = jitter_series(session.rtp_fwd, clock_rate=session.clock_rate)
+    series = {
+        "jitter": jitter,
+        "sigma_j": moving_std(jitter, window=1.0),
+        "bandwidth": bandwidth_series(session.rtp_fwd, window=1.0),
+        "rtt": rtt_series(session.xr_blocks),
+    }
+    return session_dir, report, series
+
+
+def read_series(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    header, *rows = path.read_text().splitlines()
+    assert header == "t,value"
+    t, v = zip(*(map(float, row.split(",")) for row in rows))
+    return np.array(t), np.array(v)
+
+
+def at_jitter_times(series, jitter_t: np.ndarray) -> np.ndarray:
+    t, v = series
+    return np.interp(jitter_t, t, v)
+
+
+class TestLayout:
+    def test_one_file_per_artifact(self, run):
+        session_dir, report, _ = run
+        exports = report["exports"]
+        assert exports["bandwidth_sigma_hist"] == "bandwidth_sigma_hist.csv"
+        assert exports["pca"] == "pca.json"
+        want = {"report.json", "pca.json", "bandwidth_sigma_hist.csv"}
+        want |= set(exports["series_csv"].values())
+        assert {p.name for p in session_dir.iterdir()} == want
+
+    def test_units_live_in_the_report(self, run):
+        _, report, series = run
+        for name, s in series.items():
+            assert report["metrics"][name]["unit"] == s.unit
+
+
+class TestInformationKept:
+    def test_sparse_hist_rebuilds_dense_counts(self, run):
+        session_dir, report, series = run
+        jitter_t = series["jitter"].times()
+        bw = series["bandwidth"]
+        hist = bivariate_hist(
+            np.interp(jitter_t, bw.times(), bw.values()),
+            series["sigma_j"].values(),
+        )
+        text = (session_dir / report["exports"]["bandwidth_sigma_hist"]).read_text()
+        header, *rows = text.splitlines()
+        assert header == "x_lo,x_hi,y_lo,y_hi,count,density"
+        xe, ye = hist.x_edges.tolist(), hist.y_edges.tolist()
+        dense = np.zeros_like(hist.counts)
+        for row in rows:
+            x_lo, x_hi, y_lo, y_hi, count, density = row.split(",")
+            i, j = xe.index(float(x_lo)), ye.index(float(y_lo))
+            assert (float(x_hi), float(y_hi)) == (xe[i + 1], ye[j + 1])
+            assert int(count) > 0 and dense[i, j] == 0
+            assert float(density) == int(count) / len(jitter_t)
+            dense[i, j] = int(count)
+        assert np.array_equal(dense, hist.counts)
+
+    @pytest.mark.parametrize("name", ["sigma_j", "rtt"])
+    def test_quantiles_are_inverted_cdf_of_the_csv(self, run, name):
+        session_dir, report, _ = run
+        _, v = read_series(session_dir / report["exports"]["series_csv"][name])
+        want = np.quantile(v, GRID, method="inverted_cdf")
+        assert report["metrics"][name]["quantiles"] == want.tolist()
+
+    def test_pca_scores_rebuild_from_the_csvs(self, run):
+        session_dir, report, series = run
+        projection = json.loads((session_dir / report["exports"]["pca"]).read_text())
+        assert "scores" not in projection
+        variables = projection["variables"]
+        assert variables == ["jitter", "sigma_j", "bandwidth", "rtt"]
+
+        csv = {name: read_series(session_dir / report["exports"]["series_csv"][name])
+               for name in variables}
+        jitter_t = csv["jitter"][0]
+        obs = np.column_stack([csv["jitter"][1], csv["sigma_j"][1]]
+                              + [at_jitter_times(csv[n], jitter_t)
+                                 for n in variables[2:]])
+        z = (obs - obs.mean(axis=0)) / obs.std(axis=0, ddof=1)
+        rebuilt = z @ np.array(projection["components"]).T
+
+        t = series["jitter"].times()
+        expected = pca(np.column_stack(
+            [series["jitter"].values(), series["sigma_j"].values()]
+            + [np.interp(t, series[n].times(), series[n].values())
+               for n in variables[2:]]
+        ), k=len(variables))
+        assert rebuilt.shape == expected.scores.shape
+        assert np.max(np.abs(rebuilt - expected.scores)) <= 1e-9
+
+
+class TestSchema:
+    def test_schema_is_valid_draft_2020_12(self):
+        jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+    def test_accepts_the_written_report(self, run):
+        _, report, _ = run
+        assert report["schema_version"] == 2
+        jsonschema.Draft202012Validator(SCHEMA).validate(report)
+
+    def test_rejects_a_v1_report(self, run):
+        _, report, _ = run
+        v1 = json.loads(json.dumps(report))
+        del v1["schema_version"]
+        v1["exports"]["cdf"] = {"sigma_j": "sigma_j_cdf.json"}
+        v1["exports"]["bandwidth_sigma_hist"] = {
+            "json": "bandwidth_sigma_hist.json",
+            "csv": "bandwidth_sigma_hist.csv",
+        }
+        validator = jsonschema.Draft202012Validator(SCHEMA)
+        assert not validator.is_valid(v1)
+        v2_with_cdf = json.loads(json.dumps(report))
+        v2_with_cdf["exports"]["cdf"] = {}
+        assert not validator.is_valid(v2_with_cdf)
+        v2_with_cdf["exports"].pop("cdf")
+        v2_with_cdf["schema_version"] = 1
+        assert not validator.is_valid(v2_with_cdf)
+
+
+class TestEmpiricalQuantile:
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
+    def test_matches_numpy_inverted_cdf(self, data):
+        got = empirical_cdf(data).quantile(GRID)
+        assert got.tolist() == np.quantile(data, GRID, method="inverted_cdf").tolist()
+
+    def test_smallest_point_reaching_p(self):
+        f = empirical_cdf([40.0, 10.0, 30.0, 20.0])
+        assert f.quantile([0.0, 0.25, 0.26, 0.5, 1.0]).tolist() == [
+            10.0, 10.0, 20.0, 20.0, 40.0]
+
+    def test_rejects_probabilities_outside_unit_interval(self):
+        with pytest.raises(DomainError):
+            empirical_cdf([1.0]).quantile([1.5])

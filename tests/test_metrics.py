@@ -587,13 +587,13 @@ class TestMetricSeries:
 
     def test_csv_shape(self):
         series = MetricSeries.create("jitter", [0.5, 1.0], [1.25, 2.0])
-        assert series.to_csv() == "t,value,unit\n0.5,1.25,ms\n1.0,2.0,ms\n"
+        assert series.to_csv() == "t,value\n0.5,1.25\n1.0,2.0\n"
 
     def test_csv_values_round_trip(self):
         series = MetricSeries.create("jitter", [1 / 3], [2 / 7])
         line = series.to_csv().splitlines()[1]
-        t, v, unit = line.split(",")
-        assert float(t) == 1 / 3 and float(v) == 2 / 7 and unit == "ms"
+        t, v = line.split(",")
+        assert float(t) == 1 / 3 and float(v) == 2 / 7
 
     def test_json_dict(self):
         series = MetricSeries.create("bandwidth", [0.0], [80.0])
