@@ -29,9 +29,9 @@ def main() -> None:
     # sigma_j degrades as bandwidth drops: make correlated columns
     bandwidth = rng.normal(80.0, 4.0, 2000)
     sigma_j = 12.0 - 0.1 * bandwidth + rng.normal(0.0, 0.4, 2000)
-    hist = bivariate_hist(bandwidth, sigma_j, nx=6, ny=4,
-                          x_label="bandwidth (kbps)", y_label="sigma_j (ms)")
-    print(f"\n2-D histogram {hist.counts.shape}, "
+    hist = bivariate_hist(bandwidth, sigma_j, nx=6, ny=4)
+    print(f"\n2-D histogram of bandwidth (kbps) x sigma_j (ms) "
+          f"{hist.counts.shape}, "
           f"{int(hist.counts.sum())} points total:")
     for row in hist.counts.T[::-1]:
         print("   " + " ".join(f"{int(c):4d}" for c in row))

@@ -8,9 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 fatal error (diagnostic on stderr), 2 partial
 success (the capture held records that were set aside: unparsable,
-unbound, or duplicated RTP packets; or a session failed, e.g. two of
-its RTP packets share a capture time, and was skipped while every other
-session was written; stderr names it and the reason).
+unbound, or RTP packets repeating a capture time of their stream; or a
+session's report failed and was skipped while every other session was
+written; stderr names it and the reason).
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ def _cmd_analyze(args) -> int:
     if residue:
         print(
             f"warning: {residue} record(s) set aside: not parseable as "
-            "RTP/RTCP/SIP, not bound to a call, or a duplicated RTP packet",
+            "RTP/RTCP/SIP, not bound to a call, or an RTP packet repeating "
+            "a capture time of its stream",
             file=sys.stderr,
         )
     return 2 if residue or failures else 0

@@ -27,7 +27,7 @@ from ..errors import (
     ZeroVariance,
 )
 from ..evt import MIN_FIT_POINTS, default_candidates, fit_gev_mle, select_model
-from ..ingest.capture import parse_jsonl, parse_pcap
+from ..ingest.capture import Capture, parse_jsonl, parse_pcap
 from ..ingest.codecs import load_codec_map
 from ..ingest.sessions import AssemblyConfig, CallSession, assemble_sessions
 from ..metrics import (
@@ -70,7 +70,7 @@ class AnalysisConfig:
             raise DomainError(f"unknown candidate families: {sorted(bad)}")
 
 
-def read_records(path: str | Path, fmt: str = "auto"):
+def read_records(path: str | Path, fmt: str = "auto") -> Capture:
     """Load packet records from one capture file."""
     p = Path(path)
     if fmt == "auto":
@@ -129,8 +129,8 @@ def _fit_entry(values: np.ndarray, ranked_families: tuple | None) -> dict:
 
 def _session_span(session: CallSession) -> tuple[float, float]:
     """First and last time seen; assembly keeps every list time-sorted."""
-    ends = [m.capture_ts for x in (session.rtp_fwd, session.rtp_rev,
-                                   session.sip_dialog) for m in x[:1] + x[-1:]]
+    timed = (session.rtp_fwd, session.rtp_rev, session.sip_dialog)
+    ends = [m.capture_ts for x in timed if x for m in (x[0], x[-1])]
     ends += [b.report_ts for b in session.xr_blocks[:1] + session.xr_blocks[-1:]]
     return (min(ends), max(ends)) if ends else (0.0, 0.0)
 
@@ -278,21 +278,20 @@ def analyze_capture(config: AnalysisConfig) -> tuple[list, int, list]:
     """Run the full pipeline; returns (reports, set-aside record count,
     [(session id, reason)] for each session whose report failed and was
     skipped)."""
-    records = []
-    for path in config.inputs:
-        records.extend(read_records(path, config.fmt))
-    result = assemble_sessions(
-        records,
+    sessions, residue = assemble_sessions(
+        Capture.concat([read_records(p, config.fmt) for p in config.inputs]),
         AssemblyConfig(
             payload_type_map=config.payload_type_map,
             scenario_tag=config.scenario_tag,
         ),
     )
+    set_aside = len(residue)
+    del residue  # it views the capture buffer, which the reports do not need
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     reports, failures = [], []
     taken: set = set()
-    for session in result.sessions:
+    for session in sessions:
         try:
             report, files = build_session_report(session, config)
         except VoipQosError as exc:
@@ -308,4 +307,4 @@ def analyze_capture(config: AnalysisConfig) -> tuple[list, int, list]:
             json.dumps(report, sort_keys=True, indent=2) + "\n"
         )
         reports.append(report)
-    return reports, len(result.residue), failures
+    return reports, set_aside, failures

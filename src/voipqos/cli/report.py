@@ -13,6 +13,7 @@ from pathlib import Path
 
 from ..errors import BadRecord, EmptyData, TooFewPoints, ZeroVariance
 from ..stats import boxplot_stats, pca
+from .analyze import SCHEMA_VERSION
 
 
 def _collect(paths) -> list[dict]:
@@ -29,6 +30,11 @@ def _collect(paths) -> list[dict]:
     for path, r in reports:
         if not isinstance(r, dict) or "session" not in r:
             raise BadRecord(f"{path} is not a session report")
+        if r.get("schema_version") != SCHEMA_VERSION:
+            raise BadRecord(
+                f"{path} has report schema version "
+                f"{r.get('schema_version')}, expected {SCHEMA_VERSION}"
+            )
         out.append(r)
     return out
 

@@ -4,6 +4,8 @@ from .capture import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IPV4,
     MAGIC,
+    MAGIC_NS,
+    Capture,
     PacketRecord,
     parse_jsonl,
     parse_pcap,
@@ -20,7 +22,7 @@ from .rtcp_xr import (
     encode_xr_packet,
     parse_rtcp_xr,
 )
-from .rtp import RtpPacket, encode_rtp, parse_rtp
+from .rtp import RtpPacket, RtpStream, encode_rtp, parse_rtp
 from .sessions import (
     AssemblyConfig,
     AssemblyResult,
@@ -33,6 +35,8 @@ __all__ = [
     "LINKTYPE_ETHERNET",
     "LINKTYPE_RAW_IPV4",
     "MAGIC",
+    "MAGIC_NS",
+    "Capture",
     "PacketRecord",
     "parse_jsonl",
     "parse_pcap",
@@ -50,6 +54,7 @@ __all__ = [
     "encode_xr_packet",
     "parse_rtcp_xr",
     "RtpPacket",
+    "RtpStream",
     "encode_rtp",
     "parse_rtp",
     "AssemblyConfig",

@@ -1,10 +1,18 @@
 """Capture-file reading and writing: classic pcap and line-delimited JSON.
 
 The pcap side is bit-exact for the classic format: 24-byte global header
-(either byte order, dispatched on the magic), 16-byte record headers with
-separate second/microsecond fields, and Ethernet or raw-IPv4 link types.
-Only UDP packets become records; everything else is skipped, because all
-three protocols of interest ride UDP here.
+(either byte order, microsecond or nanosecond timestamps, dispatched on
+the magic), 16-byte record headers with separate second/fraction fields,
+and Ethernet or raw-IPv4 link types. Only UDP packets become records;
+everything else is skipped, because all three protocols of interest ride
+UDP here.
+
+Decoding is columnar. The walk over record headers is the only
+per-record Python loop; the link, IPv4 and UDP checks then run once over
+numpy columns, and the result is a ``Capture``: timestamps, uint32
+addresses, ports, and each payload's offset and length into the
+unchanged input buffer. A Capture reads as a sequence of PacketRecord,
+built on demand.
 
 The jsonl side is the human-writable twin used for diffable fixtures:
 one JSON object per line with keys ts, src, dst, sport, dport, proto,
@@ -15,23 +23,25 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import BadMagic, BadRecord, DomainError, Truncated
 
 MAGIC = 0xA1B2C3D4
+MAGIC_NS = 0xA1B23C4D  # nanosecond-resolution timestamps
+_SWAPPED, _SWAPPED_NS = 0xD4C3B2A1, 0x4D3CB2A1
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IPV4 = 101
-
-_GLOBAL_HEADER = struct.Struct("IHHiIII")  # magic, vmaj, vmin, zone, figs, snap, link
-_RECORD_HEADER = struct.Struct("IIII")  # ts_sec, ts_usec, incl_len, orig_len
 
 
 @dataclass(frozen=True)
 class PacketRecord:
     """One captured UDP packet."""
 
-    ts: float  # seconds since epoch, microsecond resolution
+    ts: float  # seconds since epoch
     src_addr: str
     dst_addr: str
     src_port: int
@@ -45,6 +55,114 @@ class PacketRecord:
         for port in (self.src_port, self.dst_port):
             if not 0 <= port <= 65535:
                 raise DomainError(f"port {port} outside 0..65535")
+
+
+class Capture(Sequence):
+    """UDP packet records as columns over one payload buffer.
+
+    Row i is a packet captured at ``ts[i]`` (float64 seconds) from
+    ``src[i]:sport[i]`` to ``dst[i]:dport[i]`` (uint32 IPv4 addresses,
+    uint16 ports); its UDP payload is ``buf[offset[i]:offset[i] +
+    length[i]]``. Indexing builds a PacketRecord, and a Capture equals
+    any sequence holding the same records in the same order.
+    """
+
+    __slots__ = ("buf", "ts", "src", "dst", "sport", "dport", "offset",
+                 "length")
+
+    def __init__(self, buf, ts, src, dst, sport, dport, offset, length):
+        self.buf = buf
+        for name, value, dtype in (
+            ("ts", ts, np.float64), ("src", src, np.uint32),
+            ("dst", dst, np.uint32), ("sport", sport, np.uint16),
+            ("dport", dport, np.uint16), ("offset", offset, np.int64),
+            ("length", length, np.int64),
+        ):
+            column = np.asarray(value, dtype=dtype)
+            column.setflags(write=False)
+            setattr(self, name, column)
+
+    @classmethod
+    def from_records(cls, records) -> Capture:
+        """The columns of a record sequence; a Capture comes back as is."""
+        if isinstance(records, Capture):
+            return records
+        records = list(records)
+        length = np.array([len(r.payload) for r in records], dtype=np.int64)
+        return cls(
+            b"".join(r.payload for r in records),
+            [r.ts for r in records],
+            [_ipv4_int(r.src_addr) for r in records],
+            [_ipv4_int(r.dst_addr) for r in records],
+            [r.src_port for r in records],
+            [r.dst_port for r in records],
+            np.cumsum(length) - length,
+            length,
+        )
+
+    @classmethod
+    def concat(cls, captures: list[Capture]) -> Capture:
+        """One Capture holding the rows of each, in order."""
+        if len(captures) == 1:
+            return captures[0]
+        shift = np.cumsum([0] + [len(c.buf) for c in captures[:-1]])
+        columns = {
+            name: np.concatenate([getattr(c, name) for c in captures])
+            for name in ("ts", "src", "dst", "sport", "dport", "length")
+        }
+        return cls(
+            b"".join(c.buf for c in captures),
+            offset=np.concatenate(
+                [c.offset + k for c, k in zip(captures, shift.tolist())]
+            ),
+            **columns,
+        )
+
+    def take(self, rows) -> Capture:
+        """The rows at the given positions, over the same buffer."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return Capture(self.buf, self.ts[rows], self.src[rows],
+                       self.dst[rows], self.sport[rows], self.dport[rows],
+                       self.offset[rows], self.length[rows])
+
+    def payload(self, i: int) -> bytes:
+        start = int(self.offset[i])
+        return bytes(self.buf[start:start + int(self.length[i])])
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        i = range(len(self))[i]  # IndexError past either end
+        return PacketRecord(
+            ts=float(self.ts[i]),
+            src_addr=_dotted(int(self.src[i])),
+            dst_addr=_dotted(int(self.dst[i])),
+            src_port=int(self.sport[i]),
+            dst_port=int(self.dport[i]),
+            transport="udp",
+            payload=self.payload(i),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"Capture({len(self)} records)"
+
+
+def _ipv4_int(addr: str) -> int:
+    return int.from_bytes(_ipv4(addr), "big")
+
+
+def _dotted(addr: int) -> str:
+    return ".".join(str(b) for b in addr.to_bytes(4, "big"))
 
 
 def _split_ts(ts: float) -> tuple[int, int]:
@@ -87,74 +205,105 @@ def _build_frame(rec: PacketRecord) -> bytes:
     return eth + ip + udp
 
 
-def _parse_ipv4(ts: float, data: bytes) -> PacketRecord | None:
-    if len(data) < 20:
-        return None
-    first = data[0]
-    if first >> 4 != 4:
-        return None
-    ihl = (first & 0x0F) * 4
-    if ihl < 20 or len(data) < ihl + 8:
-        return None
-    proto = data[9]
-    if proto != 17:  # not UDP
-        return None
-    src = ".".join(str(b) for b in data[12:16])
-    dst = ".".join(str(b) for b in data[16:20])
-    sport, dport, udp_len, _ = struct.unpack(">HHHH", data[ihl : ihl + 8])
-    end = ihl + max(udp_len, 8)
-    payload = bytes(data[ihl + 8 : min(end, len(data))])
-    return PacketRecord(
-        ts=ts, src_addr=src, dst_addr=dst,
-        src_port=sport, dst_port=dport, transport="udp", payload=payload,
+def read_uint(u8: np.ndarray, pos: np.ndarray, width: int, big: bool = True):
+    """Unsigned ``width``-byte integers at byte positions ``pos`` of ``u8``.
+
+    One gather through a view of ``u8`` as integers starting at every
+    byte (stride 1), so each value is read in one pass over the buffer.
+    """
+    dtype = np.dtype(f"{'>' if big else '<'}u{width}")
+    words = np.ndarray((max(len(u8) - width + 1, 0),), dtype, buffer=u8,
+                       strides=(1,))
+    return words[pos].astype(dtype.newbyteorder("="))
+
+
+def _record_heads(data, endian: str) -> np.ndarray:
+    """Offsets of every record header; the one per-record Python loop."""
+    incl_len = struct.Struct(endian + "I").unpack_from
+    end = len(data)
+    heads = []
+    off = 24
+    while off + 16 <= end:
+        heads.append(off)
+        off += 16 + incl_len(data, off + 8)[0]
+    if off > end:
+        raise Truncated("record body extends past end of file")
+    if off < end:
+        raise Truncated("record header cut short")
+    return np.array(heads, dtype=np.int64)
+
+
+def _udp_columns(data, u8, heads, link: int, big: bool, ticks: float
+                 ) -> Capture:
+    """Decode the record at each of ``heads`` as link header + IPv4/UDP.
+
+    A record is kept when, after ``link`` bytes of link header, it holds
+    IPv4 with a valid IHL, carries UDP, is not a non-first fragment
+    (whose bytes after the IP header are not a UDP header, RFC 791), and
+    holds the IP and UDP headers. The payload runs to the UDP length,
+    clipped to the captured bytes.
+    """
+    avail = read_uint(u8, heads + 8, 4, big).astype(np.int64) - link
+    keep = avail >= 20
+    heads, avail = heads[keep], avail[keep]
+    ip = heads + (16 + link)
+    first = u8[ip]
+    ihl = (first & 0x0F).astype(np.int64) * 4
+    keep = (
+        (first >> 4 == 4)
+        & (ihl >= 20)
+        & (avail >= ihl + 8)
+        & (u8[ip + 9] == 17)
+        & (read_uint(u8, ip + 6, 2) & 0x1FFF == 0)
+    )
+    heads, ip, avail, ihl = heads[keep], ip[keep], avail[keep], ihl[keep]
+    udp = ip + ihl
+    udp_len = read_uint(u8, udp + 4, 2).astype(np.int64)
+    sec, frac = read_uint(u8, heads, 4, big), read_uint(u8, heads + 4, 4, big)
+    return Capture(
+        data,
+        sec + frac / ticks,  # division is correctly rounded, * 1e-6 is not
+        src=read_uint(u8, ip + 12, 4), dst=read_uint(u8, ip + 16, 4),
+        sport=read_uint(u8, udp, 2), dport=read_uint(u8, udp + 2, 2),
+        offset=udp + 8,
+        length=np.minimum(np.maximum(udp_len, 8), avail - ihl) - 8,
     )
 
 
-def parse_pcap(data: bytes) -> list[PacketRecord]:
+def parse_pcap(data) -> Capture:
     """Decode a classic capture file into UDP packet records, in order.
 
     Raises BadMagic when the first four bytes are not the classic magic
-    in either byte order, and Truncated when a record header or body
-    extends past the end of the input.
+    (microsecond or nanosecond timestamps) in either byte order, and
+    Truncated when a record header or body extends past the end of the
+    input. The returned Capture views ``data`` without copying it.
     """
     if len(data) < 4:
         raise BadMagic("input shorter than a capture magic")
-    (magic_le,) = struct.unpack("<I", data[:4])
-    if magic_le == MAGIC:
+    (magic_le,) = struct.unpack_from("<I", data)
+    if magic_le in (MAGIC, MAGIC_NS):
         endian = "<"
-    elif magic_le == 0xD4C3B2A1:
+    elif magic_le in (_SWAPPED, _SWAPPED_NS):
         endian = ">"
     else:
         raise BadMagic(f"not a classic capture file (magic {magic_le:#010x})")
+    ticks = 1e9 if magic_le in (MAGIC_NS, _SWAPPED_NS) else 1e6
     if len(data) < 24:
         raise Truncated("global header cut short")
-    header = struct.Struct(endian + _GLOBAL_HEADER.format)
-    _, _, _, _, _, _, linktype = header.unpack(data[:24])
-    rec_header = struct.Struct(endian + _RECORD_HEADER.format)
+    (linktype,) = struct.unpack_from(endian + "I", data, 20)
 
-    records: list[PacketRecord] = []
-    off = 24
-    while off < len(data):
-        if off + 16 > len(data):
-            raise Truncated("record header cut short")
-        sec, usec, incl, _orig = rec_header.unpack(data[off : off + 16])
-        off += 16
-        if off + incl > len(data):
-            raise Truncated("record body extends past end of file")
-        frame = data[off : off + incl]
-        off += incl
-        ts = sec + usec / 1e6  # division is correctly rounded, multiplication by 1e-6 is not
-        if linktype == LINKTYPE_ETHERNET:
-            if len(frame) < 14 or frame[12:14] != b"\x08\x00":
-                continue  # not IPv4
-            rec = _parse_ipv4(ts, frame[14:])
-        elif linktype == LINKTYPE_RAW_IPV4:
-            rec = _parse_ipv4(ts, frame)
-        else:
-            continue  # unknown link type: skip records, keep walking
-        if rec is not None:
-            records.append(rec)
-    return records
+    heads = _record_heads(data, endian)
+    u8 = np.frombuffer(data, dtype=np.uint8)
+    big = endian == ">"
+    if linktype == LINKTYPE_ETHERNET:
+        link = 14
+        heads = heads[read_uint(u8, heads + 8, 4, big) >= link]
+        heads = heads[read_uint(u8, heads + 28, 2) == 0x0800]  # IPv4
+    elif linktype == LINKTYPE_RAW_IPV4:
+        link = 0
+    else:
+        link, heads = 0, heads[:0]  # unknown link type: no records
+    return _udp_columns(data, u8, heads, link, big, ticks)
 
 
 def write_pcap(records: list[PacketRecord]) -> bytes:
@@ -171,8 +320,11 @@ def write_pcap(records: list[PacketRecord]) -> bytes:
 _JSONL_KEYS = ("ts", "src", "dst", "sport", "dport", "proto", "payload_hex")
 
 
-def parse_jsonl(text: str) -> list[PacketRecord]:
-    """Decode the line-delimited JSON record format; blank lines skipped."""
+def parse_jsonl(text: str) -> Capture:
+    """Decode the line-delimited JSON record format; blank lines skipped.
+
+    Addresses must be dotted-quad IPv4, as in a decoded pcap.
+    """
     records: list[PacketRecord] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -193,6 +345,8 @@ def parse_jsonl(text: str) -> list[PacketRecord]:
         except ValueError as exc:
             raise BadRecord(f"line {lineno}: payload_hex is not hex") from exc
         try:
+            for addr in (obj["src"], obj["dst"]):
+                _ipv4(str(addr))  # a Capture holds IPv4 addresses
             records.append(
                 PacketRecord(
                     ts=float(obj["ts"]),
@@ -206,7 +360,7 @@ def parse_jsonl(text: str) -> list[PacketRecord]:
             )
         except (TypeError, ValueError, DomainError) as exc:
             raise BadRecord(f"line {lineno}: {exc}") from exc
-    return records
+    return Capture.from_records(records)
 
 
 def write_jsonl(records: list[PacketRecord]) -> str:

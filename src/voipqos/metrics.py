@@ -1,6 +1,8 @@
 """Per-call quality metrics over decoded sessions.
 
 Each metric comes back as a MetricSeries or a small summary dataclass.
+The per-packet metrics read an RtpStream's columns; a list of RtpPacket
+is turned into one first.
 A MetricSeries is a unit-tagged time series stored as two read-only
 float64 arrays (sample times and values), so the windowed metrics
 (moving_std, bandwidth_series) locate every trailing window with one
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyData, TooFewPackets
 from .ingest.rtcp_xr import UNAVAILABLE, VoipMetricsBlock
-from .ingest.rtp import RtpPacket
+from .ingest.rtp import RtpPacket, RtpStream
 from .ingest.sip import SipMessage
 
 #: Fixed unit per metric name; MetricSeries construction enforces it.
@@ -119,23 +121,24 @@ class SipDelays:
     sdd: float | None  # session disconnect delay, seconds
 
 
+def _unroll(values: np.ndarray, modulus: int) -> np.ndarray:
+    """Undo modular wrap-around: each step is the signed delta nearest 0."""
+    v = np.asarray(values, dtype=np.int64)
+    if not len(v):
+        return v
+    half = modulus // 2
+    delta = (np.diff(v) + half) % modulus - half
+    return np.concatenate((v[:1], v[0] + np.cumsum(delta)))
+
+
 def unroll(values, modulus: int) -> list[int]:
     """Undo modular wrap-around by accumulating signed deltas."""
-    it = iter(values)
-    try:
-        first = next(it)
-    except StopIteration:
-        return []
-    half = modulus // 2
-    out = [int(first)]
-    for v in it:
-        delta = ((int(v) - out[-1] + half) % modulus) - half
-        out.append(out[-1] + delta)
-    return out
+    return _unroll(np.fromiter(values, dtype=np.int64), modulus).tolist()
 
 
 def jitter_series(
-    stream: list[RtpPacket], clock_rate: float, rfc3550: bool = False
+    stream: RtpStream | list[RtpPacket], clock_rate: float,
+    rfc3550: bool = False,
 ) -> MetricSeries:
     """Per-packet jitter in ms; one sample per packet from the second on.
 
@@ -144,11 +147,11 @@ def jitter_series(
     """
     if not clock_rate > 0:
         raise DomainError(f"clock rate must be positive, got {clock_rate}")
+    stream = RtpStream.from_packets(stream)
     if len(stream) < 2:
         raise TooFewPackets(f"jitter needs >= 2 packets, got {len(stream)}")
-    send_ts = np.array(unroll((p.rtp_ts for p in stream), 2**32), dtype=float)
-    t_t = send_ts / float(clock_rate)
-    t_r = np.array([p.capture_ts for p in stream], dtype=float)
+    t_t = _unroll(stream.rtp_ts, 2**32).astype(float) / float(clock_rate)
+    t_r = stream.capture_ts
     transit = t_r - t_t
     diffs = np.abs(np.diff(transit)) * 1000.0
     if rfc3550:
@@ -204,7 +207,7 @@ def moving_std(series: MetricSeries, window: float = 1.0) -> MetricSeries:
 
 
 def bandwidth_series(
-    stream: list[RtpPacket],
+    stream: RtpStream | list[RtpPacket],
     window: float = 1.0,
     overhead_bytes: int = DEFAULT_OVERHEAD_BYTES,
 ) -> MetricSeries:
@@ -217,10 +220,9 @@ def bandwidth_series(
         raise DomainError(f"window must be positive, got {window}")
     if overhead_bytes < 0:
         raise DomainError("overhead_bytes must be >= 0")
-    t = np.array([p.capture_ts for p in stream], dtype=float)
-    size = np.array(
-        [p.payload_len + p.header_len + overhead_bytes for p in stream], dtype=float
-    )
+    stream = RtpStream.from_packets(stream)
+    t = stream.capture_ts
+    size = (stream.size + overhead_bytes).astype(float)
     # window (t - window, t] holds packets lo..i; sizes are integers, so
     # the cumulative sums and their differences are exact
     lo = np.searchsorted(t, t - window, side="right")
@@ -229,13 +231,14 @@ def bandwidth_series(
     return MetricSeries.create("bandwidth", t, acc * 8.0 / window / 1000.0)
 
 
-def loss_summary(stream: list[RtpPacket]) -> LossSummary:
+def loss_summary(stream: RtpStream | list[RtpPacket]) -> LossSummary:
     """Packet loss from the unrolled sequence-number span."""
-    if not stream:
+    stream = RtpStream.from_packets(stream)
+    if not len(stream):
         raise TooFewPackets("loss needs at least one packet")
-    seqs = unroll((p.seq for p in stream), 2**16)
-    expected = max(seqs) - min(seqs) + 1
-    received = len(set(seqs))
+    seqs = np.sort(_unroll(stream.seq, 2**16))
+    expected = int(seqs[-1] - seqs[0]) + 1
+    received = int(np.count_nonzero(np.diff(seqs))) + 1  # distinct seqs
     loss_pct = max(0.0, 100.0 * (expected - received) / expected)
     return LossSummary(expected=expected, received=received, loss_pct=loss_pct)
 

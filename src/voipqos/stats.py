@@ -53,12 +53,6 @@ class EmpiricalCdf:
         idx = np.maximum(np.ceil(len(self.points) * p - 1.0), 0.0)
         return self.points[idx.astype(int)]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "probs": self.probs.tolist(),
-        }
-
 
 def empirical_cdf(data) -> EmpiricalCdf:
     """Empirical CDF: value i/n at the i-th sorted point."""
@@ -76,22 +70,10 @@ class BivariateHist:
     y_edges: np.ndarray
     counts: np.ndarray  # shape (nx, ny), integer
     density: np.ndarray  # counts / n, sums to 1
-    x_label: str = ""
-    y_label: str = ""
 
     def __post_init__(self) -> None:
         for a in (self.x_edges, self.y_edges, self.counts, self.density):
             a.setflags(write=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x_label": self.x_label,
-            "y_label": self.y_label,
-            "x_edges": self.x_edges.tolist(),
-            "y_edges": self.y_edges.tolist(),
-            "counts": self.counts.tolist(),
-            "density": self.density.tolist(),
-        }
 
     def to_csv(self) -> str:
         """One row per non-empty cell, in row-major (x, then y) order."""
@@ -114,8 +96,7 @@ def _axis_edges(arr: np.ndarray, bins: int) -> np.ndarray:
     return np.linspace(lo, hi, bins + 1)
 
 
-def bivariate_hist(x, y, nx: int = 30, ny: int = 30, x_label: str = "",
-                   y_label: str = "") -> BivariateHist:
+def bivariate_hist(x, y, nx: int = 30, ny: int = 30) -> BivariateHist:
     """Joint histogram of two equal-length samples.
 
     Bins are equal-width over [min, max] per axis; the last edge is
@@ -139,8 +120,6 @@ def bivariate_hist(x, y, nx: int = 30, ny: int = 30, x_label: str = "",
         y_edges=y_edges,
         counts=counts,
         density=counts / len(xa),
-        x_label=x_label,
-        y_label=y_label,
     )
 
 

@@ -4,8 +4,11 @@ A verbatim copy of ``assemble_sessions`` and its helpers from the
 scan-based implementation (every dialog scans every stream, mirror
 pairing is a nested loop, and each XR packet walks every session). The
 tests compare the indexed version against it record list by record list.
-Only the imports differ: the result types come from the package, so
-the two outputs compare equal field by field.
+Only the imports and one rule differ. The result types come from the
+package, so the two outputs compare equal field by field. The duplicate
+test marks a packet by its capture time alone, not by (seq, capture
+time), which is the package's tie rule: a later packet of a stream with
+an earlier packet's capture time is residue.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class _Stream(NamedTuple):
     key: tuple
     packets: list[RtpPacket]
     record: PacketRecord  # representative packet for endpoint info
-    seen: set[tuple[int, float]]  # (seq, capture_ts) of every packet
+    seen: set[float]  # capture_ts of every packet
 
 
 def _classify(rec: PacketRecord):
@@ -100,7 +103,7 @@ def assemble_sessions(
             stream = streams.get(key)
             if stream is None:
                 stream = streams[key] = _Stream(key, [], rec, set())
-            mark = (obj.seq, obj.capture_ts)
+            mark = obj.capture_ts
             if mark in stream.seen:
                 residue.append(rec)  # a duplicate of a captured packet
                 continue

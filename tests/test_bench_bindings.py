@@ -9,13 +9,16 @@ here instead.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
 from tests import builders
-from voipqos.ingest import assemble_sessions
+from voipqos.cli import entrypoint
+from voipqos.ingest import PacketRecord, assemble_sessions, parse_pcap
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,9 +46,18 @@ def test_install_wraps_every_binding_and_restore_undoes_it(tracer):
     assert all(r is o for r, o in zip(restored, originals))
 
 
+def _csrc_rtp(ts: float, seq: int) -> PacketRecord:
+    """An RTP packet of the builders' default stream with one CSRC."""
+    plain = builders.rtp_record(ts, seq, seq * 160)
+    payload = b"\x81" + plain.payload[1:12] + b"\x00\x00\x00\x07" \
+        + plain.payload[12:]
+    return dataclasses.replace(plain, payload=payload)
+
+
 def test_assembly_parses_through_traced_bindings(tracer):
     records = builders.basic_dialog()
     records += [builders.rtp_record(20.0 + i * 0.02, i, i * 160) for i in range(4)]
+    records += [_csrc_rtp(20.08, 4)]
     records += [builders.xr_record(21.0)]
     t = tracer.Tracer()
     try:
@@ -54,6 +66,33 @@ def test_assembly_parses_through_traced_bindings(tracer):
     finally:
         t.restore()
     assert len(result.sessions) == 1 and result.residue == []
+    assert len(result.sessions[0].rtp_fwd) == 5
+    assert result.sessions[0].rtp_fwd[4].header_len == 16
     assert t.counts["sessions.parse_sip.calls"] == 5
-    assert t.counts["sessions.parse_rtp.calls"] == 4
+    # only the packet with a CSRC list leaves the columnar header read
+    assert t.counts["sessions.parse_rtp.calls"] == 1
     assert t.counts["sessions.parse_rtcp_xr.calls"] == 1
+
+
+def test_traced_analyze_counts_decode_and_assembly(tracer, tmp_path):
+    scenario = tmp_path / "scn.json"
+    scenario.write_text(json.dumps({
+        "codec": "G711-A", "duration": 4.0, "interval": 0.02, "seed": 3,
+        "loss_probability": 0.0, "xr_interval": 0.5, "call_id": "call-1",
+        "jitter_model": {"xi": -0.1, "sigma": 1.8, "mu": 7.3},
+        "rtt_model": {"xi": 0.2, "sigma": 12.0, "mu": 124.0},
+    }))
+    capture = tmp_path / "call.pcap"
+    assert entrypoint(["synth", "--scenario", str(scenario),
+                       "--out", str(capture)]) == 0
+    udp_records = len(parse_pcap(capture.read_bytes()))
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        assert entrypoint(["analyze", "--input", str(capture),
+                           "--out", str(tmp_path / "out")]) == 0
+    finally:
+        t.restore()
+    seconds = t.self_times()
+    assert seconds["capture.parse"] > 0 and seconds["sessions.assemble"] > 0
+    assert t.counts["capture.records"] == udp_records > 200

@@ -11,13 +11,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import voipqos.cli.analyze as analyze_module
 from voipqos.cli import (
     AnalysisConfig,
     entrypoint,
     load_scenario,
     synth_to_file,
 )
-from voipqos.errors import BadSpec, VoipQosError
+from voipqos.errors import BadSpec, DomainError, VoipQosError
 from voipqos.evt import GevParams, gev_sample
 from voipqos.ingest import (
     PacketRecord,
@@ -306,27 +307,71 @@ class TestAnalyze:
             assert (tmp_path / "b" / rel).read_bytes() == \
                 (tmp_path / "a" / rel).read_bytes(), rel
 
-    def test_tied_rtp_times_skip_only_their_session(self, tmp_path, capsys):
-        def call(call_id, t0, caller, callee, tie=False):
+    def test_rtp_time_tie_is_residue(self, tmp_path, capsys):
+        # one RTP packet captured at its predecessor's time: the later
+        # one is set aside and the session is still reported
+        scn = write_scenario(tmp_path)
+        clean = tmp_path / "clean.jsonl"
+        assert entrypoint(["synth", "--scenario", str(scn),
+                           "--out", str(clean)]) == 0
+        rows = [json.loads(line) for line in clean.read_text().splitlines()]
+
+        def stream(row):
+            payload = bytes.fromhex(row["payload_hex"])
+            if payload[0] >> 6 != 2 or 200 <= payload[1] <= 207:
+                return None
+            return (row["src"], row["sport"], row["dst"], row["dport"],
+                    payload[8:12])
+
+        rtp = [i for i, row in enumerate(rows) if stream(row)]
+        k = rtp[len(rtp) // 2]
+        prev = max(i for i in range(k) if stream(rows[i]) == stream(rows[k]))
+        rows[k]["ts"] = rows[prev]["ts"]
+        tied = tmp_path / "tied.jsonl"
+        tied.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                                for r in rows))
+        assert entrypoint(["analyze", "--input", str(clean),
+                           "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        rc = entrypoint(["analyze", "--input", str(tied),
+                         "--out", str(tmp_path / "b")])
+        assert rc == 2
+        assert "1 record(s) set aside" in capsys.readouterr().err
+        a, b = (json.loads((tmp_path / d / "call-1" / "report.json")
+                           .read_text()) for d in ("a", "b"))
+        rtp = [(r["session"]["rtp_fwd"], r["session"]["rtp_rev"])
+               for r in (a, b)]
+        assert sum(rtp[0]) == sum(rtp[1]) + 1
+
+    def test_failed_report_skips_only_its_session(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def call(call_id, t0, caller, callee):
             records = builders.basic_dialog(
                 call_id, invite_ts=t0, ringing_ts=t0 + 0.2, answer_ts=t0 + 0.4,
                 bye_ts=t0 + 3.0, bye_ok_ts=t0 + 3.1,
                 caller_port=caller, callee_port=callee,
             )
             for i in range(100):
-                # two packets, different sequence numbers, one capture time
-                ts = t0 + 0.5 + 0.02 * (i - 1 if tie and i == 50 else i)
                 records.append(PacketRecord(
-                    ts, builders.A_ADDR, builders.B_ADDR, caller, callee, "udp",
+                    t0 + 0.5 + 0.02 * i, builders.A_ADDR, builders.B_ADDR,
+                    caller, callee, "udp",
                     encode_rtp(8, i, 160 * i, 0xA000 + caller, b"\x00" * 160),
                 ))
             return records
 
+        build = analyze_module.build_session_report
+
+        def failing(session, config):
+            if session.session_id == "call-b":
+                raise DomainError("report failed")
+            return build(session, config)
+
+        monkeypatch.setattr(analyze_module, "build_session_report", failing)
         clean = call("call-a", 1.0, 40000, 42000)
-        tied = call("call-b", 1.3, 50000, 52000, tie=True)
+        other = call("call-b", 1.3, 50000, 52000)
         alone, both = tmp_path / "alone.jsonl", tmp_path / "both.jsonl"
         alone.write_text(write_jsonl(clean))
-        both.write_text(write_jsonl(sorted(clean + tied, key=lambda r: r.ts)))
+        both.write_text(write_jsonl(sorted(clean + other, key=lambda r: r.ts)))
         assert entrypoint(["analyze", "--input", str(alone),
                            "--out", str(tmp_path / "a")]) == 0
         capsys.readouterr()
@@ -334,8 +379,7 @@ class TestAnalyze:
                          "--out", str(tmp_path / "b")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "session call-b skipped" in err
-        assert "strictly increasing" in err
+        assert "session call-b skipped: report failed" in err
         assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["call-a"]
         files = sorted(p.relative_to(tmp_path / "a")
                        for p in (tmp_path / "a").rglob("*") if p.is_file())
@@ -486,6 +530,18 @@ class TestReport:
     def test_no_reports_fails(self, tmp_path, capsys):
         assert entrypoint(["report", "--input", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_v1_report_rejected(self, out_dir, tmp_path, capsys):
+        # a report as export v1 wrote it: no schema_version field
+        v1 = json.loads(next(out_dir.rglob("report.json")).read_text())
+        del v1["schema_version"]
+        old = tmp_path / "old" / "report.json"
+        old.parent.mkdir()
+        old.write_text(json.dumps(v1))
+        assert entrypoint(["report", "--input", str(out_dir),
+                           str(old.parent)]) == 1
+        err = capsys.readouterr().err
+        assert str(old) in err and "schema version None" in err
 
     def test_non_report_json_fails(self, tmp_path, capsys):
         bad = tmp_path / "report.json"

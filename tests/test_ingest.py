@@ -38,17 +38,22 @@ from voipqos.ingest import (
 from tests import builders
 
 
-def hand_built_pcap(ts_sec=100, ts_usec=500_000, payload=b"hi", endian="<"):
-    """Assemble a one-packet capture byte-by-byte, independent of write_pcap."""
+def hand_built_pcap(ts_sec=100, ts_frac=500_000, payload=b"hi", endian="<",
+                    magic=0xA1B2C3D4, linktype=1, frag=0):
+    """Assemble a one-packet capture byte-by-byte, independent of write_pcap.
+
+    ``frag`` is the IPv4 flags / fragment-offset field.
+    """
     ip_src, ip_dst = bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2])
     udp = struct.pack(">HHHH", 1111, 2222, 8 + len(payload), 0) + payload
     ip = struct.pack(
-        ">BBHHHBBH4s4s", 0x45, 0, 20 + len(udp), 0, 0, 64, 17, 0, ip_src, ip_dst
+        ">BBHHHBBH4s4s", 0x45, 0, 20 + len(udp), 0, frag, 64, 17, 0, ip_src,
+        ip_dst
     )
     eth = b"\x00" * 12 + b"\x08\x00"
-    frame = eth + ip + udp
-    head = struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
-    rec = struct.pack(endian + "IIII", ts_sec, ts_usec, len(frame), len(frame))
+    frame = (eth if linktype == 1 else b"") + ip + udp
+    head = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, linktype)
+    rec = struct.pack(endian + "IIII", ts_sec, ts_frac, len(frame), len(frame))
     return head + rec + frame
 
 
@@ -74,6 +79,30 @@ class TestPcap:
         records = parse_pcap(data)
         assert records[0].ts == 100.5
         assert records[0].payload == b"hi"
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_nanosecond_magic(self, endian):
+        data = hand_built_pcap(ts_frac=123_456_789, endian=endian,
+                               magic=0xA1B23C4D)
+        assert data[:4] == bytes.fromhex(
+            "4d3cb2a1" if endian == "<" else "a1b23c4d")
+        (record,) = parse_pcap(data)
+        assert record.ts == 100 + 123_456_789 / 1e9
+        assert record.payload == b"hi"
+
+    def test_non_first_fragment_skipped(self):
+        # offset 185 * 8 bytes: what follows the IP header is the middle
+        # of a datagram, not a UDP header (RFC 791)
+        assert parse_pcap(hand_built_pcap(frag=185)) == []
+        assert parse_pcap(hand_built_pcap(frag=0x2000 | 185)) == []
+        # a first fragment (more-fragments set, offset 0) keeps its header
+        (record,) = parse_pcap(hand_built_pcap(frag=0x2000))
+        assert (record.src_port, record.payload) == (1111, b"hi")
+
+    def test_link_types(self):
+        (record,) = parse_pcap(hand_built_pcap(linktype=101))  # raw IPv4
+        assert (record.dst_addr, record.payload) == ("10.0.0.2", b"hi")
+        assert parse_pcap(hand_built_pcap(linktype=113)) == []  # unknown
 
     def test_empty_after_global_header(self):
         head = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)

@@ -68,10 +68,6 @@ class TestEmpiricalCdf:
         assert f.probs.tolist() == [0.25, 0.5, 0.75, 1.0]
         assert f.points.tolist() == [10.0, 20.0, 30.0, 40.0]
 
-    def test_json_shape(self):
-        d = empirical_cdf([2.0, 1.0]).to_json_dict()
-        assert d == {"points": [1.0, 2.0], "probs": [0.5, 1.0]}
-
     def test_rejects_bad_input(self):
         with pytest.raises(EmptyData):
             empirical_cdf([])
@@ -132,12 +128,10 @@ class TestBivariateHist:
             bivariate_hist([1.0], [1.0], nx=0, ny=2)
 
     def test_csv_grid(self):
-        h = bivariate_hist([0.0, 1.0], [0.0, 1.0], nx=2, ny=1, x_label="bw",
-                           y_label="sigma_j")
+        h = bivariate_hist([0.0, 1.0], [0.0, 1.0], nx=2, ny=1)
         lines = h.to_csv().strip().split("\n")
         assert lines[0] == "x_lo,x_hi,y_lo,y_hi,count,density"
         assert len(lines) == 1 + 2 * 1
-        assert h.to_json_dict()["x_label"] == "bw"
 
 
 class TestBoxplot:
