@@ -86,7 +86,28 @@ def _cmd_analyze(args) -> int:
     return 2 if residue or failures else 0
 
 
-def _read_values(path: str) -> list:
+def _read_values(path: str):
+    """The numbers of a values file, one per line; blank lines are skipped.
+
+    ``np.loadtxt`` parses the file in C when it holds one column of plain
+    floats; anything else (``1_000``, a bad token, a line of two numbers)
+    takes the line loop, which accepts exactly what ``float()`` does and
+    names the first bad line.
+    """
+    import warnings
+
+    import numpy as np
+
+    try:
+        with warnings.catch_warnings():
+            # a file without numbers reads as empty, as in the loop
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, comments=None, ndmin=2)
+        # ndmin=1 would flatten a one-line file of two numbers
+        if values.shape[1] == 1:
+            return values[:, 0]
+    except (ValueError, OSError):
+        pass
     values = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         text = line.strip()
@@ -98,7 +119,7 @@ def _read_values(path: str) -> list:
             raise VoipQosError(
                 f"{path}:{lineno}: not a number: {text!r}"
             ) from None
-    return values
+    return np.array(values)
 
 
 def _cmd_fit(args) -> int:

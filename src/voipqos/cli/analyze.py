@@ -209,10 +209,10 @@ def build_session_report(
                 standardize=True,
                 variables=tuple(c[0] for c in columns),
             )
-            projection = result.to_json_dict()
-            del projection["scores"]  # the series CSVs rebuild them
+            # the series CSVs rebuild the scores
             files["pca.json"] = (
-                json.dumps(projection, sort_keys=True, indent=2) + "\n"
+                json.dumps(result.axes_json_dict(), sort_keys=True, indent=2)
+                + "\n"
             )
             exports["pca"] = "pca.json"
         except (ZeroVariance, TooFewPoints):

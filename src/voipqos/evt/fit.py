@@ -46,6 +46,7 @@ MIN_FIT_POINTS = 20
 _MAX_HALVINGS = 30
 _RESOLUTION = 16.0 * np.finfo(float).eps
 _EULER_GAMMA = 0.5772  # Gumbel moment initializer constant
+_LN2, _LN3 = math.log(2.0), math.log(3.0)
 
 # Standard Gumbel quantiles used by the robust fallback initializer.
 _GUMBEL_IQR = 1.5725263099630333  # Q(0.75) - Q(0.25)
@@ -105,7 +106,11 @@ def ks_distance(data, cdf: Callable) -> float:
     Evaluates the supremum gap at both sides of every empirical step:
     max over sorted z_i of max(|i/n - D(z_i)|, |(i-1)/n - D(z_i)|).
     """
-    z = np.sort(np.asarray(data, dtype=float))
+    return _ks_sorted(np.sort(np.asarray(data, dtype=float)), cdf)
+
+
+def _ks_sorted(z: np.ndarray, cdf: Callable) -> float:
+    """:func:`ks_distance` of data already sorted ascending."""
     n = z.size
     if n == 0:
         raise EmptyData("KS distance needs at least one data point")
@@ -130,6 +135,43 @@ def _quantile_init(z: np.ndarray) -> np.ndarray:
     return np.array([0.1, sigma0, med - _GUMBEL_MEDIAN * sigma0])
 
 
+def _pwm_init(z: np.ndarray) -> np.ndarray | None:
+    """Probability-weighted-moment estimate from data sorted ascending.
+
+    Hosking, Wallis & Wood (1985): from b0, b1, b2, the shape
+    k = -xi ~ 7.8590 c + 2.9554 c^2 with c = (2 b1 - b0) / (3 b2 - b0)
+    - ln 2 / ln 3, then scale and location in closed form. ``None`` when
+    the estimate is unusable: sums that cancel to a non-positive L-scale,
+    k outside (-0.99, 10) (an L-skewness in (-1, 1) keeps k within
+    (-0.98, 3.3), so this catches overflowed sums), the Gumbel point
+    k = 0 where the closed form is 0/0, a non-finite or non-positive
+    scale, or a support that misses the smallest or the largest point
+    (widening the scale to cover it would discard the estimate's shape
+    information).
+    """
+    n = z.size
+    j = np.arange(n, dtype=float)
+    b0 = float(np.mean(z))
+    b1 = float(j @ z) / (n * (n - 1.0))
+    b2 = float((j * (j - 1.0)) @ z) / (n * (n - 1.0) * (n - 2.0))
+    # L-scale and (l3 + 3 l2) / 2: positive, unless the sums cancel
+    l2, den = 2.0 * b1 - b0, 3.0 * b2 - b0
+    if not (l2 > 0.0 and den > 0.0):
+        return None
+    c = l2 / den - _LN2 / _LN3
+    k = 7.8590 * c + 2.9554 * c * c
+    if not (-0.99 < k < 10.0) or k == 0.0:
+        return None
+    g = math.gamma(1.0 + k)
+    sigma = l2 * k / (g * -math.expm1(-k * _LN2))
+    mu = b0 + sigma * (g - 1.0) / k
+    if not (sigma > 0.0 and math.isfinite(sigma) and math.isfinite(mu)):
+        return None
+    if not np.all(1.0 - k * (z[[0, -1]] - mu) / sigma > 0.0):
+        return None
+    return np.array([-k, sigma, mu])
+
+
 # |xi w| below this takes the power series for the xi-derivatives of
 # log1p(xi w) / xi, whose closed forms cancel there; the closed forms
 # lose ~3 eps / (xi w)^2 relative at the cut, the 12-term series ~1e-20.
@@ -145,20 +187,41 @@ _OM2_COEF = ((-1.0) ** _J * (_J + 1) * (_J + 2) / (_J + 3))[::-1].copy()
 def omega_derivs(xi: float, w: np.ndarray):
     """``1 + xi w``, ``om = log1p(xi w) / xi`` and its first two xi-derivatives.
 
-    Every output is continuous through ``xi = 0``, where ``om = w``.
+    Every output is continuous through ``xi = 0``, where ``om = w``. The
+    outputs are new arrays, which callers may overwrite.
     """
-    x = xi * w
-    a = 1.0 + x
+    x = w * xi
+    a = x + 1.0
     if xi == 0.0:
         return a, w.copy(), -0.5 * w * w, (2.0 / 3.0) * w ** 3
-    om = np.log1p(x) / xi
-    om1 = (w / a - om) / xi
-    om2 = -(w * w / (a * a) + 2.0 * om1) / xi
     small = np.abs(x) < _SERIES_CUT
-    if np.any(small):
-        xs, ws = x[small], w[small]
-        om1[small] = ws * ws * np.polyval(_OM1_COEF, xs)
-        om2[small] = ws ** 3 * np.polyval(_OM2_COEF, xs)
+    xs = x[small]
+    om = np.log1p(x, out=x)
+    om /= xi
+    r = w / a
+    om1 = r - om  # (w / a - om) / xi
+    om1 /= xi
+    om2 = om1 + om1  # -(w^2 / a^2 + 2 om1) / xi
+    r *= r
+    om2 += r
+    om2 /= -xi
+    if xs.size:
+        # both series by Horner's rule, in place on the subset
+        p1 = np.full_like(xs, _OM1_COEF[0])
+        p2 = np.full_like(xs, _OM2_COEF[0])
+        for c1, c2 in zip(_OM1_COEF[1:], _OM2_COEF[1:]):
+            p1 *= xs
+            p1 += c1
+            p2 *= xs
+            p2 += c2
+        ws = w[small]
+        p1 *= ws
+        p1 *= ws
+        om1[small] = p1
+        p2 *= ws
+        p2 *= ws
+        p2 *= ws
+        om2[small] = p2
     return a, om, om1, om2
 
 
@@ -182,25 +245,40 @@ def _gev_derivs(theta: np.ndarray, z: np.ndarray):
     With ``w = (z - mu) / sigma`` and ``om`` as in :func:`omega_derivs`,
     each point contributes ``g = -(1 + xi) om - exp(-om)`` plus the
     ``-log sigma`` term (Prescott & Walden 1980; Hosking 1985, AS 215).
+    The per-point xi-derivatives are only ever summed, so they enter as
+    dot products; the arrays are reused in place.
     """
     xi, sigma, mu = (float(v) for v in theta)
-    w = (z - mu) / sigma
+    w = z - mu
+    w /= sigma
     with np.errstate(over="ignore", under="ignore", divide="ignore",
                      invalid="ignore"):
         a, om, om1, om2 = omega_derivs(xi, w)
-        t = np.exp(-om)
-        u = t - 1.0 - xi  # dg/dom
-        ia = 1.0 / a
+        sum_om = float(np.sum(om))
+        t = np.negative(om, out=om)
+        np.exp(t, out=t)
+        u = t - 1.0  # dg/dom
+        u -= xi
+        ia = np.reciprocal(a, out=a)
         d1 = u * ia  # dg/dw
-        d2 = (1.0 + xi) * (xi - t) * ia * ia  # d2g/dw2
-        g_x = -om + u * om1  # dg/dxi
-        g_xw = -(t * om1 + 1.0) * ia - u * w * ia * ia
-        g_xx = -2.0 * om1 - t * om1 * om1 + u * om2
+        d2 = np.subtract(xi, t)  # d2g/dw2 = (1 + xi) (xi - t) / a^2
+        d2 *= 1.0 + xi
+        d2 *= ia
+        d2 *= ia
+        g_x = float(u @ om1) - sum_om  # sum of dg/dxi = -om + u om1
+        # sum of d2g/dxi2 = -2 om1 - t om1^2 + u om2
+        tom1 = t * om1
+        g_xx = -2.0 * float(np.sum(om1)) - float(tom1 @ om1) + float(u @ om2)
+        # minus d2g/dxi dw = (t om1 + 1 + u w / a) / a
+        neg_g_xw = tom1
+        neg_g_xw += 1.0
+        neg_g_xw += np.multiply(w, d1, out=t)
+        neg_g_xw *= ia
         g_ls, h_ls = loc_scale_derivs(z.size, sigma, w, d1, d2)
-        cross = np.array([-float(np.sum(g_xw)), -float(w @ g_xw)]) / sigma
-    grad = np.array([float(np.sum(g_x)), g_ls[1], g_ls[0]])
+        cross = np.array([float(np.sum(neg_g_xw)), float(w @ neg_g_xw)]) / sigma
+    grad = np.array([g_x, g_ls[1], g_ls[0]])
     hess = np.empty((3, 3))
-    hess[0, 0] = float(np.sum(g_xx))
+    hess[0, 0] = g_xx
     hess[0, 1] = hess[1, 0] = cross[1]
     hess[0, 2] = hess[2, 0] = cross[0]
     hess[1, 1] = h_ls[1, 1]
@@ -243,12 +321,15 @@ def _expand(f, theta, direction, best, best_ll, limit):
     return best, best_ll
 
 
-def maximize(f, derivs, theta, tol: float = 1e-8, max_iter: int = 200):
+def maximize(f, derivs, theta, tol: float = 1e-8, max_iter: int = 200,
+             start_derivs=None):
     """Safeguarded Newton ascent on ``f`` from a point where it is finite.
 
     ``f(theta)`` is the objective (``-inf`` outside its domain) and
-    ``derivs(theta)`` its gradient and Hessian. Each step is damped by
-    halving until ``f`` does not decrease, so the iterates are monotone.
+    ``derivs(theta)`` its gradient and Hessian; ``start_derivs``, when
+    given, is ``derivs(theta)`` at the start, already computed. Each
+    step is damped by halving until ``f`` does not decrease, so the
+    iterates are monotone.
     When the negated Hessian is not positive-definite the step is a
     ridge-shifted solve, whose large-shift limit is steepest ascent, with
     a doubling line search so off-scale starts can still travel.
@@ -262,7 +343,7 @@ def maximize(f, derivs, theta, tol: float = 1e-8, max_iter: int = 200):
     """
     theta = np.asarray(theta, dtype=float)
     ll = f(theta)
-    g, hess = derivs(theta)
+    g, hess = derivs(theta) if start_derivs is None else start_derivs
     eye = np.eye(theta.size)
     for it in range(1, max_iter + 1):
         g = np.where(np.isfinite(g), g, 0.0)
@@ -308,16 +389,18 @@ def maximize(f, derivs, theta, tol: float = 1e-8, max_iter: int = 200):
 def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
     """Fit a GEV by damped Newton-Raphson on the log-likelihood.
 
-    Starts from Gumbel moment estimates (scale ``s sqrt(6)/pi``, location
-    ``mean - 0.5772 scale``, shape 0.1); when the negated Hessian at that
-    start is not positive-definite (the symptom of tail-dominated sample
-    moments) the start is rebuilt from Gumbel quantile matching instead.
+    Starts from the probability-weighted-moment estimate of Hosking,
+    Wallis & Wood (1985), or from Gumbel moment estimates (scale
+    ``s sqrt(6)/pi``, location ``mean - 0.5772 scale``, shape 0.1) when
+    that estimate is unusable. When the negated Hessian at the start is
+    not positive-definite (the symptom of tail-dominated sample moments)
+    the start is rebuilt from Gumbel quantile matching instead.
     :func:`maximize` then runs with ``tol`` and ``max_iter``.
 
     Raises :class:`NotConverged` (carrying the best fit reached) when the
     iteration budget runs out; the carried fit has ``converged=False``.
     """
-    z = np.asarray(data, dtype=float).ravel()
+    z = np.sort(np.asarray(data, dtype=float).ravel())
     if z.size < MIN_FIT_POINTS:
         raise TooFewPoints(
             f"GEV fit needs at least {MIN_FIT_POINTS} points, got {z.size}"
@@ -346,21 +429,23 @@ def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
             theta0 = theta0 * np.array([1.0, 2.0, 1.0])
         return theta0
 
-    theta = widen(_moment_init(z))
-    _, hess = derivs(theta)
-    if not _is_positive_definite(-hess):
+    theta = _pwm_init(z)
+    theta = widen(_moment_init(z) if theta is None else theta)
+    start = derivs(theta)
+    if not _is_positive_definite(-start[1]):
         cand = widen(_quantile_init(z))
         if math.isfinite(f(cand)):
-            theta = cand
+            theta, start = cand, None
 
-    theta, ll, iterations, converged = maximize(f, derivs, theta, tol, max_iter)
+    theta, ll, iterations, converged = maximize(
+        f, derivs, theta, tol, max_iter, start)
     params = GevParams(xi=float(theta[0]), sigma=float(theta[1]), mu=float(theta[2]))
     tail, regime = classify(params)
     fit = GevFit(
         params=params,
         loglik=float(ll),
         bic=3.0 * math.log(z.size) - 2.0 * float(ll),
-        e_max=ks_distance(z, lambda x: gev_cdf(params, x)),
+        e_max=_ks_sorted(z, lambda x: gev_cdf(params, x)),
         tail=tail,
         regime=regime,
         iterations=iterations,

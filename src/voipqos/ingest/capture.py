@@ -22,6 +22,7 @@ payload_hex.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -50,8 +51,9 @@ class PacketRecord:
     payload: bytes
 
     def __post_init__(self) -> None:
-        if not (self.ts >= 0.0 and self.ts == self.ts):  # finite, non-negative
-            raise DomainError(f"capture timestamp must be >= 0, got {self.ts}")
+        if not (self.ts >= 0.0 and math.isfinite(self.ts)):
+            raise DomainError(
+                f"capture timestamp must be finite and >= 0, got {self.ts}")
         for port in (self.src_port, self.dst_port):
             if not 0 <= port <= 65535:
                 raise DomainError(f"port {port} outside 0..65535")

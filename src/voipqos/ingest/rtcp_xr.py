@@ -113,10 +113,13 @@ def encode_voip_metrics(block: VoipMetricsBlock) -> bytes:
     return header + _BODY.pack(*block.wire_fields())
 
 
+# the block's wire fields, in _BODY order: every field but report_ts
+_WIRE_NAMES = tuple(f.name for f in fields(VoipMetricsBlock))[:-1]
+
+
 def _decode_voip_metrics(body: bytes, report_ts: float) -> VoipMetricsBlock:
-    vals = _BODY.unpack(body)
-    names = [f.name for f in fields(VoipMetricsBlock)][: len(vals)]
-    return VoipMetricsBlock(**dict(zip(names, vals)), report_ts=report_ts)
+    return VoipMetricsBlock(**dict(zip(_WIRE_NAMES, _BODY.unpack(body))),
+                            report_ts=report_ts)
 
 
 def encode_xr_packet(sender_ssrc: int, blocks: list[VoipMetricsBlock]) -> bytes:

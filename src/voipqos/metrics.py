@@ -164,6 +164,10 @@ def jitter_series(
     return MetricSeries.create("jitter", t_r[1:], diffs)
 
 
+# cells per block of gathered windows in moving_std
+_BLOCK_CELLS = 1 << 16
+
+
 def moving_std(series: MetricSeries, window: float = 1.0) -> MetricSeries:
     """Sample standard deviation over the trailing window (t-window, t].
 
@@ -186,22 +190,26 @@ def moving_std(series: MetricSeries, window: float = 1.0) -> MetricSeries:
     count = np.arange(1, len(t) + 1) - lo
     rows = np.nonzero(count >= 2)[0]
     lo, count = lo[rows], count[rows]
-    # Two passes over the offset k inside each window, every window at
-    # once: sum the values, then the squared deviations from the mean.
+    # Windows are gathered as rows of a (rows, width) matrix, a block of
+    # about _BLOCK_CELLS cells at a time; a running sum along each row
+    # read at column count - 1 adds left to right, as a loop over the
+    # window would. Cells past a window's end only follow that column.
     # Values are taken relative to the window's first one, so a window
     # of equal values gives exactly 0.
-    base = v[lo]
     width = int(count.max(initial=0))
-    total = np.zeros(len(rows))
-    for k in range(width):
-        live = k < count
-        total[live] += v[lo[live] + k] - base[live]
-    mean = total / count
-    squares = np.zeros(len(rows))
-    for k in range(width):
-        live = k < count
-        dev = v[lo[live] + k] - base[live] - mean[live]
-        squares[live] += dev * dev
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    offsets = np.arange(width)
+    squares = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        blo, bcount = lo[start:start + step], count[start:start + step]
+        last = (np.arange(len(blo)), bcount - 1)
+        idx = np.minimum(blo[:, None] + offsets, len(v) - 1)
+        cells = v[idx]
+        cells -= v[blo][:, None]
+        mean = np.cumsum(cells, axis=1)[last] / bcount
+        cells -= mean[:, None]
+        cells *= cells
+        squares[start:start + step] = np.cumsum(cells, axis=1)[last]
     sd[rows] = np.sqrt(squares / (count - 1))
     return MetricSeries.create(out_name, t, sd)
 

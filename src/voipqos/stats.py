@@ -190,14 +190,17 @@ class PcaResult:
         for a in (self.components, self.explained, self.loadings, self.scores):
             a.setflags(write=False)
 
-    def to_json_dict(self) -> dict:
+    def axes_json_dict(self) -> dict:
+        """The projection's axes: everything but the per-observation scores."""
         return {
             "variables": list(self.variables),
             "components": self.components.tolist(),
             "explained": self.explained.tolist(),
             "loadings": self.loadings.tolist(),
-            "scores": self.scores.tolist(),
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self.axes_json_dict(), "scores": self.scores.tolist()}
 
 
 def pca(observations, k: int, standardize: bool = True,

@@ -96,3 +96,21 @@ def test_traced_analyze_counts_decode_and_assembly(tracer, tmp_path):
     seconds = t.self_times()
     assert seconds["capture.parse"] > 0 and seconds["sessions.assemble"] > 0
     assert t.counts["capture.records"] == udp_records > 200
+
+
+def test_traced_fit_starts_near_the_optimum(tracer, tmp_path):
+    # one model_select input: 3e4 G711-A jitter draws, written by capgen
+    capgen = importlib.import_module("capgen")
+    values = tmp_path / "jitter.txt"
+    capgen.write_values(capgen.JITTER_ROWS["G711-A"], 30_000, 7000, values)
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        assert entrypoint(["fit", "--input", str(values),
+                           "--out", str(tmp_path / "fit.json")]) == 0
+    finally:
+        t.restore()
+    assert t.counts["evt.fit_gev_mle.calls"] == 1
+    # the probability-weighted-moment start leaves a few Newton steps
+    assert t.counts["evt.gev_iterations"] <= 4
+    assert json.loads((tmp_path / "fit.json").read_text())["n"] == 30_000

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -20,6 +20,8 @@ from voipqos import (
     gev_sample,
 )
 from tests.gev_models import JITTER_MODELS, RTT_MODELS
+from voipqos.evt import fit as fit_module
+from voipqos.evt.fit import _pwm_init
 
 
 def nelder_mead_mle(z):
@@ -93,6 +95,36 @@ class TestRecovery:
         assert abs(fit.params.xi) < 0.03
         assert fit.params.sigma == pytest.approx(3.0, rel=0.05)
         assert fit.params.mu == pytest.approx(10.0, rel=0.02)
+
+
+class TestPwmStart:
+    def test_near_truth_on_a_large_sample(self):
+        truth = GevParams(xi=0.2, sigma=12.0, mu=124.0)
+        xi, sigma, mu = _pwm_init(np.sort(gev_sample(truth, 20_000, seed=3)))
+        assert xi == pytest.approx(0.2, abs=0.03)
+        assert sigma == pytest.approx(12.0, rel=0.03)
+        assert mu == pytest.approx(124.0, rel=0.01)
+
+    def test_unusable_estimates_are_refused(self):
+        # the probability-weighted sums overflow
+        huge = np.linspace(1e306, 1.7e308, 50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _pwm_init(huge) is None
+        # at this offset the sums cancel to no spread at all
+        assert _pwm_init(1e17 + np.r_[np.zeros(29), 16.0]) is None
+        # a bounded-tail estimate whose upper end falls short of the data
+        tail = np.sort(np.r_[np.linspace(0.0, 1.0, 40) ** 0.3, 1.6])
+        assert _pwm_init(tail) is None
+
+    def test_fit_falls_back_to_the_moment_start(self, monkeypatch):
+        z = gev_sample(GevParams(xi=0.1, sigma=2.0, mu=10.0), 3000, seed=11)
+        with_pwm = fit_gev_mle(z)
+        monkeypatch.setattr(fit_module, "_pwm_init", lambda z: None)
+        without = fit_gev_mle(z)
+        # the moment start takes more steps to the same optimum
+        assert without.iterations > with_pwm.iterations
+        assert without.loglik == pytest.approx(with_pwm.loglik, rel=1e-12)
+        assert without.params.xi == pytest.approx(with_pwm.params.xi, abs=1e-6)
 
 
 class TestFitReport:
@@ -204,6 +236,25 @@ class TestProperties:
         mu0 = float(np.mean(z)) - 0.5772 * sigma0
         start = gev_loglik(GevParams(xi=0.1, sigma=sigma0, mu=mu0), z)
         assert fit.loglik >= start - 1e-9
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        xi=st.floats(-0.45, 1.2),
+        sigma=st.floats(0.5, 20.0),
+        n=st.integers(20, 600),
+    )
+    @settings(max_examples=30)
+    def test_loglik_never_below_pwm_start(self, seed, xi, sigma, n):
+        z = gev_sample(GevParams(xi=xi, sigma=sigma, mu=10.0), n, seed=seed)
+        start = _pwm_init(np.sort(z))
+        assume(start is not None)
+        try:
+            fit = fit_gev_mle(z)
+        except NotConverged as exc:
+            fit = exc.fit
+        ll0 = gev_loglik(GevParams(*start), z)
+        assert math.isfinite(ll0)
+        assert fit.loglik >= ll0 - 1e-9 * abs(ll0)
 
     @given(data=st.data())
     @settings(max_examples=15)

@@ -193,6 +193,14 @@ class TestJsonl:
         }
         assert parse_jsonl(json.dumps(obj)) == []
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-1.0"])
+    def test_bad_timestamp_names_its_line(self, token):
+        good = json.loads(write_jsonl([builders.rtp_record(1.0, 1, 0)]))
+        bad = json.dumps(good).replace('"ts": 1.0', f'"ts": {token}')
+        assert token in bad
+        with pytest.raises(BadRecord, match="line 2: capture timestamp"):
+            parse_jsonl(json.dumps(good) + "\n" + bad + "\n")
+
 
 class TestRtp:
     def test_hand_assembled_header(self):
