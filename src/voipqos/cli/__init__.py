@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from ..errors import NotConverged, VoipQosError
-from ..evt import default_candidates, fit_gev_mle, select_model
+from ..evt import check_families, fit_gev_mle, select_model
 from ..ingest.codecs import load_codec_map
 from .analyze import AnalysisConfig, analyze_capture
 from .report import merge_reports
@@ -45,13 +45,7 @@ def _parse_candidates(text: str | None) -> tuple | None:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
         raise VoipQosError("--candidates given but no family names found")
-    known = {c.family for c in default_candidates()}
-    unknown = set(names) - known
-    if unknown:
-        raise VoipQosError(
-            f"unknown families {sorted(unknown)}; choose from {sorted(known)}"
-        )
-    return names
+    return check_families(names)
 
 
 def _cmd_analyze(args) -> int:
@@ -124,12 +118,7 @@ def _read_values(path: str):
 
 def _cmd_fit(args) -> int:
     values = _read_values(args.input)
-    names = _parse_candidates(args.candidates)
-    chosen = None
-    if names is not None:
-        by_name = {c.family: c for c in default_candidates()}
-        chosen = [by_name[n] for n in names]
-    ranking = select_model(values, chosen)
+    ranking = select_model(values, _parse_candidates(args.candidates))
     # a ranked GEV entry already carries the fit
     gev = next((f.gev for f in ranking if f.family == "GEV"), None)
     if gev is not None:

@@ -26,10 +26,10 @@ from ..errors import (
     VoipQosError,
     ZeroVariance,
 )
-from ..evt import MIN_FIT_POINTS, default_candidates, fit_gev_mle, select_model
+from ..evt import MIN_FIT_POINTS, check_families, fit_gev_mle, select_model
 from ..ingest.capture import Capture, parse_jsonl, parse_pcap
 from ..ingest.codecs import load_codec_map
-from ..ingest.sessions import AssemblyConfig, CallSession, assemble_sessions
+from ..ingest.sessions import CallSession, assemble_sessions
 from ..metrics import (
     MetricSeries,
     bandwidth_series,
@@ -65,9 +65,7 @@ class AnalysisConfig:
             raise DomainError(f"format must be pcap or jsonl, got {self.fmt!r}")
         if not self.sigma_window > 0 or not self.bandwidth_window > 0:
             raise DomainError("windows must be positive")
-        bad = set(self.candidates or ()) - {c.family for c in default_candidates()}
-        if bad:
-            raise DomainError(f"unknown candidate families: {sorted(bad)}")
+        check_families(self.candidates or ())
 
 
 def read_records(path: str | Path, fmt: str = "auto") -> Capture:
@@ -109,9 +107,7 @@ def _fit_entry(values: np.ndarray, ranked_families: tuple | None) -> dict:
         return {"skipped": f"need >= {MIN_FIT_POINTS} values, have {len(values)}"}
     ranking = fit = None
     if ranked_families is not None:
-        by_name = {c.family: c for c in default_candidates()}
-        chosen = [by_name[name] for name in ranked_families]
-        ranking = select_model(values, chosen)
+        ranking = select_model(values, ranked_families)
         # a ranked GEV entry already carries the fit
         fit = next((f.gev for f in ranking if f.family == "GEV"), None)
     if fit is None:
@@ -245,7 +241,7 @@ def build_session_report(
             "id": session.session_id,
             "codec": session.codec,
             "clock_rate": session.clock_rate,
-            "scenario": session.scenario_tag,
+            "scenario": config.scenario_tag,
             "rtp_fwd": len(session.rtp_fwd),
             "rtp_rev": len(session.rtp_rev),
             "xr_blocks": len(session.xr_blocks),
@@ -265,6 +261,8 @@ def build_session_report(
 
 def _safe_dir_name(session_id: str, taken: set) -> str:
     base = re.sub(r"[^-._a-zA-Z0-9]", "_", session_id) or "session"
+    if not base.strip("."):  # "." or ".." would name --out or its parent
+        base = base.replace(".", "_")
     name = base
     counter = 2
     while name in taken:
@@ -280,10 +278,7 @@ def analyze_capture(config: AnalysisConfig) -> tuple[list, int, list]:
     skipped)."""
     sessions, residue = assemble_sessions(
         Capture.concat([read_records(p, config.fmt) for p in config.inputs]),
-        AssemblyConfig(
-            payload_type_map=config.payload_type_map,
-            scenario_tag=config.scenario_tag,
-        ),
+        config.payload_type_map,
     )
     set_aside = len(residue)
     del residue  # it views the capture buffer, which the reports do not need

@@ -15,18 +15,18 @@ from .gev import (
     gev_quantile,
     gev_sample,
 )
-from .select import CandidateFamily, FamilyFit, default_candidates, select_model
+from .select import FamilyFit, check_families, default_candidates, select_model
 
 __all__ = [
     "MIN_FIT_POINTS",
     "XI_EPS",
-    "CandidateFamily",
     "FamilyFit",
     "FitRegime",
     "GevFit",
     "GevParams",
     "TailClass",
     "TailKind",
+    "check_families",
     "classify",
     "default_candidates",
     "fit_gev_mle",

@@ -25,11 +25,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from ..errors import NotConverged, TooFewPoints, VoipQosError
+from ..errors import DomainError, NotConverged, TooFewPoints, VoipQosError
 from .fit import (
     _EULER_GAMMA,
     MIN_FIT_POINTS,
@@ -44,17 +44,6 @@ from .gev import _loglik_kernel
 log = logging.getLogger(__name__)
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class CandidateFamily:
-    """A distribution family entered into the BIC ranking."""
-
-    family: str
-
-    def __post_init__(self) -> None:
-        if self.family not in _FITTERS:
-            raise ValueError(f"unknown family {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -464,28 +453,38 @@ _FITTERS = {
 _EXCLUDING = (ValueError, ArithmeticError, np.linalg.LinAlgError, VoipQosError)
 
 
-def default_candidates() -> list[CandidateFamily]:
-    """The full ten-family candidate set."""
-    return [CandidateFamily(name) for name in _FITTERS]
+def default_candidates() -> tuple[str, ...]:
+    """The names of the ten candidate families."""
+    return tuple(_FITTERS)
 
 
-def select_model(data, candidates: list[CandidateFamily] | None = None) -> list[FamilyFit]:
-    """Rank candidate families on ``data`` by ascending BIC.
+def check_families(names: Iterable[str]) -> tuple[str, ...]:
+    """``names`` as a tuple; DomainError if any family is unknown."""
+    names = tuple(names)
+    unknown = set(names) - _FITTERS.keys()
+    if unknown:
+        raise DomainError(
+            f"unknown families {sorted(unknown)}; choose from {sorted(_FITTERS)}"
+        )
+    return names
+
+
+def select_model(data, families: Iterable[str] | None = None) -> list[FamilyFit]:
+    """Rank the named families (default: all ten) on ``data`` by BIC.
 
     Ties break toward fewer parameters, then lexicographic family name.
-    An empty candidate list yields an empty ranking.
+    An empty family list yields an empty ranking.
     """
+    families = check_families(_FITTERS if families is None else families)
     z = np.asarray(data, dtype=float).ravel()
     if z.size < MIN_FIT_POINTS:
         raise TooFewPoints(
             f"model selection needs at least {MIN_FIT_POINTS} points, got {z.size}"
         )
-    if candidates is None:
-        candidates = default_candidates()
     n = int(z.size)
     fits: list[FamilyFit] = []
-    for cand in candidates:
-        family = _FITTERS[cand.family]
+    for name in families:
+        family = _FITTERS[name]
         try:
             with np.errstate(all="ignore"):
                 params, gev = family.fit(z)
@@ -493,11 +492,11 @@ def select_model(data, candidates: list[CandidateFamily] | None = None) -> list[
             if not math.isfinite(loglik):
                 raise ValueError("non-finite log-likelihood")
         except _EXCLUDING as exc:
-            log.debug("excluding %s: %s", cand.family, exc)
+            log.debug("excluding %s: %s", name, exc)
             continue
         fits.append(
             FamilyFit(
-                family=cand.family,
+                family=name,
                 k=family.k,
                 params=params,
                 loglik=loglik,

@@ -23,12 +23,7 @@ from .rtcp_xr import (
     parse_rtcp_xr,
 )
 from .rtp import RtpPacket, RtpStream, encode_rtp, parse_rtp
-from .sessions import (
-    AssemblyConfig,
-    AssemblyResult,
-    CallSession,
-    assemble_sessions,
-)
+from .sessions import AssemblyResult, CallSession, assemble_sessions
 from .sip import SipMessage, format_sip_request, format_sip_response, parse_sip
 
 __all__ = [
@@ -57,7 +52,6 @@ __all__ = [
     "RtpStream",
     "encode_rtp",
     "parse_rtp",
-    "AssemblyConfig",
     "AssemblyResult",
     "CallSession",
     "assemble_sessions",

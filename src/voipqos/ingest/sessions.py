@@ -14,7 +14,10 @@ payloads are parsed one by one. Each stream comes out as an RtpStream.
 
 Binding precedence, each step through a lookup built once:
 - dialogs, in start order, claim the unbound streams on their SDP audio
-  ports (first seen first) and keep one forward and one reverse each;
+  endpoints (first seen first) and keep one forward and one reverse
+  each. An endpoint is the (address, port) of the SDP ``c=`` and
+  ``m=audio`` lines; without a usable IPv4 address (none, not IPv4, or
+  0.0.0.0) the port alone matches;
 - leftover streams pair by mirrored endpoints into RTP-only sessions;
 - an XR packet binds to the first session, in that binding order, that
   owns a reported source SSRC, else to the first dialog whose SDP port
@@ -32,7 +35,7 @@ the packets the tie rule sets aside, come back in the residue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,17 +48,11 @@ from ..errors import (
     TooShort,
     Truncated,
 )
-from .capture import Capture, read_uint
+from .capture import Capture, _ipv4_int, read_uint
 from .codecs import CODECS, load_codec_map
 from .rtcp_xr import VoipMetricsBlock, parse_rtcp_xr
 from .rtp import RtpStream, parse_rtp
 from .sip import SipMessage, parse_sip
-
-
-@dataclass(frozen=True)
-class AssemblyConfig:
-    payload_type_map: dict[int, str] = field(default_factory=load_codec_map)
-    scenario_tag: str = ""
 
 
 @dataclass
@@ -67,7 +64,6 @@ class CallSession:
     rtp_rev: RtpStream
     xr_blocks: list[VoipMetricsBlock]
     sip_dialog: list[SipMessage]
-    scenario_tag: str = ""
 
     @property
     def rtp_count(self) -> int:
@@ -179,14 +175,27 @@ def _rtp_streams(cap: Capture, u8: np.ndarray, candidates: np.ndarray,
     return streams, set_aside
 
 
-def _dialog_ports(dialog: list[SipMessage]) -> dict[str, int | None]:
-    """Caller media port (first INVITE SDP) and callee port (its 200)."""
+def _endpoint(msg: SipMessage) -> tuple[int | None, int]:
+    """(address, port) of the message's SDP audio stream.
+
+    The address is None, so the port alone binds, when the SDP names no
+    address, a non-IPv4 one, or 0.0.0.0.
+    """
+    try:
+        addr = _ipv4_int(msg.media_addr) if msg.media_addr else 0
+    except DomainError:
+        addr = 0
+    return addr or None, msg.media_port
+
+
+def _dialog_ends(dialog: list[SipMessage]) -> dict[str, tuple | None]:
+    """Caller media endpoint (first INVITE SDP) and callee's (its 200)."""
     caller = callee = None
     invite_cseq = None
     for msg in dialog:
         if msg.kind == "request" and msg.method_or_status == "INVITE":
             if caller is None and msg.media_port is not None:
-                caller = msg.media_port
+                caller = _endpoint(msg)
             if invite_cseq is None:
                 invite_cseq = msg.cseq
         elif (
@@ -197,17 +206,18 @@ def _dialog_ports(dialog: list[SipMessage]) -> dict[str, int | None]:
             and callee is None
             and msg.media_port is not None
         ):
-            callee = msg.media_port
+            callee = _endpoint(msg)
     return {"caller": caller, "callee": callee}
 
 
-def assemble_sessions(records, config: AssemblyConfig | None = None
+def assemble_sessions(records, payload_type_map: dict[int, str] | None = None
                       ) -> AssemblyResult:
     """Group records (a Capture or PacketRecords) into call sessions.
 
-    See the module docstring.
+    ``payload_type_map`` names the codec of each RTP payload type
+    (default: the static types). See the module docstring.
     """
-    cfg = config or AssemblyConfig()
+    pt_map = load_codec_map() if payload_type_map is None else payload_type_map
     cap = Capture.from_records(records)
     u8 = np.frombuffer(cap.buf, dtype=np.uint8)
 
@@ -242,11 +252,13 @@ def assemble_sessions(records, config: AssemblyConfig | None = None
 
     for dialog in dialogs.values():
         dialog.sort(key=lambda m: m.capture_ts)
-    # stream positions in first-seen order, by either endpoint port
-    by_port: dict[int, list[int]] = {}
+    # stream positions in first-seen order, by either endpoint, as
+    # (address, port) and as (None, port)
+    by_end: dict[tuple, list[int]] = {}
     for i, s in enumerate(ordered_streams):
-        by_port.setdefault(s.key[2], []).append(i)
-        by_port.setdefault(s.key[4], []).append(i)
+        _, src, sport, dst, dport = s.key
+        for end in ((src, sport), (None, sport), (dst, dport), (None, dport)):
+            by_end.setdefault(end, []).append(i)
 
     sessions: list[CallSession] = []
     bound: set[tuple] = set()
@@ -257,18 +269,18 @@ def assemble_sessions(records, config: AssemblyConfig | None = None
     for call_id, dialog in sorted(
         dialogs.items(), key=lambda kv: kv[1][0].capture_ts
     ):
-        ports = _dialog_ports(dialog)
-        port_set = {v for v in ports.values() if v is not None}
-        hits = {i for port in port_set for i in by_port.get(port, ())}
+        ends = _dialog_ends(dialog)
+        end_set = {v for v in ends.values() if v is not None}
+        hits = {i for end in end_set for i in by_end.get(end, ())}
         mine = [ordered_streams[i] for i in sorted(hits)]
         mine = [s for s in mine if s.key not in bound]
-        fwd, rev = _pick_directions(mine, ports)
+        fwd, rev = _pick_directions(mine, ends)
         bound.update(s.key for s in (fwd, rev) if s is not None)
-        for port in port_set:
+        for _, port in end_set:
             xr_by_port.setdefault(port, len(sessions))
             xr_by_port.setdefault(port + 1, len(sessions))
-        sessions.append(_build_session(call_id, fwd, rev, dialog, cfg))
-        # streams that matched the ports but lost the direction contest
+        sessions.append(_build_session(call_id, fwd, rev, dialog, pt_map))
+        # streams that matched the endpoints but lost the direction contest
         # stay unbound and fall through to rtp-only grouping below
 
     # RTP-only sessions from leftover streams, paired by mirrored endpoints
@@ -289,7 +301,7 @@ def assemble_sessions(records, config: AssemblyConfig | None = None
         )
         if mirror is not None:
             used.add(mirror.key)
-        sessions.append(_build_session(f"rtp-{ssrc:08x}", s, mirror, [], cfg))
+        sessions.append(_build_session(f"rtp-{ssrc:08x}", s, mirror, [], pt_map))
 
     # attach XR blocks to the session owning the reported stream, else
     # by port adjacency: RTCP rides the SDP media port or media + 1
@@ -321,19 +333,25 @@ def _session_start(s: CallSession) -> float:
     return min((x[0].capture_ts for x in firsts if x), default=0.0)
 
 
-def _pick_directions(mine: list[_Stream], ports: dict):
+def _sent_to(s: _Stream, end: tuple | None) -> bool:
+    if end is None:
+        return False
+    addr, port = end
+    return s.key[4] == port and addr in (None, s.key[3])
+
+
+def _pick_directions(mine: list[_Stream], ends: dict):
     """Choose forward (caller->callee) and reverse streams.
 
-    The stream sent TO the callee's port is the caller's (forward); the
-    one sent to the caller's port is reverse. Without SDP information,
-    first-seen is forward.
+    The stream sent TO the callee's endpoint is the caller's (forward);
+    the one sent to the caller's endpoint is reverse. Without SDP
+    information, first-seen is forward.
     """
     fwd = rev = None
-    callee, caller = ports.get("callee"), ports.get("caller")
     for s in mine:
-        if callee is not None and s.key[4] == callee and fwd is None:
+        if fwd is None and _sent_to(s, ends["callee"]):
             fwd = s
-        elif caller is not None and s.key[4] == caller and rev is None:
+        elif rev is None and _sent_to(s, ends["caller"]):
             rev = s
     for s in mine:
         if s is fwd or s is rev:
@@ -350,12 +368,12 @@ def _build_session(
     fwd: _Stream | None,
     rev: _Stream | None,
     dialog: list[SipMessage],
-    cfg: AssemblyConfig,
+    pt_map: dict[int, str],
 ) -> CallSession:
     codec = clock_rate = None
     lead = fwd or rev
     if lead is not None:
-        name = cfg.payload_type_map.get(lead.first_pt)
+        name = pt_map.get(lead.first_pt)
         if name is not None:
             codec = name
             clock_rate = CODECS[name].clock_rate
@@ -367,5 +385,4 @@ def _build_session(
         rtp_rev=rev.packets if rev else _NO_RTP,
         xr_blocks=[],
         sip_dialog=dialog,
-        scenario_tag=cfg.scenario_tag,
     )

@@ -1,8 +1,8 @@
-"""Header-subset SIP parsing: start line, Call-ID, CSeq, tags, media port.
+"""Header-subset SIP parsing: start line, Call-ID, CSeq, SDP audio endpoint.
 
 Deliberately not a transaction state machine; the signalling delays need
-only the INVITE/180/BYE/200 events, plus the SDP audio port for binding
-RTP streams to their dialog.
+only the INVITE/180/BYE/200 events, plus the SDP audio port and IPv4
+connection address for binding RTP streams to their dialog.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ _METHODS = (
 _REQUEST_RE = re.compile(r"^([A-Z]+) (\S+) SIP/2\.0$")
 _STATUS_RE = re.compile(r"^SIP/2\.0 (\d{3})(?: (.*))?$")
 _CSEQ_RE = re.compile(r"^(\d+)\s+(\S+)$")
-_TAG_RE = re.compile(r";\s*tag=([^;\s]+)", re.IGNORECASE)
 _AUDIO_RE = re.compile(r"^m=audio\s+(\d+)\s", re.MULTILINE)
+_MEDIA_RE = re.compile(r"^m=", re.MULTILINE)
+_CONN_RE = re.compile(r"^c=IN\s+(\S+)\s+([^\s/]+)", re.MULTILINE)
 # compact header forms read here (RFC 3261 section 7.3.3)
-_COMPACT = {"i": "call-id", "f": "from", "t": "to"}
+_COMPACT = {"i": "call-id"}
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,8 @@ class SipMessage:
     cseq: int
     cseq_method: str
     capture_ts: float
-    from_tag: str | None = None
-    to_tag: str | None = None
     media_port: int | None = None
+    media_addr: str | None = None  # the audio c= address, IPv4 only
 
 
 def _headers(lines: list[str]) -> dict[str, str]:
@@ -93,18 +93,19 @@ def parse_sip(payload: bytes | str, capture_ts: float) -> SipMessage:
     if not cm:
         raise MissingHeader(f"unusable CSeq: {cseq_raw!r}")
 
-    def tag(header: str) -> str | None:
-        value = headers.get(header)
-        if value:
-            t = _TAG_RE.search(value)
-            if t:
-                return t.group(1)
-        return None
-
-    media_port = None
+    media_port = media_addr = None
     mp = _AUDIO_RE.search(text)
     if mp:
         media_port = int(mp.group(1))
+        # a c= line in the audio section, which ends at the next m= line,
+        # overrides the session-level one before the first m= line
+        # (RFC 4566 section 5.7)
+        nxt = _MEDIA_RE.search(text, mp.end())
+        audio = text[mp.end():nxt.start() if nxt else None]
+        session = text[:_MEDIA_RE.search(text).start()]
+        conn = _CONN_RE.search(audio) or _CONN_RE.search(session)
+        if conn and conn.group(1) == "IP4":
+            media_addr = conn.group(2)
 
     return SipMessage(
         kind=kind,
@@ -113,9 +114,8 @@ def parse_sip(payload: bytes | str, capture_ts: float) -> SipMessage:
         cseq=int(cm.group(1)),
         cseq_method=cm.group(2).upper(),
         capture_ts=capture_ts,
-        from_tag=tag("from"),
-        to_tag=tag("to"),
         media_port=media_port,
+        media_addr=media_addr,
     )
 
 

@@ -14,8 +14,8 @@ absolute-difference form
 with the send time t_t reconstructed from the RTP timestamp at the codec
 clock rate; the unknown constant clock offset between endpoints cancels
 in the difference, so no synchronization is needed. No exponential
-smoothing is applied by default - the optional ``rfc3550`` flag of
-jitter_series enables the classic 1/16 estimator for cross-checking.
+smoothing is applied: each sample is |D| itself, not the running 1/16
+estimator of RFC 3550.
 """
 
 from __future__ import annotations
@@ -100,13 +100,6 @@ class MetricSeries:
         lines += [f"{t!r},{v!r}" for t, v in zip(self.t.tolist(), self.v.tolist())]
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "unit": self.unit,
-            "samples": np.column_stack((self.t, self.v)).tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class LossSummary:
@@ -137,14 +130,9 @@ def unroll(values, modulus: int) -> list[int]:
 
 
 def jitter_series(
-    stream: RtpStream | list[RtpPacket], clock_rate: float,
-    rfc3550: bool = False,
+    stream: RtpStream | list[RtpPacket], clock_rate: float
 ) -> MetricSeries:
-    """Per-packet jitter in ms; one sample per packet from the second on.
-
-    With ``rfc3550`` set, applies the classic running estimator
-    J <- J + (|D| - J)/16 instead of reporting |D| directly.
-    """
+    """Per-packet jitter in ms; one sample per packet from the second on."""
     if not clock_rate > 0:
         raise DomainError(f"clock rate must be positive, got {clock_rate}")
     stream = RtpStream.from_packets(stream)
@@ -154,13 +142,6 @@ def jitter_series(
     t_r = stream.capture_ts
     transit = t_r - t_t
     diffs = np.abs(np.diff(transit)) * 1000.0
-    if rfc3550:
-        j = 0.0
-        smoothed = []
-        for d in diffs:
-            j += (d - j) / 16.0
-            smoothed.append(j)
-        diffs = smoothed
     return MetricSeries.create("jitter", t_r[1:], diffs)
 
 

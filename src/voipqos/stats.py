@@ -30,11 +30,6 @@ class EmpiricalCdf:
     def __post_init__(self) -> None:
         self.points.setflags(write=False)
 
-    @property
-    def probs(self) -> np.ndarray:
-        n = len(self.points)
-        return np.arange(1, n + 1, dtype=float) / n
-
     def __call__(self, x):
         n = len(self.points)
         idx = np.searchsorted(self.points, x, side="right")

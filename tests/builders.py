@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from voipqos.ingest import (
     PacketRecord,
     VoipMetricsBlock,
@@ -24,8 +26,10 @@ def rtp_record(
     pt: int = 8,
     media: bytes = b"\x00" * 160,
     reverse: bool = False,
+    hosts: tuple[str, str] = (A_ADDR, B_ADDR),
 ) -> PacketRecord:
-    src, dst = (B_ADDR, A_ADDR) if reverse else (A_ADDR, B_ADDR)
+    """One RTP packet from the caller host to the callee host, or back."""
+    src, dst = hosts[::-1] if reverse else hosts
     sport, dport = (B_PORT, A_PORT) if reverse else (A_PORT, B_PORT)
     return PacketRecord(
         ts=ts,
@@ -88,9 +92,14 @@ def basic_dialog(
     bye_ok_ts: float = 100.1981,
     caller_port: int = A_PORT,
     callee_port: int = B_PORT,
+    hosts: tuple[str, str] | None = None,
 ) -> list[PacketRecord]:
-    """INVITE -> 180 -> 200 (SDP both ways) ... BYE -> 200."""
-    return [
+    """INVITE -> 180 -> 200 (SDP both ways) ... BYE -> 200.
+
+    With ``hosts`` = (caller, callee) addresses, each SDP ``c=`` line
+    names its sender's host instead of 0.0.0.0.
+    """
+    records = [
         sip_record(
             invite_ts,
             format_sip_request(
@@ -115,4 +124,14 @@ def basic_dialog(
             format_sip_response(200, "OK", call_id, 2, "BYE"),
             from_caller=False,
         ),
+    ]
+    if hosts is None:
+        return records
+    caller, callee = hosts
+    return [
+        dataclasses.replace(r, payload=r.payload.replace(
+            b"c=IN IP4 0.0.0.0",
+            b"c=IN IP4 " + (caller if r.src_addr == A_ADDR else callee).encode(),
+        ))
+        for r in records
     ]

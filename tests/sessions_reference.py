@@ -27,7 +27,7 @@ from voipqos.ingest.capture import PacketRecord
 from voipqos.ingest.codecs import CODECS
 from voipqos.ingest.rtcp_xr import VoipMetricsBlock, parse_rtcp_xr
 from voipqos.ingest.rtp import RtpPacket, parse_rtp
-from voipqos.ingest.sessions import AssemblyConfig, AssemblyResult, CallSession
+from voipqos.ingest.sessions import AssemblyResult, CallSession
 from voipqos.ingest.sip import SipMessage, parse_sip
 
 
@@ -80,10 +80,12 @@ def _dialog_ports(dialog: list[SipMessage]) -> dict[str, int | None]:
 
 
 def assemble_sessions(
-    records: list[PacketRecord], config: AssemblyConfig | None = None
+    records: list[PacketRecord], payload_type_map: dict | None = None
 ) -> AssemblyResult:
     """Group records into call sessions; see the module docstring."""
-    cfg = config or AssemblyConfig()
+    from voipqos.ingest.codecs import load_codec_map
+
+    cfg = load_codec_map() if payload_type_map is None else payload_type_map
 
     dialogs: dict[str, list[SipMessage]] = {}
     streams: dict[tuple, _Stream] = {}
@@ -220,12 +222,12 @@ def _build_session(
     fwd: _Stream | None,
     rev: _Stream | None,
     dialog: list[SipMessage],
-    cfg: AssemblyConfig,
+    cfg: dict,
 ) -> CallSession:
     codec = clock_rate = None
     lead = fwd or rev
     if lead is not None:
-        name = cfg.payload_type_map.get(lead.packets[0].payload_type)
+        name = cfg.get(lead.packets[0].payload_type)
         if name is not None:
             codec = name
             clock_rate = CODECS[name].clock_rate
@@ -237,7 +239,6 @@ def _build_session(
         rtp_rev=sorted(rev.packets, key=lambda p: p.capture_ts) if rev else [],
         xr_blocks=[],
         sip_dialog=dialog,
-        scenario_tag=cfg.scenario_tag,
     )
 
 

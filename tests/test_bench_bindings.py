@@ -18,6 +18,7 @@ import pytest
 
 from tests import builders
 from voipqos.cli import entrypoint
+from voipqos.evt import GevParams, gev_sample
 from voipqos.ingest import PacketRecord, assemble_sessions, parse_pcap
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -74,7 +75,8 @@ def test_assembly_parses_through_traced_bindings(tracer):
     assert t.counts["sessions.parse_rtcp_xr.calls"] == 1
 
 
-def test_traced_analyze_counts_decode_and_assembly(tracer, tmp_path):
+def _synth_capture(tmp_path) -> Path:
+    """A 4-s G711-A call, synthesized to a pcap."""
     scenario = tmp_path / "scn.json"
     scenario.write_text(json.dumps({
         "codec": "G711-A", "duration": 4.0, "interval": 0.02, "seed": 3,
@@ -85,6 +87,11 @@ def test_traced_analyze_counts_decode_and_assembly(tracer, tmp_path):
     capture = tmp_path / "call.pcap"
     assert entrypoint(["synth", "--scenario", str(scenario),
                        "--out", str(capture)]) == 0
+    return capture
+
+
+def test_traced_analyze_counts_decode_and_assembly(tracer, tmp_path):
+    capture = _synth_capture(tmp_path)
     udp_records = len(parse_pcap(capture.read_bytes()))
     t = tracer.Tracer()
     try:
@@ -114,3 +121,32 @@ def test_traced_fit_starts_near_the_optimum(tracer, tmp_path):
     # the probability-weighted-moment start leaves a few Newton steps
     assert t.counts["evt.gev_iterations"] <= 4
     assert json.loads((tmp_path / "fit.json").read_text())["n"] == 30_000
+
+
+def _traced(tracer, argv):
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        assert entrypoint(argv) == 0
+    finally:
+        t.restore()
+    return t
+
+
+def test_traced_fit_attempts_every_family_by_default(tracer, tmp_path):
+    values = tmp_path / "vals.txt"
+    sample = gev_sample(GevParams(0.1, 2.0, 30.0), 500, seed=4)
+    values.write_text("".join(f"{v!r}\n" for v in sample.tolist()))
+    t = _traced(tracer, ["fit", "--input", str(values),
+                         "--out", str(tmp_path / "fit.json")])
+    assert t.counts["evt.families_attempted"] == 10
+
+
+def test_traced_analyze_attempts_the_named_families(tracer, tmp_path):
+    capture = _synth_capture(tmp_path)
+    t = _traced(tracer, ["analyze", "--input", str(capture),
+                         "--out", str(tmp_path / "out"),
+                         "--candidates", "GEV,Normal,Exponential"])
+    calls = sum(1 for span in t.spans if span[2] == "evt.select_model")
+    assert calls >= 1
+    assert t.counts["evt.families_attempted"] == 3 * calls

@@ -9,6 +9,7 @@ import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import voipqos.cli.analyze as analyze_module
@@ -19,7 +20,7 @@ from voipqos.cli import (
     synth_to_file,
 )
 from voipqos.errors import BadSpec, DomainError, VoipQosError
-from voipqos.evt import GevParams, gev_sample
+from voipqos.evt import GevParams, check_families, gev_sample, select_model
 from voipqos.ingest import (
     PacketRecord,
     encode_rtp,
@@ -247,6 +248,28 @@ class TestAnalyze:
         with pytest.raises(VoipQosError, match="Zipf"):
             AnalysisConfig(inputs=("x.pcap",), candidates=("GEV", "Zipf"))
 
+    def test_one_check_names_unknown_families(self, capture, tmp_path,
+                                              capsys):
+        with pytest.raises(DomainError) as want:
+            check_families(["GEV", "Zipf"])
+        message = str(want.value)
+        assert "'Zipf'" in message and "GeneralizedPareto" in message
+        values = tmp_path / "vals.txt"
+        values.write_text("1.0\n" * 40)
+        for command, source in (("fit", values), ("analyze", capture)):
+            capsys.readouterr()
+            assert entrypoint([command, "--input", str(source),
+                               "--out", str(tmp_path / command),
+                               "--candidates", "GEV,Zipf"]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        for build in (
+            lambda: AnalysisConfig(inputs=("x.pcap",), candidates=("Zipf",)),
+            lambda: select_model(np.arange(40.0), ["Zipf"]),
+        ):
+            with pytest.raises(DomainError) as got:
+                build()
+            assert str(got.value) == message
+
     def test_empty_capture_warns_and_exits_zero(self, tmp_path, capsys):
         empty = tmp_path / "empty.pcap"
         empty.write_bytes(write_pcap([]))
@@ -404,6 +427,32 @@ class TestAnalyze:
                          "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "--format" in capsys.readouterr().err
+
+    def test_dot_call_ids_stay_under_out(self, tmp_path, capsys):
+        records = []
+        for call_id, t0, caller, callee in ((".", 1.0, 40000, 42000),
+                                            ("..", 1.3, 50000, 52000)):
+            records += builders.basic_dialog(
+                call_id, invite_ts=t0, ringing_ts=t0 + 0.1, answer_ts=t0 + 0.2,
+                bye_ts=t0 + 2.0, bye_ok_ts=t0 + 2.1,
+                caller_port=caller, callee_port=callee,
+            )
+            records += [PacketRecord(
+                t0 + 0.3 + 0.02 * i, builders.A_ADDR, builders.B_ADDR,
+                caller, callee, "udp",
+                encode_rtp(8, i, 160 * i, caller, b"\x00" * 160),
+            ) for i in range(50)]
+        capture = tmp_path / "dots.jsonl"
+        capture.write_text(write_jsonl(sorted(records, key=lambda r: r.ts)))
+        out = tmp_path / "a" / "out"
+        assert entrypoint(["analyze", "--input", str(capture),
+                           "--out", str(out)]) == 0
+        written = [p for p in (tmp_path / "a").rglob("*") if p.is_file()]
+        assert len(written) > 2
+        assert all(out in p.parents for p in written)
+        ids = sorted(json.loads(p.read_text())["session"]["id"]
+                     for p in written if p.name == "report.json")
+        assert ids == [".", ".."]
 
     def test_two_sessions_two_directories(self, tmp_path):
         scn1 = write_scenario(tmp_path, "s1.json", call_id="alpha")

@@ -19,7 +19,6 @@ from voipqos.errors import (
     Truncated,
 )
 from voipqos.ingest import (
-    AssemblyConfig,
     PacketRecord,
     VoipMetricsBlock,
     assemble_sessions,
@@ -348,13 +347,27 @@ class TestSip:
         assert msg.call_id == "abc"
         assert msg.cseq == 2
 
-    def test_tags_and_media_port(self):
+    def test_media_endpoint(self):
         raw = builders.format_sip_request(
             "INVITE", "sip:b@x", "c1", 1, media_port=4444
         )
         msg = parse_sip(raw, 0.0)
-        assert msg.from_tag == "atag"
-        assert msg.media_port == 4444
+        assert (msg.media_addr, msg.media_port) == ("0.0.0.0", 4444)
+
+    @pytest.mark.parametrize("audio_conn, want", [
+        ("", "10.0.0.9"),  # the session-level address
+        ("c=IN IP4 10.0.0.7/127\r\n", "10.0.0.7"),  # media-level overrides
+        ("c=IN IP6 ::1\r\n", None),  # and is not IPv4
+    ])
+    def test_media_level_connection_overrides_session_level(
+        self, audio_conn, want
+    ):
+        raw = ("INVITE sip:b@x SIP/2.0\r\nCall-ID: c1\r\nCSeq: 1 INVITE\r\n"
+               "\r\nv=0\r\nc=IN IP4 10.0.0.9\r\nm=video 5000 RTP/AVP 31\r\n"
+               "c=IN IP4 10.0.0.8\r\nm=audio 4444 RTP/AVP 8\r\n" + audio_conn
+               + "m=video 6000 RTP/AVP 31\r\nc=IN IP4 10.0.0.6\r\n")
+        msg = parse_sip(raw, 0.0)
+        assert (msg.media_addr, msg.media_port) == (want, 4444)
 
     def test_compact_headers(self):
         long_form = ingest.format_sip_request(
@@ -415,13 +428,11 @@ class TestAssembly:
         assert got.residue == want.residue == []
 
     def test_rtp_only_session(self):
-        cfg = AssemblyConfig(scenario_tag="mobile")
         records = [builders.rtp_record(i * 0.02, i, i * 160) for i in range(5)]
-        result = assemble_sessions(records, cfg)
+        result = assemble_sessions(records)
         assert len(result.sessions) == 1
         s = result.sessions[0]
         assert s.sip_dialog == []
-        assert s.scenario_tag == "mobile"
         assert len(s.rtp_fwd) == 5 and s.rtp_rev == []
 
     def test_two_interleaved_calls_conserve_counts(self):
@@ -455,6 +466,31 @@ class TestAssembly:
         assert by_id["call-b"].rtp_count == 7
         total = sum(s.rtp_count + len(s.sip_dialog) for s in result.sessions)
         assert total + len(result.residue) == len(mixed)
+
+    def test_calls_on_shared_ports_bind_by_sdp_address(self):
+        # both calls declare ports 40000/42000; call-b's media is seen first
+        hosts = {"call-a": ("10.0.0.1", "10.0.0.2"),
+                 "call-b": ("10.0.0.3", "10.0.0.4")}
+        records = builders.basic_dialog("call-a", invite_ts=1.0,
+                                        hosts=hosts["call-a"])
+        records += builders.basic_dialog("call-b", invite_ts=1.5,
+                                         hosts=hosts["call-b"])
+        for n, (call, ssrc) in enumerate((("call-b", 0xB0), ("call-a", 0xA0))):
+            for i in range(6):
+                t = 20.0 + n * 0.001 + i * 0.02
+                records.append(builders.rtp_record(
+                    t, i, i * 160, ssrc=ssrc, hosts=hosts[call]))
+                records.append(builders.rtp_record(
+                    t + 0.01, i, i * 160, ssrc=ssrc + 1, hosts=hosts[call],
+                    reverse=True))
+        result = assemble_sessions(records)
+        by_id = {s.session_id: s for s in result.sessions}
+        assert sorted(by_id) == ["call-a", "call-b"]
+        assert result.residue == []
+        for call_id, ssrc in (("call-a", 0xA0), ("call-b", 0xB0)):
+            s = by_id[call_id]
+            assert len(s.rtp_fwd) == len(s.rtp_rev) == 6
+            assert (s.rtp_fwd[0].ssrc, s.rtp_rev[0].ssrc) == (ssrc, ssrc + 1)
 
     def test_xr_binds_by_source_ssrc(self):
         records = builders.basic_dialog()

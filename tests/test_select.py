@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from voipqos import (
-    CandidateFamily,
+    DomainError,
     GevParams,
     TooFewPoints,
     default_candidates,
@@ -62,14 +62,13 @@ class TestTieBreaks:
 
     def test_candidate_subset_restricts_output(self):
         z = gev_sample(GevParams(xi=0.1, sigma=2.0, mu=30.0), 1000, seed=6)
-        subset = [CandidateFamily("Normal"), CandidateFamily("Logistic")]
-        fits = select_model(z, candidates=subset)
+        fits = select_model(z, ["Normal", "Logistic"])
         assert {f.family for f in fits} == {"Normal", "Logistic"}
 
     def test_permutation_of_candidates_is_irrelevant(self):
         z = gev_sample(GevParams(xi=0.2, sigma=2.0, mu=15.0), 1500, seed=7)
-        forward = select_model(z, candidates=default_candidates())
-        backward = select_model(z, candidates=list(reversed(default_candidates())))
+        forward = select_model(z, default_candidates())
+        backward = select_model(z, list(reversed(default_candidates())))
         assert [f.family for f in forward] == [f.family for f in backward]
 
 
@@ -88,8 +87,9 @@ class TestExclusions:
             select_model(np.arange(10, dtype=float))
 
     def test_unknown_family_rejected_at_construction(self):
-        with pytest.raises(Exception):
-            CandidateFamily("Cauchy")
+        # names are checked before the data size
+        with pytest.raises(DomainError, match="'Cauchy'"):
+            select_model(np.arange(10, dtype=float), ["GEV", "Cauchy"])
 
 
 class TestJsonShape:
