@@ -130,19 +130,13 @@ def _cmd_fit(args) -> int:
             gev_detail = exc.fit.to_json_dict()
         except (VoipQosError, ValueError) as exc:
             gev_detail = {"skipped": f"fit failed: {exc}"}
-    out = {
+    report = {
         "target": args.target,
         "n": len(values),
         "ranking": [f.to_json_dict() for f in ranking],
         "gev": gev_detail,
     }
-    text = json.dumps(out, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote fit report to {args.out}")
-    else:
-        print(text, end="")
-    return 0
+    return _emit(report, args.out, "fit report")
 
 
 def _cmd_synth(args) -> int:
@@ -159,11 +153,15 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    merged = merge_reports(args.input)
-    text = json.dumps(merged, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote merged report to {args.out}")
+    return _emit(merge_reports(args.input), args.out, "merged report")
+
+
+def _emit(doc: dict, out: str | None, what: str) -> int:
+    """Write ``doc`` as JSON to the file ``out``, or to stdout without one."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {what} to {out}")
     else:
         print(text, end="")
     return 0

@@ -115,8 +115,10 @@ def _ks_sorted(z: np.ndarray, cdf: Callable) -> float:
     if n == 0:
         raise EmptyData("KS distance needs at least one data point")
     d = np.asarray(cdf(z), dtype=float)
-    if d.shape != z.shape:  # scalar-only callable
-        d = np.array([float(cdf(v)) for v in z])
+    if d.shape != z.shape:
+        raise DomainError(
+            f"cdf must return one value per point: {d.shape} for {z.shape}"
+        )
     hi = np.arange(1, n + 1, dtype=float) / n
     lo = np.arange(0, n, dtype=float) / n
     return float(np.max(np.maximum(np.abs(hi - d), np.abs(lo - d))))

@@ -1,4 +1,5 @@
-"""RTP fixed-header parsing and encoding, and the columnar RTP stream."""
+"""RTP headers decoded one by one or in columns, encoding, and the
+columnar RTP stream; the one module that knows the RTP wire layout."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BadVersion, DomainError, TooShort
+from .capture import read_uint
 
 _FIXED_LEN = 12
 
@@ -146,6 +148,34 @@ def parse_rtp(payload: bytes, capture_ts: float) -> RtpPacket:
         capture_ts=capture_ts,
         header_len=header_len,
     )
+
+
+def rtp_header_columns(u8: np.ndarray, pos: np.ndarray, length: np.ndarray):
+    """Decode the RTP headers of version-2 payloads at ``pos`` in ``u8``.
+
+    A payload decodes when its ``length`` holds the whole header, as in
+    ``parse_rtp``: 12 + 4 CC bytes, and 4 + 4 length-word bytes if X.
+    Returns (ok, seq, rtp_ts, ssrc, payload_type, header_len): the mask
+    of payloads that decode, and their fields.
+    """
+    idx = np.flatnonzero(length >= _FIXED_LEN)
+    at, size = pos[idx], length[idx]
+    head = read_uint(u8, at, 8)  # V P X CC, M PT, seq, timestamp
+    ssrc = read_uint(u8, at + 8, 4)
+    header_len = _FIXED_LEN + 4 * (head >> 56 & 0x0F).astype(np.int64)
+    ext = (head >> 60 & 1) == 1
+    fits = size >= header_len + 4 * ext  # CSRC list, extension header
+    ext &= fits
+    words = read_uint(u8, at[ext] + header_len[ext] + 2, 2)
+    header_len[ext] += 4 + 4 * words.astype(np.int64)
+    fits &= size >= header_len  # extension body
+    ok = np.zeros(len(pos), dtype=bool)
+    ok[idx[fits]] = True
+    head = head[fits]
+    # a cast to a narrower unsigned type keeps the low bits
+    return (ok, (head >> 32).astype(np.uint16), head.astype(np.uint32),
+            ssrc[fits], (head >> 48).astype(np.uint8) & 0x7F,
+            header_len[fits])
 
 
 def encode_rtp(

@@ -5,11 +5,11 @@ version 2 are RTP or RTCP (told apart by the RTCP packet-type range in
 the second byte), anything else is offered to the SIP parser. RTP
 streams are grouped by (ssrc, 5-tuple), SIP messages by Call-ID.
 
-The work is columnar. Every record is classified at once; the RTP fixed
-header is read at fixed offsets from the capture buffer, and only
-packets with a CSRC list or a header extension go through ``parse_rtp``.
-One sort on (ssrc, 5-tuple, capture time) groups the streams, orders
-each by capture time and finds the repeated capture times. SIP and XR
+The work is columnar. Every record is classified at once, and every RTP
+header, CSRC list and extension included, is decoded in columns by
+``rtp_header_columns``: no RTP packet is parsed on its own. One sort
+on (ssrc, 5-tuple, capture time) groups the streams, orders each by
+capture time and finds the repeated capture times. SIP and XR
 payloads are parsed one by one. Each stream comes out as an RtpStream.
 
 Binding precedence, each step through a lookup built once:
@@ -20,8 +20,9 @@ Binding precedence, each step through a lookup built once:
   0.0.0.0) the port alone matches;
 - leftover streams pair by mirrored endpoints into RTP-only sessions;
 - an XR packet binds to the first session, in that binding order, that
-  owns a reported source SSRC, else to the first dialog whose SDP port
-  or port + 1 it uses.
+  owns a reported source SSRC, else to the first dialog that has one of
+  the packet's endpoints as an SDP endpoint, at its port or port + 1
+  (same address rule).
 
 Tie rule: within one stream, an RTP packet whose capture time equals
 that of an earlier packet (in capture-file order) is set aside, and the
@@ -45,13 +46,13 @@ from ..errors import (
     DomainError,
     MissingHeader,
     NotSip,
-    TooShort,
     Truncated,
 )
-from .capture import Capture, _ipv4_int, read_uint
+from .capture import Capture, _ipv4_int
 from .codecs import CODECS, load_codec_map
 from .rtcp_xr import VoipMetricsBlock, parse_rtcp_xr
-from .rtp import RtpStream, parse_rtp
+from .rtp import RtpStream, rtp_header_columns
+from .rtp import parse_rtp  # noqa: F401 (unused; perfbench/tracer.py wraps it)
 from .sip import SipMessage, parse_sip
 
 
@@ -84,41 +85,6 @@ class _Stream(NamedTuple):
 _NO_RTP = RtpStream.from_packets([])
 
 
-def _rtp_columns(cap: Capture, u8: np.ndarray, candidates: np.ndarray,
-                 first: np.ndarray):
-    """RTP header fields of the rows marked in ``candidates``.
-
-    ``first`` holds the first payload byte of every row.
-
-    Returns (rows, seq, rtp_ts, ssrc, payload_type, header_len, bad):
-    the decoded rows in file order with their fields, and the rows that
-    do not decode. A plain fixed header is read in place; a CSRC list,
-    an extension or a short payload goes through ``parse_rtp``.
-    """
-    plain = candidates & (cap.length >= 12) & (first & 0x1F == 0)  # CC, X = 0
-    rows = np.flatnonzero(plain)
-    pos = cap.offset[rows]
-    columns = [read_uint(u8, pos + 2, 2), read_uint(u8, pos + 4, 4),
-               read_uint(u8, pos + 8, 4), u8[pos + 1] & 0x7F,
-               np.full(len(rows), 12)]
-    parsed, bad = [], []
-    for i in np.flatnonzero(candidates & ~plain).tolist():
-        try:
-            pkt = parse_rtp(cap.payload(i), float(cap.ts[i]))
-        except (TooShort, BadVersion, DomainError):
-            bad.append(i)
-            continue
-        parsed.append((i, pkt.seq, pkt.rtp_ts, pkt.ssrc, pkt.payload_type,
-                       pkt.header_len))
-    if parsed:
-        extra = np.array(parsed, dtype=np.int64).T
-        order = np.argsort(np.concatenate((rows, extra[0])))
-        rows = np.concatenate((rows, extra[0]))[order]
-        columns = [np.concatenate((c, e))[order]
-                   for c, e in zip(columns, extra[1:])]
-    return (rows, *columns, bad)
-
-
 def _stream_order(cap: Capture, rows: np.ndarray, ssrc: np.ndarray):
     """Sort RTP rows by (ssrc, 5-tuple, capture time), stably.
 
@@ -140,17 +106,19 @@ def _stream_order(cap: Capture, rows: np.ndarray, ssrc: np.ndarray):
     return order, new, tied
 
 
-def _rtp_streams(cap: Capture, u8: np.ndarray, candidates: np.ndarray,
-                 first: np.ndarray):
+def _rtp_streams(cap: Capture, u8: np.ndarray, candidates: np.ndarray):
     """Group the RTP rows into streams; returns (streams, set-aside rows).
 
     Streams come in first-seen order: by the capture time of their first
-    record in file order, then by that record's position. Rows that do
-    not decode, and rows the tie rule sets aside, are returned.
+    record in file order, then by that record's position. Rows whose
+    header does not decode, and rows the tie rule sets aside, are
+    returned.
     """
-    rows, seq, rtp_ts, ssrc, pt, header_len, bad = _rtp_columns(
-        cap, u8, candidates, first
+    rows = np.flatnonzero(candidates)
+    ok, seq, rtp_ts, ssrc, pt, header_len = rtp_header_columns(
+        u8, cap.offset[rows], cap.length[rows]
     )
+    bad, rows = rows[~ok].tolist(), rows[ok]
     order, new, tied = _stream_order(cap, rows, ssrc)
     set_aside = bad + rows[order[tied]].tolist()
     keep = order[~tied]
@@ -186,6 +154,11 @@ def _endpoint(msg: SipMessage) -> tuple[int | None, int]:
     except DomainError:
         addr = 0
     return addr or None, msg.media_port
+
+
+def _ends(src: int, sport: int, dst: int, dport: int) -> tuple:
+    """A packet's endpoints as lookup keys: (address, port), (None, port)."""
+    return (src, sport), (None, sport), (dst, dport), (None, dport)
 
 
 def _dialog_ends(dialog: list[SipMessage]) -> dict[str, tuple | None]:
@@ -229,7 +202,7 @@ def assemble_sessions(records, payload_type_map: dict[int, str] | None = None
     version2 = two & (first >> 6 == 2)
     rtcp = version2 & (second >= 200) & (second <= 207)
 
-    ordered_streams, residue = _rtp_streams(cap, u8, version2 & ~rtcp, first)
+    ordered_streams, residue = _rtp_streams(cap, u8, version2 & ~rtcp)
     dialogs: dict[str, list[SipMessage]] = {}
     for i in np.flatnonzero(~version2).tolist():
         try:
@@ -256,14 +229,14 @@ def assemble_sessions(records, payload_type_map: dict[int, str] | None = None
     # (address, port) and as (None, port)
     by_end: dict[tuple, list[int]] = {}
     for i, s in enumerate(ordered_streams):
-        _, src, sport, dst, dport = s.key
-        for end in ((src, sport), (None, sport), (dst, dport), (None, dport)):
+        for end in _ends(*s.key[1:]):
             by_end.setdefault(end, []).append(i)
 
     sessions: list[CallSession] = []
     bound: set[tuple] = set()
-    # SDP port and port + 1 -> position of the first session declaring it
-    xr_by_port: dict[int, int] = {}
+    # SDP (address, port) and (address, port + 1) -> position of the
+    # first session declaring it
+    xr_by_end: dict[tuple, int] = {}
 
     # dialog-bound sessions, in dialog start order
     for call_id, dialog in sorted(
@@ -276,9 +249,9 @@ def assemble_sessions(records, payload_type_map: dict[int, str] | None = None
         mine = [s for s in mine if s.key not in bound]
         fwd, rev = _pick_directions(mine, ends)
         bound.update(s.key for s in (fwd, rev) if s is not None)
-        for _, port in end_set:
-            xr_by_port.setdefault(port, len(sessions))
-            xr_by_port.setdefault(port + 1, len(sessions))
+        for addr, port in end_set:
+            xr_by_end.setdefault((addr, port), len(sessions))
+            xr_by_end.setdefault((addr, port + 1), len(sessions))
         sessions.append(_build_session(call_id, fwd, rev, dialog, pt_map))
         # streams that matched the endpoints but lost the direction contest
         # stay unbound and fall through to rtp-only grouping below
@@ -304,7 +277,7 @@ def assemble_sessions(records, payload_type_map: dict[int, str] | None = None
         sessions.append(_build_session(f"rtp-{ssrc:08x}", s, mirror, [], pt_map))
 
     # attach XR blocks to the session owning the reported stream, else
-    # by port adjacency: RTCP rides the SDP media port or media + 1
+    # by endpoint: RTCP rides the SDP media address and port, or port + 1
     xr_by_ssrc: dict[int, int] = {}
     for pos, session in enumerate(sessions):
         for stream in (session.rtp_fwd, session.rtp_rev):
@@ -314,9 +287,9 @@ def assemble_sessions(records, payload_type_map: dict[int, str] | None = None
         hits = [xr_by_ssrc[b.source_ssrc] for b in blocks
                 if b.source_ssrc in xr_by_ssrc]
         if not hits:
-            hits = [xr_by_port[port]
-                    for port in (int(cap.sport[i]), int(cap.dport[i]))
-                    if port in xr_by_port]
+            ends = _ends(int(cap.src[i]), int(cap.sport[i]),
+                         int(cap.dst[i]), int(cap.dport[i]))
+            hits = [xr_by_end[end] for end in ends if end in xr_by_end]
         if hits:
             sessions[min(hits)].xr_blocks.extend(blocks)
         else:

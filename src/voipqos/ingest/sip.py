@@ -131,22 +131,8 @@ def format_sip_request(
 ) -> bytes:
     """Render a minimal SIP request, with SDP audio line when asked."""
     from_hdr = from_addr + (f";tag={from_tag}" if from_tag else "")
-    lines = [
-        f"{method} {uri} SIP/2.0",
-        f"From: {from_hdr}",
-        f"To: {to_addr}",
-        f"Call-ID: {call_id}",
-        f"CSeq: {cseq} {method}",
-    ]
-    body = ""
-    if media_port is not None:
-        body = (
-            "v=0\r\no=- 0 0 IN IP4 0.0.0.0\r\ns=call\r\n"
-            f"c=IN IP4 0.0.0.0\r\nt=0 0\r\nm=audio {media_port} RTP/AVP 8\r\n"
-        )
-        lines.append("Content-Type: application/sdp")
-    lines.append(f"Content-Length: {len(body)}")
-    return ("\r\n".join(lines) + "\r\n\r\n" + body).encode()
+    return _render(f"{method} {uri} SIP/2.0", from_hdr, to_addr, call_id,
+                   f"{cseq} {method}", media_port)
 
 
 def format_sip_response(
@@ -159,13 +145,15 @@ def format_sip_response(
     media_port: int | None = None,
 ) -> bytes:
     to_hdr = "<sip:b@remote>" + (f";tag={to_tag}" if to_tag else "")
-    lines = [
-        f"SIP/2.0 {status} {reason}",
-        "From: <sip:a@local>;tag=atag",
-        f"To: {to_hdr}",
-        f"Call-ID: {call_id}",
-        f"CSeq: {cseq} {cseq_method}",
-    ]
+    return _render(f"SIP/2.0 {status} {reason}", "<sip:a@local>;tag=atag",
+                   to_hdr, call_id, f"{cseq} {cseq_method}", media_port)
+
+
+def _render(start: str, from_hdr: str, to_hdr: str, call_id: str, cseq: str,
+            media_port: int | None) -> bytes:
+    """A SIP message: headers, and an SDP audio body if ``media_port``."""
+    lines = [start, f"From: {from_hdr}", f"To: {to_hdr}",
+             f"Call-ID: {call_id}", f"CSeq: {cseq}"]
     body = ""
     if media_port is not None:
         body = (

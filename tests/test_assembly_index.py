@@ -7,7 +7,10 @@ equal results (same sessions in the same order, same residue) on record
 lists built so that every binding rule and tie-break is exercised:
 shared ports, SSRCs and Call-IDs, SIP with and without SDP, XR for
 known and unknown SSRCs on media ports and port + 1, mirrored RTP-only
-pairs, equal capture times, and exact duplicates.
+pairs, equal capture times, and exact duplicates. A second property
+feeds RTP headers with CSRC lists and extensions, cut anywhere, to check
+the columnar header decode against ``parse_rtp``, which the reference
+calls packet by packet.
 """
 
 from __future__ import annotations
@@ -121,6 +124,30 @@ def record_lists(draw):
     return draw(st.permutations(records))
 
 
+@st.composite
+def rtp_headers(draw):
+    """Version-2 RTP packets with CC 0..15, X and an extension length word,
+    cut anywhere from 2 bytes to past the whole header."""
+    records = []
+    for _ in range(draw(st.integers(1, 6))):
+        cc, ext = draw(st.integers(0, 15)), draw(st.booleans())
+        words = draw(st.integers(0, 3) | st.just(0xFFFF))
+        padding, marker = draw(st.booleans()), draw(st.booleans())
+        first = 0x80 | 0x20 * padding | 0x10 * ext | cc
+        fixed = encode_rtp(draw(st.sampled_from((0, 8, 96))), draw(
+            st.integers(0, 6)), 0, draw(ssrcs), b"")
+        header = (bytes([first, fixed[1] | 0x80 * marker]) + fixed[2:]
+                  + bytes(range(4 * cc)))
+        if ext:
+            header += b"\xbe\xde" + words.to_bytes(2, "big")
+            header += b"\x11" * 4 * min(words, 3)
+        full = len(header)
+        cut = draw(st.integers(2, full - 1) | st.integers(full, full + 8))
+        records.append(_record(draw(times), ADDRS[0], PORTS[0], ADDRS[1],
+                               PORTS[3], (header + b"\x00" * 8)[:cut]))
+    return records
+
+
 def _mirrored_calls(n: int) -> list[PacketRecord]:
     """``n`` RTP-only calls whose two legs mirror each other's endpoints."""
     out = []
@@ -138,6 +165,14 @@ def _mirrored_calls(n: int) -> list[PacketRecord]:
 @given(records=record_lists())
 @settings(max_examples=600)
 def test_indexed_assembly_equals_reference(records):
+    assert assemble_sessions(records) == sessions_reference.assemble_sessions(
+        records
+    )
+
+
+@given(records=rtp_headers())
+@settings(max_examples=1000)
+def test_columnar_rtp_headers_equal_reference(records):
     assert assemble_sessions(records) == sessions_reference.assemble_sessions(
         records
     )

@@ -70,8 +70,8 @@ def test_assembly_parses_through_traced_bindings(tracer):
     assert len(result.sessions[0].rtp_fwd) == 5
     assert result.sessions[0].rtp_fwd[4].header_len == 16
     assert t.counts["sessions.parse_sip.calls"] == 5
-    # only the packet with a CSRC list leaves the columnar header read
-    assert t.counts["sessions.parse_rtp.calls"] == 1
+    # the CSRC list is decoded in columns too: no packet is parsed alone
+    assert t.counts["sessions.parse_rtp.calls"] == 0
     assert t.counts["sessions.parse_rtcp_xr.calls"] == 1
 
 

@@ -81,7 +81,7 @@ def test_decode_equals_reference(recs, edits):
 
 
 # what follows the fixed header: a CSRC list (CC = 1) or a one-word
-# header extension (X set); either sends the packet through parse_rtp
+# header extension (X set), both decoded in columns like a plain header
 _HEADER_TAILS = {"plain": (0x80, b""), "csrc": (0x81, b"\x00\x00\x00\x09"),
                  "ext": (0x90, b"\xbe\xde\x00\x01\x11\x22\x33\x44")}
 

@@ -339,3 +339,7 @@ class TestKsDistance:
         p = params(0.0, 1.0, 0.0)
         z = gev_sample(params(0.0, 1.0, 50.0), 2000, seed=9)
         assert ks_distance(z, lambda x: gev_cdf(p, x)) > 0.9
+
+    def test_cdf_must_return_one_value_per_point(self):
+        with pytest.raises(DomainError, match="one value per point"):
+            ks_distance([1.0, 2.0, 3.0], lambda x: 0.5)

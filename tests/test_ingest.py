@@ -34,7 +34,7 @@ from voipqos.ingest import (
     write_jsonl,
     write_pcap,
 )
-from tests import builders
+from tests import builders, sessions_reference
 
 
 def hand_built_pcap(ts_sec=100, ts_frac=500_000, payload=b"hi", endian="<",
@@ -501,6 +501,26 @@ class TestAssembly:
         assert len(s.xr_blocks) == 1
         assert s.xr_blocks[0].round_trip_delay == 150
         assert result.residue == []
+
+    @pytest.mark.parametrize("hosts, owner", [
+        ((("10.0.0.1", "10.0.0.2"), ("10.0.0.3", "10.0.0.4")), "call-b"),
+        ((None, None), "call-a"),  # c=0.0.0.0: the first dialog on the port
+    ])
+    def test_xr_port_fallback_matches_sdp_address(self, hosts, owner):
+        # both calls declare ports 40000/42000, and no session owns 0x9999
+        records = builders.basic_dialog("call-a", invite_ts=1.0,
+                                        hosts=hosts[0])
+        records += builders.basic_dialog("call-b", invite_ts=1.5,
+                                         hosts=hosts[1])
+        xr = builders.xr_record(30.0, source_ssrc=0x9999)
+        records.append(dataclasses.replace(xr, src_addr="10.0.0.4",
+                                           dst_addr="10.0.0.3"))
+        result = assemble_sessions(records)
+        assert {s.session_id: len(s.xr_blocks) for s in result.sessions} \
+            == {"call-a": owner == "call-a", "call-b": owner == "call-b"}
+        assert result.residue == []
+        if hosts[0] is None:
+            assert result == sessions_reference.assemble_sessions(records)
 
     def test_junk_lands_in_residue(self):
         junk = PacketRecord(
