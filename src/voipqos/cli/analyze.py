@@ -37,6 +37,7 @@ from ..metrics import (
     loss_summary,
     moving_std,
     rtt_series,
+    series_csvs,
     sip_delays,
     xr_metric_series,
 )
@@ -169,11 +170,11 @@ def build_session_report(
             series_by_name["signal_level"], window=config.sigma_window
         )
 
-    for name, series in series_by_name.items():
-        if len(series) == 0:
-            continue
-        metrics[name] = _series_summary(series)
-        files[f"{name}.csv"] = series.to_csv()
+    nonempty = [s for s in series_by_name.values() if len(s)]
+    for series in nonempty:
+        metrics[series.name] = _series_summary(series)
+    for name, text in series_csvs(nonempty).items():
+        files[f"{name}.csv"] = text
 
     exports: dict = {
         "series_csv": {n: f"{n}.csv" for n in sorted(metrics)},

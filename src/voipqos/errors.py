@@ -15,6 +15,10 @@ class Truncated(VoipQosError):
     """Input ends before a declared length is satisfied."""
 
 
+class UnsupportedLinkType(VoipQosError):
+    """A pcap declares a link type the decoder does not read."""
+
+
 class BadRecord(VoipQosError):
     """A jsonl capture line is not a valid record."""
 

@@ -341,7 +341,9 @@ def maximize(f, derivs, theta, tol: float = 1e-8, max_iter: int = 200,
     or when no step along either direction improves ``f`` at any scale
     down to ``2^-30``.
 
-    Returns ``(theta, f(theta), iterations, converged)``.
+    Returns ``(theta, f(theta), iterations, converged)``. Unless
+    ``start_derivs`` is given, the last call of ``derivs`` is at the
+    returned ``theta``, and its result is not modified.
     """
     theta = np.asarray(theta, dtype=float)
     ll = f(theta)

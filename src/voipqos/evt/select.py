@@ -374,12 +374,16 @@ def _fit_genpareto(z):
             return -math.inf
         return -n * (1.0 + t * big_m + math.log(big_m))
 
+    last = None  # derivs' latest result, unchanged by maximize
+
     def derivs(theta):
+        nonlocal last
         t = theta[0]
         _, om, om1, om2 = omega_derivs(t, u)
         big_m, m1, m2 = float(np.mean(om)), float(np.mean(om1)), float(np.mean(om2))
-        return (np.array([-n * (big_m + t * m1 + m1 / big_m)]),
+        last = (np.array([-n * (big_m + t * m1 + m1 / big_m)]),
                 np.array([[-n * (2.0 * m1 + t * m2 + m2 / big_m - (m1 / big_m) ** 2)]]))
+        return last
 
     # start from the best point of a grid over x = theta * max(u) in
     # (-1, inf), dense toward the bounded-tail end x -> -1
@@ -387,7 +391,7 @@ def _fit_genpareto(z):
                            np.logspace(-2.0, 6.0, 17)]) / umax
     start = grid[int(np.argmax([f([t]) for t in grid]))]
     theta, _, _, converged = maximize(f, derivs, [start])
-    g, hess = derivs(theta)
+    g, hess = last  # maximize last called derivs at theta
     t = float(theta[0])
     if not (converged and hess[0, 0] < 0.0
             and abs(g[0] / hess[0, 0]) <= 1e-6 * max(1.0, abs(t))):

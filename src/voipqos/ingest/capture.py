@@ -3,9 +3,9 @@
 The pcap side is bit-exact for the classic format: 24-byte global header
 (either byte order, microsecond or nanosecond timestamps, dispatched on
 the magic), 16-byte record headers with separate second/fraction fields,
-and Ethernet or raw-IPv4 link types. Only UDP packets become records;
-everything else is skipped, because all three protocols of interest ride
-UDP here.
+and Ethernet or raw-IPv4 link types; any other link type is refused.
+Only UDP packets become records; everything else is skipped, because
+all three protocols of interest ride UDP here.
 
 Decoding is columnar. The walk over record headers is the only
 per-record Python loop; the link, IPv4 and UDP checks then run once over
@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BadMagic, BadRecord, DomainError, Truncated
+from ..errors import (
+    BadMagic,
+    BadRecord,
+    DomainError,
+    Truncated,
+    UnsupportedLinkType,
+)
 
 MAGIC = 0xA1B2C3D4
 MAGIC_NS = 0xA1B23C4D  # nanosecond-resolution timestamps
@@ -276,9 +282,11 @@ def parse_pcap(data) -> Capture:
     """Decode a classic capture file into UDP packet records, in order.
 
     Raises BadMagic when the first four bytes are not the classic magic
-    (microsecond or nanosecond timestamps) in either byte order, and
-    Truncated when a record header or body extends past the end of the
-    input. The returned Capture views ``data`` without copying it.
+    (microsecond or nanosecond timestamps) in either byte order,
+    UnsupportedLinkType when the link type is neither Ethernet nor raw
+    IPv4, and Truncated when a record header or body extends past the
+    end of the input. The returned Capture views ``data`` without
+    copying it.
     """
     if len(data) < 4:
         raise BadMagic("input shorter than a capture magic")
@@ -293,18 +301,20 @@ def parse_pcap(data) -> Capture:
     if len(data) < 24:
         raise Truncated("global header cut short")
     (linktype,) = struct.unpack_from(endian + "I", data, 20)
+    if linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IPV4):
+        raise UnsupportedLinkType(
+            f"link type {linktype} is not supported; supported are "
+            f"{LINKTYPE_ETHERNET} (Ethernet) and {LINKTYPE_RAW_IPV4} (raw IPv4)"
+        )
 
     heads = _record_heads(data, endian)
     u8 = np.frombuffer(data, dtype=np.uint8)
     big = endian == ">"
+    link = 0
     if linktype == LINKTYPE_ETHERNET:
         link = 14
         heads = heads[read_uint(u8, heads + 8, 4, big) >= link]
         heads = heads[read_uint(u8, heads + 28, 2) == 0x0800]  # IPv4
-    elif linktype == LINKTYPE_RAW_IPV4:
-        link = 0
-    else:
-        link, heads = 0, heads[:0]  # unknown link type: no records
     return _udp_columns(data, u8, heads, link, big, ticks)
 
 

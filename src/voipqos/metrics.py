@@ -16,6 +16,10 @@ clock rate; the unknown constant clock offset between endpoints cancels
 in the difference, so no synchronization is needed. No exponential
 smoothing is applied: each sample is |D| itself, not the running 1/16
 estimator of RFC 3550.
+
+Series leave as CSV text through ``series_csvs``, which formats what a
+session's series share once: their common time axes and their repeated
+values.
 """
 
 from __future__ import annotations
@@ -95,10 +99,77 @@ class MetricSeries:
         return len(self.t)
 
     def to_csv(self) -> str:
-        """``t,value`` rows; the unit is fixed per name (UNIT_BY_NAME)."""
-        lines = ["t,value"]
-        lines += [f"{t!r},{v!r}" for t, v in zip(self.t.tolist(), self.v.tolist())]
-        return "\n".join(lines) + "\n"
+        """``t,value`` rows, as ``series_csvs`` writes them; the unit is
+        fixed per name (UNIT_BY_NAME)."""
+        return series_csvs([self])[self.name]
+
+
+#: Rows per block in series_csvs: only one block's cell and row strings
+#: are alive at a time.
+CSV_BLOCK_ROWS = 1024
+
+
+def float_cells(*columns: np.ndarray) -> list[list[str]]:
+    """``repr`` of each float64 value, one list per column.
+
+    Each distinct bit pattern across all the columns is formatted once.
+    Values are keyed on their int64 bit view, so 0.0 and -0.0 keep their
+    own text.
+    """
+    values = np.concatenate(columns, dtype=np.float64)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    cells = texts[index].tolist()
+    ends = np.cumsum([len(c) for c in columns]).tolist()
+    return [cells[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def csv_rows(*columns) -> str:
+    """Comma-joined rows of equally long cell columns, each ending in a newline."""
+    lines = list(map(",".join, zip(*columns)))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def series_csvs(series) -> dict[str, str]:
+    """``t,value`` CSV text per series name, in the order given.
+
+    Each cell is the float's shortest round-trip ``repr``. A series whose
+    times equal a suffix of a longer series' times shares that axis, and
+    the axis is formatted once for all of them. Rows are built one block
+    of CSV_BLOCK_ROWS axis rows at a time; one ``float_cells`` call
+    formats the block's values of every series on the axis.
+    """
+    series = list(series)
+    chunks = {s.name: ["t,value\n"] for s in series}
+    if len(chunks) != len(series):
+        raise DomainError("series names must be distinct")
+    # (axis times, [(series, offset)]): series.t == axis[offset:]
+    axes: list[tuple[np.ndarray, list]] = []
+    for s in sorted(series, key=len, reverse=True):
+        bits = s.t.view(np.int64)
+        for axis, members in axes:
+            offset = len(axis) - len(s)
+            if np.array_equal(axis[offset:].view(np.int64), bits):
+                members.append((s, offset))
+                break
+        else:
+            axes.append((s.t, [(s, 0)]))
+    for axis, members in axes:
+        for start in range(0, len(axis), CSV_BLOCK_ROWS):
+            stop = start + CSV_BLOCK_ROWS
+            # strictly increasing times are distinct: nothing to reuse
+            times = list(map(repr, axis[start:stop].tolist()))
+            # (series, axis row of its first row in this block, offset);
+            # the axis's own series (offset 0) is always among them
+            rows = [(s, max(start, offset), offset)
+                    for s, offset in members if offset < stop]
+            values = float_cells(*(
+                s.v[lo - offset:stop - offset] for s, lo, offset in rows
+            ))
+            for (s, lo, _), cells in zip(rows, values):
+                chunks[s.name].append(csv_rows(times[lo - start:], cells))
+    return {name: "".join(parts) for name, parts in chunks.items()}
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadK, DomainError, EmptyData, LengthMismatch, TooFewPoints, ZeroVariance
+from .metrics import csv_rows, float_cells
 
 
 def _finite_array(data, what: str) -> np.ndarray:
@@ -71,17 +72,22 @@ class BivariateHist:
             a.setflags(write=False)
 
     def to_csv(self) -> str:
-        """One row per non-empty cell, in row-major (x, then y) order."""
-        xe, ye = self.x_edges.tolist(), self.y_edges.tolist()
+        """One row per non-empty cell, in row-major (x, then y) order.
+
+        Edges and densities are written as ``float_cells`` formats them,
+        each distinct float once; ``count`` is an integer.
+        """
         ii, jj = np.nonzero(self.counts)
-        cells = zip(ii.tolist(), jj.tolist(), self.counts[ii, jj].tolist(),
-                    self.density[ii, jj].tolist())
-        lines = ["x_lo,x_hi,y_lo,y_hi,count,density"]
-        lines += [
-            f"{xe[i]!r},{xe[i + 1]!r},{ye[j]!r},{ye[j + 1]!r},{c},{d!r}"
-            for i, j, c, d in cells
-        ]
-        return "\n".join(lines) + "\n"
+        xe, ye, density = float_cells(
+            self.x_edges, self.y_edges, self.density[ii, jj]
+        )
+        xe, ye = np.array(xe, dtype=object), np.array(ye, dtype=object)
+        return "x_lo,x_hi,y_lo,y_hi,count,density\n" + csv_rows(
+            xe[ii].tolist(), xe[ii + 1].tolist(),
+            ye[jj].tolist(), ye[jj + 1].tolist(),
+            map(str, self.counts[ii, jj].tolist()),
+            density,
+        )
 
 
 def _axis_edges(arr: np.ndarray, bins: int) -> np.ndarray:

@@ -1,0 +1,34 @@
+"""The CSV writers that ``series_csvs`` replaced, kept as test references.
+
+Verbatim copies of ``MetricSeries.to_csv`` and ``BivariateHist.to_csv``
+from before every CSV went through the session-level writer, which
+formats a shared time axis once, each distinct value once per block and
+the rows a block at a time. The tests compare the package's text with
+theirs. Only the function names are new: each takes the object its
+method was bound to.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def series_to_csv(self) -> str:
+    """``t,value`` rows; the unit is fixed per name (UNIT_BY_NAME)."""
+    lines = ["t,value"]
+    lines += [f"{t!r},{v!r}" for t, v in zip(self.t.tolist(), self.v.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def hist_to_csv(self) -> str:
+    """One row per non-empty cell, in row-major (x, then y) order."""
+    xe, ye = self.x_edges.tolist(), self.y_edges.tolist()
+    ii, jj = np.nonzero(self.counts)
+    cells = zip(ii.tolist(), jj.tolist(), self.counts[ii, jj].tolist(),
+                self.density[ii, jj].tolist())
+    lines = ["x_lo,x_hi,y_lo,y_hi,count,density"]
+    lines += [
+        f"{xe[i]!r},{xe[i + 1]!r},{ye[j]!r},{ye[j + 1]!r},{c},{d!r}"
+        for i, j, c, d in cells
+    ]
+    return "\n".join(lines) + "\n"

@@ -2,9 +2,11 @@
 
 Verbatim copies of the record-by-record pcap decoder and of the metric
 functions that rebuilt arrays from lists of RtpPacket, kept so the tests
-can compare the columnar path against them. Two lines differ from the
-copied decoder: it skips IPv4 non-first fragments, as the package now
-does (RFC 791), and it names its result types from the package. Session
+can compare the columnar path against them. The copied decoder differs
+in three places: it skips IPv4 non-first fragments, as the package now
+does (RFC 791), it refuses a link type other than Ethernet or raw IPv4
+with UnsupportedLinkType before walking the records, as the package
+does, and it names its result types from the package. Session
 assembly's reference is ``tests/sessions_reference.py``.
 """
 
@@ -14,7 +16,13 @@ import struct
 
 import numpy as np
 
-from voipqos.errors import BadMagic, DomainError, TooFewPackets, Truncated
+from voipqos.errors import (
+    BadMagic,
+    DomainError,
+    TooFewPackets,
+    Truncated,
+    UnsupportedLinkType,
+)
 from voipqos.ingest.capture import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IPV4,
@@ -61,7 +69,8 @@ def parse_pcap(data: bytes) -> list[PacketRecord]:
     """Decode a classic capture file into UDP packet records, in order.
 
     Raises BadMagic when the first four bytes are not the classic magic
-    in either byte order, and Truncated when a record header or body
+    in either byte order, UnsupportedLinkType for a link type other than
+    Ethernet or raw IPv4, and Truncated when a record header or body
     extends past the end of the input.
     """
     if len(data) < 4:
@@ -77,6 +86,8 @@ def parse_pcap(data: bytes) -> list[PacketRecord]:
         raise Truncated("global header cut short")
     header = struct.Struct(endian + _GLOBAL_HEADER.format)
     _, _, _, _, _, _, linktype = header.unpack(data[:24])
+    if linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IPV4):
+        raise UnsupportedLinkType(f"link type {linktype} is not supported")
     rec_header = struct.Struct(endian + _RECORD_HEADER.format)
 
     records: list[PacketRecord] = []
@@ -95,10 +106,8 @@ def parse_pcap(data: bytes) -> list[PacketRecord]:
             if len(frame) < 14 or frame[12:14] != b"\x08\x00":
                 continue  # not IPv4
             rec = _parse_ipv4(ts, frame[14:])
-        elif linktype == LINKTYPE_RAW_IPV4:
-            rec = _parse_ipv4(ts, frame)
         else:
-            continue  # unknown link type: skip records, keep walking
+            rec = _parse_ipv4(ts, frame)
         if rec is not None:
             records.append(rec)
     return records

@@ -286,6 +286,16 @@ class TestAnalyze:
         assert rc == 1
         assert "magic" in capsys.readouterr().err
 
+    def test_unknown_link_type_fails(self, tmp_path, capsys):
+        sll = bytearray(write_pcap([]))
+        sll[20:24] = (113).to_bytes(4, "little")
+        cap = tmp_path / "sll.pcap"
+        cap.write_bytes(bytes(sll))
+        rc = entrypoint(["analyze", "--input", str(cap),
+                         "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "link type 113" in capsys.readouterr().err
+
     def test_residue_returns_two(self, capture, tmp_path, capsys):
         records = parse_pcap(capture.read_bytes())
         junk = tmp_path / "junk.jsonl"

@@ -4,23 +4,37 @@ The session directory holds report.json, the series CSVs, the sparse
 bandwidth-vs-sigma_j histogram and pca.json. Nothing it dropped is lost:
 these tests rebuild the dense histogram, the sigma_j/RTT quantiles and
 the PCA scores from what is written, and compare them with the library
-functions run on the decoded session.
+functions run on the decoded session. The CSV text itself is compared
+with the writers it replaced (tests/export_reference.py) and with the
+digests of the golden scenario's files.
 """
 
+import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tests import export_reference
+from voipqos import metrics
 from voipqos.cli import entrypoint
 from voipqos.errors import DomainError
 from voipqos.ingest import assemble_sessions, parse_pcap
-from voipqos.metrics import bandwidth_series, jitter_series, moving_std, rtt_series
-from voipqos.stats import bivariate_hist, empirical_cdf, pca
+from voipqos.metrics import (
+    UNIT_BY_NAME,
+    MetricSeries,
+    bandwidth_series,
+    jitter_series,
+    moving_std,
+    rtt_series,
+    series_csvs,
+)
+from voipqos.stats import BivariateHist, bivariate_hist, empirical_cdf, pca
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "voipqos" / "schemas"
@@ -193,3 +207,134 @@ class TestEmpiricalQuantile:
     def test_rejects_probabilities_outside_unit_interval(self):
         with pytest.raises(DomainError):
             empirical_cdf([1.0]).quantile([1.5])
+
+
+# sha256 of each CSV that synth + analyze write for SCENARIO with the
+# arguments of acceptance criterion 10, recorded before the CSVs went
+# through series_csvs; pca.json is left out because LAPACK builds may
+# differ in its last bits
+GOLDEN_CSV_SHA256 = {
+    "bandwidth.csv":
+        "7e9757214c9c6e2d01a495edf17b3574ac052efc76afd47af856724986a80ac0",
+    "bandwidth_sigma_hist.csv":
+        "604e30d5a1541e315aafb596b09794dd94dc83ab9c382498da9b55929d23d61a",
+    "jitter.csv":
+        "ad50f11ef3735ede0c5cb3c8e8f2b64a5dae293925643383889e94d947d36ae7",
+    "r_factor.csv":
+        "71b08162965cd8a59657ae3eaa02a63a1ffbd8e4c0b249415c6d3ebe4ea133b7",
+    "rtt.csv":
+        "cb37deda7d5c2c78015e3f0a7fdd6d1b9033f638ba8e7f286c226f0ba845bdfd",
+    "sigma_j.csv":
+        "608094c2dffdaecfdb2c9956c915b837f6c65a2671aef6e846083dc97696a3ac",
+    "sigma_sl.csv":
+        "df62840bddcda8300c1a6bee2affa005640691572ee22d3a381ca2176235da25",
+    "signal_level.csv":
+        "bbfcff515f443e8b4278f52b0cdc86c9d725b42acc24c9a8ea2f8c22884cadb0",
+}
+
+# signed zeros, subnormals, extremes and integral floats, drawn often
+# enough that one column holds several of them
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                1e300, -1e300, 1.0, -7.0, 2.0 ** 53, 0.1)
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats(
+    allow_nan=False, allow_infinity=False)
+# strictly increasing: unique drops -0.0 next to 0.0
+_AXES = st.lists(_FLOATS, unique=True, max_size=11).map(sorted)
+
+
+@st.composite
+def _column(draw, n):
+    """``n`` values drawn mostly from a small pool, so they repeat."""
+    pool = draw(st.lists(_FLOATS, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool) | _FLOATS,
+                         min_size=n, max_size=n))
+
+
+@st.composite
+def _session_series(draw):
+    """One to four series whose axes equal, are suffixes of, have the
+    length of, or are unrelated to one base axis."""
+    base = draw(_AXES)
+    names = draw(st.lists(st.sampled_from(sorted(UNIT_BY_NAME)),
+                          min_size=1, max_size=4, unique=True))
+    out = []
+    for name in names:
+        kind = draw(st.sampled_from(
+            ("same", "suffix", "same_length", "zero_sign", "unrelated")))
+        if kind == "same":
+            t = base
+        elif kind == "suffix":
+            t = base[draw(st.integers(0, len(base))):]
+        elif kind == "same_length":
+            t = sorted(draw(st.lists(_FLOATS, unique=True, min_size=len(base),
+                                     max_size=len(base))))
+        elif kind == "zero_sign":  # equal as values, not as bits
+            t = [-x if x == 0.0 else x for x in base]
+        else:
+            t = draw(_AXES)
+        out.append(MetricSeries.create(name, t, draw(_column(len(t)))))
+    return out
+
+
+_series = MetricSeries.create
+
+
+class TestCsvText:
+    @given(_session_series())
+    @example([
+        _series("bandwidth", [0.0, 1.0, 2.0, 3.0, 4.0],
+                [1.6, 1.6, 3.2, 1.6, 0.0]),
+        _series("jitter", [1.0, 2.0, 3.0, 4.0], [0.0, -0.0, 5e-324, 1e300]),
+        _series("sigma_j", [1.0, 2.0, 3.0, 4.0], [-0.0, 0.0, -1e300, 2.0]),
+        _series("rtt", [0.5, 1.5], [120.0, 120.0]),
+        _series("r_factor", [], []),
+    ])
+    @example([_series("rtt", [-0.0, 1.0], [1.0, 2.0]),
+              _series("r_factor", [0.0, 1.0], [3.0, 4.0])])
+    def test_series_csvs_equal_the_old_writer(self, series):
+        want = [(s.name, export_reference.series_to_csv(s)) for s in series]
+        for block in (3, metrics.CSV_BLOCK_ROWS):
+            with mock.patch.object(metrics, "CSV_BLOCK_ROWS", block):
+                assert list(series_csvs(series).items()) == want
+                assert [(s.name, s.to_csv()) for s in series] == want
+
+    @given(
+        nx=st.integers(1, 4), ny=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_hist_csv_equals_the_old_writer(self, nx, ny, data):
+        hist = BivariateHist(
+            x_edges=np.array(data.draw(_column(nx + 1))),
+            y_edges=np.array(data.draw(_column(ny + 1))),
+            counts=np.array(data.draw(st.lists(
+                st.integers(0, 3), min_size=nx * ny, max_size=nx * ny,
+            ))).reshape(nx, ny),
+            density=np.array(data.draw(_column(nx * ny))).reshape(nx, ny),
+        )
+        assert hist.to_csv() == export_reference.hist_to_csv(hist)
+
+    def test_binned_hist_csv_equals_the_old_writer(self):
+        rng = np.random.default_rng(3)
+        hist = bivariate_hist(rng.normal(size=500), rng.gamma(2.0, size=500))
+        assert hist.to_csv() == export_reference.hist_to_csv(hist)
+
+    def test_series_names_must_be_distinct(self):
+        a = _series("rtt", [1.0], [2.0])
+        with pytest.raises(DomainError):
+            series_csvs([a, a])
+
+    def test_csv_bytes_match_golden_digests(self, tmp_path):
+        scn = tmp_path / "scenario.json"
+        scn.write_text(json.dumps(SCENARIO))
+        cap = tmp_path / "capture.pcap"
+        assert entrypoint(["synth", "--scenario", str(scn),
+                           "--out", str(cap)]) == 0
+        assert entrypoint(["analyze", "--input", str(cap),
+                           "--out", str(tmp_path / "out"),
+                           "--scenario", "golden", "--seed", "5"]) == 0
+        session_dir = tmp_path / "out" / "golden-1"
+        got = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in session_dir.glob("*.csv")
+        }
+        assert got == GOLDEN_CSV_SHA256

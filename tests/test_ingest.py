@@ -17,6 +17,7 @@ from voipqos.errors import (
     NotSip,
     TooShort,
     Truncated,
+    UnsupportedLinkType,
 )
 from voipqos.ingest import (
     PacketRecord,
@@ -101,7 +102,8 @@ class TestPcap:
     def test_link_types(self):
         (record,) = parse_pcap(hand_built_pcap(linktype=101))  # raw IPv4
         assert (record.dst_addr, record.payload) == ("10.0.0.2", b"hi")
-        assert parse_pcap(hand_built_pcap(linktype=113)) == []  # unknown
+        with pytest.raises(UnsupportedLinkType, match="link type 113"):
+            parse_pcap(hand_built_pcap(linktype=113))  # Linux SLL
 
     def test_empty_after_global_header(self):
         head = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
