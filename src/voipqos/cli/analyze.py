@@ -29,6 +29,7 @@ from ..errors import (
 from ..evt import MIN_FIT_POINTS, check_families, fit_gev_mle, select_model
 from ..ingest.capture import Capture, parse_jsonl, parse_pcap
 from ..ingest.codecs import load_codec_map
+from ..ingest.rtcp_xr import XrBlocks
 from ..ingest.sessions import CallSession, assemble_sessions
 from ..metrics import (
     MetricSeries,
@@ -128,7 +129,8 @@ def _session_span(session: CallSession) -> tuple[float, float]:
     """First and last time seen; assembly keeps every list time-sorted."""
     timed = (session.rtp_fwd, session.rtp_rev, session.sip_dialog)
     ends = [m.capture_ts for x in timed if x for m in (x[0], x[-1])]
-    ends += [b.report_ts for b in session.xr_blocks[:1] + session.xr_blocks[-1:]]
+    xr_ts = XrBlocks.from_blocks(session.xr_blocks).report_ts
+    ends += xr_ts[:1].tolist() + xr_ts[-1:].tolist()
     return (min(ends), max(ends)) if ends else (0.0, 0.0)
 
 

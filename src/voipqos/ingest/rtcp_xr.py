@@ -19,14 +19,23 @@ body words:
     word 5   R factor | ext. R factor | MOS-LQ | MOS-CQ
     word 6   rx config | reserved     | JB nominal (ms)
     word 7   JB maximum (ms)          | JB absolute max (ms)
+
+``parse_rtcp_xr`` decodes one compound packet into VoipMetricsBlock
+objects; it is the reference decoder. ``xr_block_columns`` decodes the
+blocks of many compound packets at once, with the same refusal rules,
+and ``XrBlocks`` carries blocks as columns.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from ..errors import BadVersion, DomainError, Truncated
+from .capture import read_uint
 
 XR_PACKET_TYPE = 207
 VOIP_METRICS_BLOCK_TYPE = 7
@@ -117,6 +126,13 @@ def encode_voip_metrics(block: VoipMetricsBlock) -> bytes:
 _WIRE_NAMES = tuple(f.name for f in fields(VoipMetricsBlock))[:-1]
 
 
+#: the block body as a numpy record, laid out as _BODY
+_BODY_DTYPE = np.dtype([
+    (name, {"I": ">u4", "H": ">u2", "B": "u1", "b": "i1"}[code])
+    for name, code in zip(_WIRE_NAMES, _BODY.format[1:])
+])
+
+
 def _decode_voip_metrics(body: bytes, report_ts: float) -> VoipMetricsBlock:
     return VoipMetricsBlock(**dict(zip(_WIRE_NAMES, _BODY.unpack(body))),
                             report_ts=report_ts)
@@ -172,3 +188,130 @@ def _parse_xr_blocks(data: bytes, capture_ts: float) -> list[VoipMetricsBlock]:
             )
         off += span
     return blocks
+
+
+class XrBlocks(Sequence):
+    """VoIP Metrics blocks as columns, one row per block.
+
+    One column per wire field, named as the VoipMetricsBlock fields and
+    typed by their wire width (the levels signed), then ``report_ts``
+    (float64 seconds). Indexing builds a VoipMetricsBlock, and a table
+    equals any sequence holding the same blocks in order.
+    """
+
+    _COLUMNS = tuple(
+        (name, _BODY_DTYPE[name].newbyteorder("=")) for name in _WIRE_NAMES
+    ) + (("report_ts", np.dtype(np.float64)),)
+    __slots__ = tuple(name for name, _ in _COLUMNS)
+
+    def __init__(self, *columns):
+        """The wire-field columns in wire order, then ``report_ts``."""
+        if len(columns) != len(self._COLUMNS):
+            raise TypeError(f"XrBlocks takes {len(self._COLUMNS)} columns, "
+                            f"got {len(columns)}")
+        for (name, dtype), value in zip(self._COLUMNS, columns):
+            column = np.asarray(value, dtype=dtype)
+            column.setflags(write=False)
+            setattr(self, name, column)
+
+    @classmethod
+    def from_blocks(cls, blocks) -> XrBlocks:
+        """The columns of a block sequence; an XrBlocks comes back as is."""
+        if isinstance(blocks, XrBlocks):
+            return blocks
+        blocks = list(blocks)
+        return cls(*([getattr(b, name) for b in blocks]
+                     for name, _ in cls._COLUMNS))
+
+    def __len__(self) -> int:
+        return len(self.report_ts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return XrBlocks(*(getattr(self, n)[i] for n, _ in self._COLUMNS))
+        i = range(len(self))[i]  # IndexError past either end
+        return VoipMetricsBlock(
+            *(int(getattr(self, n)[i]) for n in _WIRE_NAMES),
+            report_ts=float(self.report_ts[i]),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"XrBlocks({len(self)} blocks)"
+
+
+def _chains(u8: np.ndarray, at: np.ndarray, end: np.ndarray):
+    """Walk chains of 4-byte-headed items, one item of every chain a round.
+
+    Chain k runs from ``at[k]`` to ``end[k]``; an item spans 4 bytes plus
+    4 per unit of its header's low 16 bits, as RTCP packets and XR blocks
+    do. Returns (bad, chain, start, head): the chains with a header or an
+    item that overruns their end, and for every item that fits, its
+    chain, its start and its 32-bit header, in round order.
+    """
+    bad = np.zeros(len(at), dtype=bool)
+    chain = np.flatnonzero(at < end)
+    at, end = at[chain], end[chain]
+    found = [(chain[:0], at[:0], np.zeros(0, dtype=np.uint32))]
+    while len(chain):
+        cut = at + 4 > end
+        bad[chain[cut]] = True
+        chain, at, end = chain[~cut], at[~cut], end[~cut]
+        head = read_uint(u8, at, 4)
+        span = 4 + 4 * (head & 0xFFFF).astype(np.int64)
+        fits = at + span <= end
+        bad[chain[~fits]] = True
+        found.append((chain[fits], at[fits], head[fits]))
+        at += span
+        more = fits & (at < end)
+        chain, at, end = chain[more], at[more], end[more]
+    return (bad, *(np.concatenate(c) for c in zip(*found)))
+
+
+def xr_block_columns(u8: np.ndarray, pos: np.ndarray, length: np.ndarray):
+    """Decode the VoIP Metrics blocks of RTCP compound packets in ``u8``.
+
+    Payload k is ``length[k]`` bytes at ``pos[k]``. The compounds are
+    walked in rounds, one RTCP packet of each a round, then the XR
+    packets' blocks, one block of each a round. A payload decodes where
+    ``parse_rtcp_xr`` returns blocks: it is refused for a packet whose
+    version is not 2, a packet header, packet, block header or block
+    that overruns its container, an ``r_factor`` outside 0..100 that is
+    not 127, or no VoIP Metrics block at all (type 7, 8 words).
+    Non-XR packets, and XR packets shorter than 8 bytes, are skipped.
+
+    Returns (ok, row, body): the mask of payloads that decode, and for
+    each of their VoIP Metrics blocks, in payload then wire order, the
+    payload's index and the block body as a record of the wire fields,
+    big-endian, named and ordered as ``XrBlocks``' wire columns.
+    """
+    pos = np.asarray(pos, dtype=np.int64)
+    bad, row, at, head = _chains(u8, pos, pos + length)
+    bad[row[head >> 30 != 2]] = True
+    xr = (head >> 16 & 0xFF == XR_PACKET_TYPE) & (head & 0xFFFF >= 1)
+    row, at, head = row[xr], at[xr], head[xr]
+    cut, packet, at, head = _chains(
+        u8, at + 8, at + 4 + 4 * (head & 0xFFFF).astype(np.int64)
+    )
+    bad[row[cut]] = True
+    voip = ((head >> 24 == VOIP_METRICS_BLOCK_TYPE)
+            & (head & 0xFFFF == VOIP_METRICS_BLOCK_WORDS))
+    row, at = row[packet[voip]], at[voip] + 4
+    order = np.lexsort((at, row))
+    row, at = row[order], at[order]
+    records = np.ndarray((max(len(u8) - _BODY_DTYPE.itemsize + 1, 0),),
+                         _BODY_DTYPE, buffer=u8, strides=(1,))
+    body = records[at]
+    r = body["r_factor"]
+    bad[row[(r > 100) & (r != UNAVAILABLE)]] = True
+    ok = np.zeros(len(pos), dtype=bool)
+    ok[row] = True
+    ok &= ~bad
+    keep = ok[row]
+    return ok, row[keep], body[keep]

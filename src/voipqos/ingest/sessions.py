@@ -41,16 +41,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import (
-    BadVersion,
-    DomainError,
-    MissingHeader,
-    NotSip,
-    Truncated,
-)
+from ..errors import DomainError, MissingHeader, NotSip
 from .capture import Capture, _ipv4_int
 from .codecs import CODECS, load_codec_map
-from .rtcp_xr import VoipMetricsBlock, parse_rtcp_xr
+from .rtcp_xr import XrBlocks, xr_block_columns
+from .rtcp_xr import parse_rtcp_xr  # noqa: F401 (unused; perfbench/tracer.py wraps it)
 from .rtp import RtpStream, rtp_header_columns
 from .rtp import parse_rtp  # noqa: F401 (unused; perfbench/tracer.py wraps it)
 from .sip import SipMessage, parse_sip
@@ -63,7 +58,7 @@ class CallSession:
     clock_rate: int | None
     rtp_fwd: RtpStream
     rtp_rev: RtpStream
-    xr_blocks: list[VoipMetricsBlock]
+    xr_blocks: XrBlocks  # in report-time order
     sip_dialog: list[SipMessage]
 
     @property
@@ -83,6 +78,7 @@ class _Stream(NamedTuple):
 
 
 _NO_RTP = RtpStream.from_packets([])
+_NO_XR = XrBlocks.from_blocks([])
 
 
 def _stream_order(cap: Capture, rows: np.ndarray, ssrc: np.ndarray):
@@ -211,16 +207,12 @@ def assemble_sessions(records, payload_type_map: dict[int, str] | None = None
             residue.append(i)
             continue
         dialogs.setdefault(msg.call_id, []).append(msg)
-    xr_records: list[tuple[int, list[VoipMetricsBlock]]] = []
-    for i in np.flatnonzero(rtcp).tolist():
-        try:
-            blocks = parse_rtcp_xr(cap.payload(i), float(cap.ts[i]))
-        except (Truncated, BadVersion, DomainError):
-            blocks = None
-        if blocks:
-            xr_records.append((i, blocks))
-        else:
-            residue.append(i)  # unparsable, or RTCP without VoIP metrics
+    rtcp_rows = np.flatnonzero(rtcp)
+    ok, xr_row, xr_body = xr_block_columns(
+        u8, cap.offset[rtcp_rows], cap.length[rtcp_rows]
+    )
+    # unparsable, or RTCP without VoIP metrics
+    residue += rtcp_rows[~ok].tolist()
     residue.sort()
 
     for dialog in dialogs.values():
@@ -276,29 +268,52 @@ def assemble_sessions(records, payload_type_map: dict[int, str] | None = None
             used.add(mirror.key)
         sessions.append(_build_session(f"rtp-{ssrc:08x}", s, mirror, [], pt_map))
 
-    # attach XR blocks to the session owning the reported stream, else
-    # by endpoint: RTCP rides the SDP media address and port, or port + 1
+    residue += _bind_xr(sessions, cap, rtcp_rows[xr_row], xr_body, xr_by_end)
+    sessions.sort(key=_session_start)
+    return AssemblyResult(sessions, cap.take(residue))
+
+
+def _bind_xr(sessions: list[CallSession], cap: Capture, rows: np.ndarray,
+             body: np.ndarray, xr_by_end: dict[tuple, int]) -> list[int]:
+    """Give each session its XR blocks; returns the unbound packets' rows.
+
+    ``rows`` and ``body`` are the capture row and the wire fields of each
+    block, in capture then wire order. A packet binds to the session
+    owning a reported source SSRC, else by endpoint: RTCP rides the SDP
+    media address and port, or port + 1. Among several, the first
+    session in binding order wins. One stable sort on (session, report
+    time) orders the blocks, and each session gets a slice of that table.
+    """
+    nobody = len(sessions)
     xr_by_ssrc: dict[int, int] = {}
     for pos, session in enumerate(sessions):
         for stream in (session.rtp_fwd, session.rtp_rev):
             if stream:
-                xr_by_ssrc.setdefault(stream[0].ssrc, pos)
-    for i, blocks in xr_records:
-        hits = [xr_by_ssrc[b.source_ssrc] for b in blocks
-                if b.source_ssrc in xr_by_ssrc]
-        if not hits:
-            ends = _ends(int(cap.src[i]), int(cap.sport[i]),
-                         int(cap.dst[i]), int(cap.dport[i]))
-            hits = [xr_by_end[end] for end in ends if end in xr_by_end]
-        if hits:
-            sessions[min(hits)].xr_blocks.extend(blocks)
-        else:
-            residue.append(i)
+                xr_by_ssrc.setdefault(int(stream.ssrc[0]), pos)
+    owner = np.array([xr_by_ssrc.get(ssrc, nobody)
+                      for ssrc in body["source_ssrc"].tolist()],
+                     dtype=np.int64)
+    # each packet's blocks are adjacent; take the first session of each
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    packet_owner = np.minimum.reduceat(owner, first) if len(first) else owner
+    for k in np.flatnonzero(packet_owner == nobody).tolist():
+        i = int(rows[first[k]])
+        ends = _ends(int(cap.src[i]), int(cap.sport[i]),
+                     int(cap.dst[i]), int(cap.dport[i]))
+        packet_owner[k] = min((xr_by_end[end] for end in ends
+                               if end in xr_by_end), default=nobody)
 
-    for session in sessions:
-        session.xr_blocks.sort(key=lambda b: b.report_ts)
-    sessions.sort(key=_session_start)
-    return AssemblyResult(sessions, cap.take(residue))
+    owner = np.repeat(packet_owner, np.diff(first, append=len(rows)))
+    report_ts = cap.ts[rows]
+    order = np.lexsort((report_ts, owner))
+    order = order[owner[order] < nobody]
+    table = XrBlocks(*(body[name][order] for name in body.dtype.names),
+                     report_ts[order])
+    bounds = np.searchsorted(owner[order], np.arange(nobody + 1)).tolist()
+    for session, a, b in zip(sessions, bounds, bounds[1:]):
+        if b > a:
+            session.xr_blocks = table[a:b]
+    return rows[first[packet_owner == nobody]].tolist()
 
 
 def _session_start(s: CallSession) -> float:
@@ -356,6 +371,6 @@ def _build_session(
         clock_rate=clock_rate,
         rtp_fwd=fwd.packets if fwd else _NO_RTP,
         rtp_rev=rev.packets if rev else _NO_RTP,
-        xr_blocks=[],
+        xr_blocks=_NO_XR,
         sip_dialog=dialog,
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyData, TooFewPackets
-from .ingest.rtcp_xr import UNAVAILABLE, VoipMetricsBlock
+from .ingest.rtcp_xr import UNAVAILABLE, VoipMetricsBlock, XrBlocks
 from .ingest.rtp import RtpPacket, RtpStream
 from .ingest.sip import SipMessage
 
@@ -304,27 +304,25 @@ def loss_summary(stream: RtpStream | list[RtpPacket]) -> LossSummary:
 
 
 def _xr_projection(
-    xr: list[VoipMetricsBlock], name: str, field: str, missing: int
+    xr: XrBlocks | list[VoipMetricsBlock], name: str, field: str, missing: int
 ) -> MetricSeries:
-    """Series ``name`` of block attribute ``field`` over report times.
+    """Series ``name`` of block column ``field`` over report times.
 
     Blocks whose value is ``missing`` are skipped. Blocks sharing one
     report time (one compound reporting several streams) keep only the
-    first; feed per-direction block lists to avoid that.
+    first; feed per-direction blocks to avoid that.
     """
-    times, values = [], []
-    seen = set()
-    for b in sorted(xr, key=lambda b: b.report_ts):
-        value = getattr(b, field)
-        if value == missing or b.report_ts in seen:
-            continue
-        seen.add(b.report_ts)
-        times.append(b.report_ts)
-        values.append(float(value))
-    return MetricSeries.create(name, times, values)
+    xr = XrBlocks.from_blocks(xr)
+    order = np.argsort(xr.report_ts, kind="stable")
+    times, values = xr.report_ts[order], getattr(xr, field)[order]
+    present = values != missing
+    times, values = times[present], values[present]
+    first = np.ones(len(times), dtype=bool)
+    first[1:] = times[1:] != times[:-1]
+    return MetricSeries.create(name, times[first], values[first])
 
 
-def rtt_series(xr: list[VoipMetricsBlock]) -> MetricSeries:
+def rtt_series(xr: XrBlocks | list[VoipMetricsBlock]) -> MetricSeries:
     """Round-trip delay over report times, ms; 0 ("not measured") skipped."""
     return _xr_projection(xr, "rtt", "round_trip_delay", 0)
 
@@ -334,7 +332,9 @@ def r_factor(r0: float, is_: float, id_: float, ieff: float, a: float) -> float:
     return float(min(100.0, max(0.0, r0 - is_ - id_ - ieff + a)))
 
 
-def xr_metric_series(xr: list[VoipMetricsBlock], which: str) -> MetricSeries:
+def xr_metric_series(
+    xr: XrBlocks | list[VoipMetricsBlock], which: str
+) -> MetricSeries:
     """Project r_factor or signal_level over report times; 127 skipped."""
     if which not in ("r_factor", "signal_level"):
         raise DomainError(f"which must be r_factor or signal_level, got {which!r}")

@@ -69,10 +69,12 @@ def test_assembly_parses_through_traced_bindings(tracer):
     assert len(result.sessions) == 1 and result.residue == []
     assert len(result.sessions[0].rtp_fwd) == 5
     assert result.sessions[0].rtp_fwd[4].header_len == 16
+    assert len(result.sessions[0].xr_blocks) == 1
     assert t.counts["sessions.parse_sip.calls"] == 5
-    # the CSRC list is decoded in columns too: no packet is parsed alone
+    # CSRC lists and XR blocks are decoded in columns too: no RTP or RTCP
+    # packet is parsed alone
     assert t.counts["sessions.parse_rtp.calls"] == 0
-    assert t.counts["sessions.parse_rtcp_xr.calls"] == 1
+    assert t.counts["sessions.parse_rtcp_xr.calls"] == 0
 
 
 def _synth_capture(tmp_path) -> Path:
