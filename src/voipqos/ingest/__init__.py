@@ -18,6 +18,7 @@ from .rtcp_xr import (
     VOIP_METRICS_BLOCK_TYPE,
     XR_PACKET_TYPE,
     VoipMetricsBlock,
+    XrBlocks,
     encode_voip_metrics,
     encode_xr_packet,
     parse_rtcp_xr,
@@ -45,6 +46,7 @@ __all__ = [
     "VOIP_METRICS_BLOCK_TYPE",
     "XR_PACKET_TYPE",
     "VoipMetricsBlock",
+    "XrBlocks",
     "encode_voip_metrics",
     "encode_xr_packet",
     "parse_rtcp_xr",

@@ -9,8 +9,12 @@ The work is columnar. Every record is classified at once, and every RTP
 header, CSRC list and extension included, is decoded in columns by
 ``rtp_header_columns``: no RTP packet is parsed on its own. One sort
 on (ssrc, 5-tuple, capture time) groups the streams, orders each by
-capture time and finds the repeated capture times. SIP and XR
-payloads are parsed one by one. Each stream comes out as an RtpStream.
+capture time and finds the repeated capture times. Each stream comes
+out as an RtpStream. The VoIP Metrics blocks of every RTCP payload are
+decoded in columns too, by ``xr_block_columns``; after binding, one
+sort on (session, report time) orders them into one XrBlocks table, of
+which each session gets a slice. Only SIP payloads are parsed one by
+one.
 
 Binding precedence, each step through a lookup built once:
 - dialogs, in start order, claim the unbound streams on their SDP audio

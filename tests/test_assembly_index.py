@@ -7,18 +7,22 @@ equal results (same sessions in the same order, same residue) on record
 lists built so that every binding rule and tie-break is exercised:
 shared ports, SSRCs and Call-IDs, SIP with and without SDP, XR for
 known and unknown SSRCs on media ports and port + 1, mirrored RTP-only
-pairs, equal capture times, and exact duplicates. A second property
-feeds RTP headers with CSRC lists and extensions, cut anywhere, to check
-the columnar header decode against ``parse_rtp``, which the reference
-calls packet by packet.
+pairs, equal capture times, and exact duplicates. XR arrives in RTCP
+compounds, valid or not, reporting known or unknown SSRCs. A second
+property feeds RTP headers with CSRC lists and extensions, cut anywhere,
+to check the columnar header decode against ``parse_rtp``, which the
+reference calls packet by packet. A third checks ``xr_block_columns``
+against ``parse_rtcp_xr`` payload by payload.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests import sessions_reference
+from voipqos.errors import BadVersion, DomainError, Truncated
 from voipqos.ingest import (
     PacketRecord,
     VoipMetricsBlock,
@@ -27,7 +31,9 @@ from voipqos.ingest import (
     encode_xr_packet,
     format_sip_request,
     format_sip_response,
+    parse_rtcp_xr,
 )
+from voipqos.ingest.rtcp_xr import XrBlocks, xr_block_columns
 
 ADDRS = ("10.0.0.1", "10.0.0.2")
 PORTS = (40000, 40001, 40002, 42000)
@@ -70,17 +76,66 @@ def rtp_chunk(draw):
 
 
 @st.composite
+def xr_block(draw, source_ssrcs):
+    """A VoIP Metrics block with any field bytes (r_factor mostly valid),
+    or a block of another type or length."""
+    kind = draw(st.sampled_from(("voip", "voip", "words", "type")))
+    if kind == "voip":
+        block_type, words = 7, 8
+        r = draw(st.integers(0, 100) | st.just(127) | st.integers(101, 255))
+        body = (draw(source_ssrcs).to_bytes(4, "big")
+                + draw(st.binary(min_size=16, max_size=16)) + bytes([r])
+                + draw(st.binary(min_size=11, max_size=11)))
+    else:
+        block_type = 7 if kind == "words" else draw(
+            st.integers(0, 255).filter(lambda t: t != 7))
+        words = draw(st.integers(0, 10).filter(
+            lambda w: kind == "type" or w != 8))
+        body = draw(st.binary(min_size=4 * words, max_size=4 * words))
+    return (bytes([block_type, draw(st.integers(0, 255))])
+            + words.to_bytes(2, "big") + body)
+
+
+@st.composite
+def rtcp_compound(draw, source_ssrcs=st.integers(0, 2**32 - 1)):
+    """An RTCP compound packet, cut anywhere or whole: XR packets of
+    blocks, other RTCP packets, type 207 shorter than 8 bytes, versions
+    other than 2 and length words off by one."""
+    packets = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("xr", "xr", "other", "short")))
+        if kind == "xr":
+            pt, body = 207, draw(st.binary(min_size=4, max_size=4)) + b"".join(
+                draw(st.lists(xr_block(source_ssrcs), max_size=3)))
+        elif kind == "other":
+            pt = draw(st.sampled_from((200, 201, 202, 203, 204, 205, 208)))
+            body = draw(st.integers(0, 3).flatmap(
+                lambda w: st.binary(min_size=4 * w, max_size=4 * w)))
+        else:
+            pt, body = 207, b""
+        words = max(0, len(body) // 4 + draw(st.sampled_from((0, 0, 0, -1, 1))))
+        version = draw(st.sampled_from((2, 2, 2, 2, 0, 1, 3)))
+        packets.append(bytes([version << 6 | draw(st.integers(0, 63)), pt])
+                       + words.to_bytes(2, "big") + body)
+    payload = b"".join(packets)
+    return payload[:draw(st.integers(0, len(payload)) | st.just(len(payload)))]
+
+
+@st.composite
 def xr_chunk(draw):
-    """An XR packet reporting known or unknown SSRCs, or none at all."""
-    blocks = [
-        VoipMetricsBlock(source_ssrc=ssrc, round_trip_delay=100, r_factor=90,
-                         signal_level=-10, report_ts=draw(times))
-        for ssrc in draw(st.lists(st.sampled_from(SSRCS + (0x99,)),
-                                  max_size=2))
-    ]
+    """An XR packet reporting known or unknown SSRCs, or none at all, or
+    a compound of XR and other RTCP packets, valid or not."""
     src, sport, dst, dport = draw(st.tuples(addrs, ports, addrs, ports))
-    return [_record(draw(times), src, sport, dst, dport,
-                    encode_xr_packet(0x77, blocks))]
+    if draw(st.booleans()):
+        payload = draw(rtcp_compound(st.sampled_from(SSRCS + (0x99,))))
+    else:
+        payload = encode_xr_packet(0x77, [
+            VoipMetricsBlock(source_ssrc=ssrc, round_trip_delay=100,
+                             r_factor=90, signal_level=-10)
+            for ssrc in draw(st.lists(st.sampled_from(SSRCS + (0x99,)),
+                                      max_size=2))
+        ])
+    return [_record(draw(times), src, sport, dst, dport, payload)]
 
 
 @st.composite
@@ -185,3 +240,52 @@ def test_mirrored_pairs_form_one_session_each():
     ]
     assert all(len(s.rtp_fwd) == len(s.rtp_rev) == 3 for s in result.sessions)
     assert result.residue == []
+
+
+def _reference_blocks(payload: bytes) -> list[VoipMetricsBlock]:
+    try:
+        return parse_rtcp_xr(payload, 0.0)
+    except (Truncated, BadVersion, DomainError):
+        return []
+
+
+def _column_blocks(payloads: list[bytes]) -> list[list[VoipMetricsBlock]]:
+    """Each payload's blocks through ``xr_block_columns``; [] if refused.
+
+    The payloads sit in one buffer, each after a filler byte.
+    """
+    buf = b"".join(b"\xff" + p for p in payloads)
+    length = np.array([len(p) for p in payloads], dtype=np.int64)
+    pos = np.cumsum(length + 1) - length
+    ok, row, body = xr_block_columns(np.frombuffer(buf, dtype=np.uint8),
+                                     pos, length)
+    assert sorted(set(row.tolist())) == np.flatnonzero(ok).tolist()
+    blocks = XrBlocks(*(body[name] for name in body.dtype.names),
+                      np.zeros(len(row)))
+    out = [[] for _ in payloads]
+    for k, block in zip(row.tolist(), blocks):
+        out[k].append(block)
+    return out
+
+
+@given(payloads=st.lists(rtcp_compound(), min_size=1, max_size=5))
+@settings(max_examples=500)
+def test_xr_block_columns_equal_reference(payloads):
+    assert _column_blocks(payloads) == [_reference_blocks(p) for p in payloads]
+
+
+def test_xr_block_columns_every_cut_equals_reference():
+    rr = bytes([0x81, 201, 0, 1]) + bytes(4)
+    other = bytes([4, 0, 0, 2]) + bytes(8)
+    blocks = [VoipMetricsBlock(source_ssrc=0x11, signal_level=-40,
+                               noise_level=-128, r_factor=100),
+              VoipMetricsBlock(source_ssrc=0x22, round_trip_delay=0xFFFF)]
+    xr = encode_xr_packet(0x77, blocks[:1])
+    xr2 = encode_xr_packet(0x77, blocks[1:])
+    xr2 = xr2[:2] + (int.from_bytes(xr2[2:4], "big") + 3).to_bytes(2, "big") \
+        + xr2[4:8] + other + xr2[8:]
+    compound = rr + xr + xr2 + rr
+    payloads = [compound[:cut] for cut in range(len(compound) + 1)]
+    got = _column_blocks(payloads)
+    assert got == [_reference_blocks(p) for p in payloads]
+    assert [b.source_ssrc for b in got[-1]] == [0x11, 0x22]
