@@ -80,7 +80,11 @@ class GevFit:
         elif self.regime is FitRegime.UNRELIABLE:
             out.append("shape <= -1: maximum-likelihood estimation unreliable")
         if not self.converged:
-            out.append("iteration budget exhausted before the step tolerance")
+            out.append(
+                "no maximum: the likelihood is unbounded at shape <= -1"
+                if self.params.xi <= -1.0
+                else "iteration budget exhausted before the step tolerance"
+            )
         return out
 
     def to_json_dict(self) -> dict:
@@ -124,6 +128,16 @@ def _ks_sorted(z: np.ndarray, cdf: Callable) -> float:
     return float(np.max(np.maximum(np.abs(hi - d), np.abs(lo - d))))
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of ``a * b`` over two 1-D arrays, whatever the BLAS thread count.
+
+    ``a @ b`` calls BLAS ddot, which splits a long sum across its
+    threads, so its last digits follow ``OPENBLAS_NUM_THREADS``;
+    ``einsum`` sums in one fixed order.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 def _moment_init(z: np.ndarray) -> np.ndarray:
     s = float(np.std(z, ddof=1))
     sigma0 = s * math.sqrt(6.0) / math.pi
@@ -154,8 +168,8 @@ def _pwm_init(z: np.ndarray) -> np.ndarray | None:
     n = z.size
     j = np.arange(n, dtype=float)
     b0 = float(np.mean(z))
-    b1 = float(j @ z) / (n * (n - 1.0))
-    b2 = float((j * (j - 1.0)) @ z) / (n * (n - 1.0) * (n - 2.0))
+    b1 = dot(j, z) / (n * (n - 1.0))
+    b2 = dot(j * (j - 1.0), z) / (n * (n - 1.0) * (n - 2.0))
     # L-scale and (l3 + 3 l2) / 2: positive, unless the sums cancel
     l2, den = 2.0 * b1 - b0, 3.0 * b2 - b0
     if not (l2 > 0.0 and den > 0.0):
@@ -235,7 +249,7 @@ def loc_scale_derivs(n: int, scale: float, y: np.ndarray, d1, d2):
     chain rule.
     """
     s1, s2 = float(np.sum(d1)), float(np.sum(d2))
-    yd1, yd2, yyd2 = float(y @ d1), float(y @ d2), float((y * y) @ d2)
+    yd1, yd2, yyd2 = dot(y, d1), dot(y, d2), dot(y * y, d2)
     g = np.array([-s1, -(n + yd1)]) / scale
     hess = np.array([[s2, s1 + yd2], [s1 + yd2, n + 2.0 * yd1 + yyd2]])
     return g, hess / (scale * scale)
@@ -267,17 +281,17 @@ def _gev_derivs(theta: np.ndarray, z: np.ndarray):
         d2 *= 1.0 + xi
         d2 *= ia
         d2 *= ia
-        g_x = float(u @ om1) - sum_om  # sum of dg/dxi = -om + u om1
+        g_x = dot(u, om1) - sum_om  # sum of dg/dxi = -om + u om1
         # sum of d2g/dxi2 = -2 om1 - t om1^2 + u om2
         tom1 = t * om1
-        g_xx = -2.0 * float(np.sum(om1)) - float(tom1 @ om1) + float(u @ om2)
+        g_xx = -2.0 * float(np.sum(om1)) - dot(tom1, om1) + dot(u, om2)
         # minus d2g/dxi dw = (t om1 + 1 + u w / a) / a
         neg_g_xw = tom1
         neg_g_xw += 1.0
         neg_g_xw += np.multiply(w, d1, out=t)
         neg_g_xw *= ia
         g_ls, h_ls = loc_scale_derivs(z.size, sigma, w, d1, d2)
-        cross = np.array([float(np.sum(neg_g_xw)), float(w @ neg_g_xw)]) / sigma
+        cross = np.array([float(np.sum(neg_g_xw)), dot(w, neg_g_xw)]) / sigma
     grad = np.array([g_x, g_ls[1], g_ls[0]])
     hess = np.empty((3, 3))
     hess[0, 0] = g_xx
@@ -402,7 +416,10 @@ def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
     :func:`maximize` then runs with ``tol`` and ``max_iter``.
 
     Raises :class:`NotConverged` (carrying the best fit reached) when the
-    iteration budget runs out; the carried fit has ``converged=False``.
+    iteration budget runs out, or when the fit ends at ``xi <= -1``: there
+    the likelihood is unbounded as the upper endpoint ``mu + sigma/|xi|``
+    approaches the sample maximum (Smith 1985), so the point reached is no
+    maximum. The carried fit has ``converged=False``.
     """
     z = np.sort(np.asarray(data, dtype=float).ravel())
     if z.size < MIN_FIT_POINTS:
@@ -444,6 +461,7 @@ def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
     theta, ll, iterations, converged = maximize(
         f, derivs, theta, tol, max_iter, start)
     params = GevParams(xi=float(theta[0]), sigma=float(theta[1]), mu=float(theta[2]))
+    bounded = params.xi > -1.0
     tail, regime = classify(params)
     fit = GevFit(
         params=params,
@@ -453,9 +471,15 @@ def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
         tail=tail,
         regime=regime,
         iterations=iterations,
-        converged=converged,
+        converged=converged and bounded,
         n=int(z.size),
     )
+    if not bounded:
+        raise NotConverged(
+            f"no maximum: xi reached {params.xi:.6g} <= -1, where the GEV "
+            "likelihood is unbounded",
+            fit=fit,
+        )
     if not converged:
         raise NotConverged(
             f"no convergence within {max_iter} iterations (loglik {ll:.6g})",

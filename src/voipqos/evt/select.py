@@ -34,6 +34,7 @@ from .fit import (
     _EULER_GAMMA,
     MIN_FIT_POINTS,
     GevFit,
+    dot,
     fit_gev_mle,
     loc_scale_derivs,
     maximize,
@@ -308,8 +309,8 @@ def _fit_weibull(z):
         c = theta[0]
         e = np.exp(c * lm)
         w = e / np.sum(e)
-        m1 = float(w @ lm)
-        var = float(w @ (lm - m1) ** 2)
+        m1 = dot(w, lm)
+        var = dot(w, (lm - m1) ** 2)
         return (np.array([n / c - n * m1 + sum_lm]),
                 np.array([[-n / (c * c) - n * var]]))
 

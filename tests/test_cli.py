@@ -6,12 +6,16 @@ are exercised exactly as a shell user would see them.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import voipqos
 import voipqos.cli.analyze as analyze_module
 from voipqos.cli import (
     AnalysisConfig,
@@ -547,6 +551,26 @@ class TestFit:
         path.write_text("\n".join(f"{float(v)!r}" for v in vals) + "\n\n\n")
         assert entrypoint(["fit", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 30
+
+    def test_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # BLAS splits long dot products across its threads, in an order
+        # that depends on their count; the report must not
+        vals = gev_sample(GevParams(*JITTER_MODELS["G711-A"][:3]), 30_000,
+                          seed=7)
+        path = tmp_path / "vals.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in vals))
+        src = str(Path(voipqos.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            outs.append(subprocess.run(
+                [sys.executable, "-m", "voipqos.cli", "fit", "--input",
+                 str(path), "--target", "jitter"],
+                capture_output=True, env=env, check=True,
+            ).stdout)
+        assert json.loads(outs[0])["n"] == 30_000
+        assert outs[0] == outs[1]
 
 
 class TestReport:

@@ -1,5 +1,6 @@
 """Maximum-likelihood GEV fitting."""
 
+import logging
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from voipqos import (
     fit_gev_mle,
     gev_loglik,
     gev_sample,
+    select_model,
 )
 from tests.gev_models import JITTER_MODELS, RTT_MODELS
 from voipqos.evt import fit as fit_module
@@ -173,6 +175,22 @@ class TestFitReport:
 
 
 class TestFailureModes:
+    def test_fit_ending_at_xi_le_minus_one_is_not_converged(self, caplog):
+        # the likelihood is unbounded for xi <= -1, so the point where the
+        # Newton steps get small is no maximum
+        z = gev_sample(GevParams(-0.6, 1.0, 0.0), 40, seed=5)
+        with pytest.raises(NotConverged) as info:
+            fit_gev_mle(z)
+        fit = info.value.fit
+        assert fit.params.xi <= -1.0
+        assert fit.converged is False
+        assert any("unbounded" in note for note in fit.notes())
+        with caplog.at_level(logging.DEBUG, logger="voipqos.evt.select"):
+            ranked = {f.family for f in select_model(z)}
+        assert "GEV" not in ranked and ranked
+        assert any("excluding GEV: no maximum" in r.getMessage()
+                   for r in caplog.records)
+
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             fit_gev_mle(np.arange(19, dtype=float))
