@@ -21,10 +21,10 @@ import json
 import sys
 from pathlib import Path
 
-from ..errors import NotConverged, VoipQosError
+from ..errors import VoipQosError
 from ..evt import check_families, fit_gev_mle, select_model
 from ..ingest.codecs import load_codec_map
-from .analyze import AnalysisConfig, analyze_capture
+from .analyze import AnalysisConfig, _gev_entry, analyze_capture
 from .report import merge_reports
 from .synth import load_scenario, synth_to_file
 
@@ -119,22 +119,18 @@ def _read_values(path: str):
 def _cmd_fit(args) -> int:
     values = _read_values(args.input)
     ranking = select_model(values, _parse_candidates(args.candidates))
-    # a ranked GEV entry already carries the fit
-    gev = next((f.gev for f in ranking if f.family == "GEV"), None)
-    if gev is not None:
-        gev_detail = gev.to_json_dict()
-    else:
+    # the ranking carries its GEV fit, also one it could not rank
+    gev = ranking.gev or ranking.excluded.get("GEV")
+    if gev is None:
         try:
-            gev_detail = fit_gev_mle(values).to_json_dict()
-        except NotConverged as exc:
-            gev_detail = exc.fit.to_json_dict()
+            gev = fit_gev_mle(values)
         except (VoipQosError, ValueError) as exc:
-            gev_detail = {"skipped": f"fit failed: {exc}"}
+            gev = exc
     report = {
         "target": args.target,
         "n": len(values),
         "ranking": [f.to_json_dict() for f in ranking],
-        "gev": gev_detail,
+        "gev": _gev_entry(gev),
     }
     return _emit(report, args.out, "fit report")
 

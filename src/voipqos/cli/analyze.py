@@ -5,6 +5,16 @@ dict plus every export file as text, and ``analyze_capture`` only then
 touches the filesystem. Everything is deterministic for fixed inputs,
 so two runs produce byte-identical output trees.
 
+``analyze_capture`` fits the sessions' GEVs in blocks. While it builds
+and writes a block's sessions, their fits wait in a :class:`_FitBatch`
+and their reports leave the ``fits`` entries empty. Once the block's
+samples hold :data:`BLOCK_FIT_VALUES` values, one batched Newton run
+(:func:`~voipqos.evt.fit_gev_batch`) fits them all and fills the
+entries in, and the block's report.json files are written. A fit comes
+out as ``fit_gev_batch`` gives it for the sample alone, so the block
+bounds only the memory that waiting reports hold. With ``candidates``,
+each sample is ranked by ``select_model`` at once, session by session.
+
 Each artifact is written once (report schema version 2): units and the
 sigma_j/RTT quantiles live in report.json, samples in the series CSVs,
 which also rebuild the PCA scores that pca.json leaves out.
@@ -14,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +37,13 @@ from ..errors import (
     VoipQosError,
     ZeroVariance,
 )
-from ..evt import MIN_FIT_POINTS, check_families, fit_gev_mle, select_model
+from ..evt import (
+    MIN_FIT_POINTS,
+    check_families,
+    fit_gev_batch,
+    fit_gev_mle,
+    select_model,
+)
 from ..ingest.capture import Capture, parse_jsonl, parse_pcap
 from ..ingest.codecs import load_codec_map
 from ..ingest.rtcp_xr import XrBlocks
@@ -47,6 +64,9 @@ from ..stats import bivariate_hist, empirical_cdf, pca
 SCHEMA_VERSION = 2
 #: p = 0, 0.05, ..., 1 for the sigma_j and RTT quantiles in report.json
 QUANTILE_PROBS = np.linspace(0.0, 1.0, 21)
+#: a block of sessions is fitted once its GEV samples hold this many
+#: values; one paper-scale call fills a block alone
+BLOCK_FIT_VALUES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -104,25 +124,65 @@ def _series_summary(series: MetricSeries) -> dict:
     return summary
 
 
+def _gev_entry(outcome) -> dict:
+    """Report entry of a GEV fit, or of the error that fitting raised."""
+    if isinstance(outcome, NotConverged):
+        outcome = outcome.fit  # best iterate, reported with converged=false
+    elif isinstance(outcome, (VoipQosError, ValueError)):
+        return {"skipped": f"fit failed: {outcome}"}
+    return outcome.to_json_dict()
+
+
+class _FitBatch:
+    """GEV fits deferred to one :func:`fit_gev_batch` run.
+
+    ``add`` returns an empty report entry, which ``run`` fills in.
+    """
+
+    def __init__(self):
+        self.samples: list = []
+        self.entries: list[dict] = []
+        self.n_values = 0
+
+    def add(self, values: np.ndarray) -> dict:
+        self.samples.append(values)
+        self.entries.append({})
+        self.n_values += len(values)
+        return self.entries[-1]
+
+    def run(self) -> None:
+        for entry, outcome in zip(self.entries, fit_gev_batch(self.samples)):
+            entry.update(_gev_entry(outcome))
+        self.samples, self.entries, self.n_values = [], [], 0
+
+
+# set while analyze_capture builds a block: its fits wait for the block
+_pending_fits: ContextVar[_FitBatch | None] = ContextVar("pending_fits",
+                                                         default=None)
+
+
+def _fit_single(values: np.ndarray):
+    """``fit_gev_mle(values)``, or the error it raised."""
+    try:
+        return fit_gev_mle(values)
+    except (VoipQosError, ValueError) as exc:
+        return exc
+
+
 def _fit_entry(values: np.ndarray, ranked_families: tuple | None) -> dict:
     if len(values) < MIN_FIT_POINTS:
         return {"skipped": f"need >= {MIN_FIT_POINTS} values, have {len(values)}"}
-    ranking = fit = None
     if ranked_families is not None:
         ranking = select_model(values, ranked_families)
-        # a ranked GEV entry already carries the fit
-        fit = next((f.gev for f in ranking if f.family == "GEV"), None)
-    if fit is None:
-        try:
-            fit = fit_gev_mle(values)
-        except NotConverged as exc:
-            fit = exc.fit  # best iterate, reported with converged=false
-        except (VoipQosError, ValueError) as exc:
-            return {"skipped": f"fit failed: {exc}"}
-    entry = fit.to_json_dict()
-    if ranking is not None:
+        # the ranking carries its GEV fit, also one it could not rank
+        entry = _gev_entry(ranking.gev or ranking.excluded.get("GEV")
+                           or _fit_single(values))
         entry["ranking"] = [f.to_json_dict() for f in ranking]
-    return entry
+        return entry
+    batch = _pending_fits.get()
+    if batch is None:
+        return _gev_entry(_fit_single(values))
+    return batch.add(values)
 
 
 def _session_span(session: CallSession) -> tuple[float, float]:
@@ -289,20 +349,36 @@ def analyze_capture(config: AnalysisConfig) -> tuple[list, int, list]:
     out_root.mkdir(parents=True, exist_ok=True)
     reports, failures = [], []
     taken: set = set()
-    for session in sessions:
-        try:
-            report, files = build_session_report(session, config)
-        except VoipQosError as exc:
-            failures.append((session.session_id, str(exc)))
-            continue
-        dir_name = _safe_dir_name(report["session"]["id"], taken)
-        report["session"]["directory"] = dir_name
-        session_dir = out_root / dir_name
-        session_dir.mkdir(parents=True, exist_ok=True)
-        for name, content in files.items():
-            (session_dir / name).write_text(content)
-        (session_dir / "report.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n"
-        )
-        reports.append(report)
+    waiting: list = []  # (report, directory) of the block, fits pending
+    batch = _FitBatch()
+
+    def finish_block() -> None:
+        batch.run()
+        for report, session_dir in waiting:
+            (session_dir / "report.json").write_text(
+                json.dumps(report, sort_keys=True, indent=2) + "\n"
+            )
+            reports.append(report)
+        waiting.clear()
+
+    token = _pending_fits.set(batch)
+    try:
+        for session in sessions:
+            try:
+                report, files = build_session_report(session, config)
+            except VoipQosError as exc:
+                failures.append((session.session_id, str(exc)))
+                continue
+            dir_name = _safe_dir_name(report["session"]["id"], taken)
+            report["session"]["directory"] = dir_name
+            session_dir = out_root / dir_name
+            session_dir.mkdir(parents=True, exist_ok=True)
+            for name, content in files.items():
+                (session_dir / name).write_text(content)
+            waiting.append((report, session_dir))
+            if batch.n_values >= BLOCK_FIT_VALUES:
+                finish_block()
+        finish_block()
+    finally:
+        _pending_fits.reset(token)
     return reports, set_aside, failures

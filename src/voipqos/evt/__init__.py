@@ -1,6 +1,6 @@
 """Extreme-value mathematics: GEV evaluators, MLE fitting, model selection."""
 
-from .fit import MIN_FIT_POINTS, GevFit, fit_gev_mle, ks_distance
+from .fit import MIN_FIT_POINTS, GevFit, fit_gev_batch, fit_gev_mle, ks_distance
 from .gev import (
     XI_EPS,
     FitRegime,
@@ -15,7 +15,13 @@ from .gev import (
     gev_quantile,
     gev_sample,
 )
-from .select import FamilyFit, check_families, default_candidates, select_model
+from .select import (
+    FamilyFit,
+    Ranking,
+    check_families,
+    default_candidates,
+    select_model,
+)
 
 __all__ = [
     "MIN_FIT_POINTS",
@@ -24,11 +30,13 @@ __all__ = [
     "FitRegime",
     "GevFit",
     "GevParams",
+    "Ranking",
     "TailClass",
     "TailKind",
     "check_families",
     "classify",
     "default_candidates",
+    "fit_gev_batch",
     "fit_gev_mle",
     "gev_cdf",
     "gev_logpdf",

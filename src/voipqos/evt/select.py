@@ -17,7 +17,8 @@ engine of :mod:`.fit`:
 
 Families whose fit fails on the given data (wrong support, no interior
 maximum, non-finite likelihood) are excluded from the ranking rather
-than aborting it.
+than aborting it; the ranking keeps the reason, and the GEV fit that was
+reached when GEV is excluded.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from ..errors import DomainError, NotConverged, TooFewPoints, VoipQosError
+from ..errors import DomainError, TooFewPoints, VoipQosError
 from .fit import (
     _EULER_GAMMA,
     MIN_FIT_POINTS,
@@ -215,10 +216,7 @@ def _require_converged(name: str, converged: bool) -> None:
 
 
 def _fit_gev(z):
-    try:
-        fit = fit_gev_mle(z)
-    except NotConverged as exc:
-        raise ValueError(str(exc)) from exc
+    fit = fit_gev_mle(z)  # NotConverged excludes GEV, and carries its fit
     p = fit.params
     return {"xi": p.xi, "sigma": p.sigma, "mu": p.mu}, fit
 
@@ -474,7 +472,31 @@ def check_families(names: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
-def select_model(data, families: Iterable[str] | None = None) -> list[FamilyFit]:
+class Ranking(list):
+    """:class:`FamilyFit` entries in ranking order.
+
+    ``excluded`` maps each family left out to the error that excluded it.
+    """
+
+    def __init__(self, fits=(), excluded: dict | None = None):
+        super().__init__(fits)
+        self.excluded = dict(excluded or {})
+
+    @property
+    def gev(self) -> GevFit | None:
+        """The GEV fit the ranking made, also when it could not rank it.
+
+        A GEV fit that did not converge is carried by the error that
+        excluded it; ``None`` when GEV was no candidate or no fit was
+        reached.
+        """
+        for fit in self:
+            if fit.family == "GEV":
+                return fit.gev
+        return getattr(self.excluded.get("GEV"), "fit", None)
+
+
+def select_model(data, families: Iterable[str] | None = None) -> Ranking:
     """Rank the named families (default: all ten) on ``data`` by BIC.
 
     Ties break toward fewer parameters, then lexicographic family name.
@@ -488,6 +510,7 @@ def select_model(data, families: Iterable[str] | None = None) -> list[FamilyFit]
         )
     n = int(z.size)
     fits: list[FamilyFit] = []
+    excluded: dict = {}
     for name in families:
         family = _FITTERS[name]
         try:
@@ -498,6 +521,7 @@ def select_model(data, families: Iterable[str] | None = None) -> list[FamilyFit]
                 raise ValueError("non-finite log-likelihood")
         except _EXCLUDING as exc:
             log.debug("excluding %s: %s", name, exc)
+            excluded[name] = exc
             continue
         fits.append(
             FamilyFit(
@@ -511,4 +535,4 @@ def select_model(data, families: Iterable[str] | None = None) -> list[FamilyFit]
             )
         )
     fits.sort(key=lambda f: (f.bic, f.k, f.family))
-    return fits
+    return Ranking(fits, excluded)

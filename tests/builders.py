@@ -128,10 +128,12 @@ def basic_dialog(
     if hosts is None:
         return records
     caller, callee = hosts
-    return [
-        dataclasses.replace(r, payload=r.payload.replace(
-            b"c=IN IP4 0.0.0.0",
-            b"c=IN IP4 " + (caller if r.src_addr == A_ADDR else callee).encode(),
-        ))
-        for r in records
-    ]
+    return [with_sdp_address(r, caller if r.src_addr == A_ADDR else callee)
+            for r in records]
+
+
+def with_sdp_address(record: PacketRecord, address: str) -> PacketRecord:
+    """``record`` with its SDP ``c=`` line, if any, naming ``address``
+    instead of 0.0.0.0."""
+    return dataclasses.replace(record, payload=record.payload.replace(
+        b"c=IN IP4 0.0.0.0", b"c=IN IP4 " + address.encode()))

@@ -4,15 +4,21 @@ A verbatim copy of ``assemble_sessions`` and its helpers from the
 scan-based implementation (every dialog scans every stream, mirror
 pairing is a nested loop, and each XR packet walks every session). The
 tests compare the indexed version against it record list by record list.
-Only the imports and one rule differ. The result types come from the
+Only the imports and two rules differ. The result types come from the
 package, so the two outputs compare equal field by field. The duplicate
 test marks a packet by its capture time alone, not by (seq, capture
 time), which is the package's tie rule: a later packet of a stream with
-an earlier packet's capture time is residue.
+an earlier packet's capture time is residue. And an SDP endpoint is the
+(address, port) of the ``c=`` and ``m=audio`` lines, the package's
+binding rule, wherever the copy matched ports alone: dialogs claiming
+streams, the direction contest and the XR fallback (``_sdp_end`` and
+``_at``). Without a usable IPv4 address (none, not IPv4, or 0.0.0.0)
+the port alone matches, as before.
 """
 
 from __future__ import annotations
 
+import ipaddress
 from typing import NamedTuple
 
 from voipqos.errors import (
@@ -57,14 +63,29 @@ def _classify(rec: PacketRecord):
         return None
 
 
-def _dialog_ports(dialog: list[SipMessage]) -> dict[str, int | None]:
-    """Caller media port (first INVITE SDP) and callee port (its 200)."""
+def _sdp_end(msg: SipMessage) -> tuple[str | None, int]:
+    """(address, port) of the message's SDP audio stream; the address is
+    None when it is no usable IPv4 address."""
+    try:
+        addr = ipaddress.IPv4Address(msg.media_addr or "")
+    except ValueError:
+        return None, msg.media_port
+    return (str(addr) if int(addr) else None), msg.media_port
+
+
+def _at(end: tuple | None, addr: str, port: int) -> bool:
+    """Is (addr, port) the SDP endpoint ``end``?"""
+    return end is not None and end[1] == port and end[0] in (None, addr)
+
+
+def _dialog_ports(dialog: list[SipMessage]) -> dict[str, tuple | None]:
+    """Caller media endpoint (first INVITE SDP) and callee's (its 200)."""
     caller = callee = None
     invite_cseq = None
     for msg in dialog:
         if msg.kind == "request" and msg.method_or_status == "INVITE":
             if caller is None and msg.media_port is not None:
-                caller = msg.media_port
+                caller = _sdp_end(msg)
             if invite_cseq is None:
                 invite_cseq = msg.cseq
         elif (
@@ -75,7 +96,7 @@ def _dialog_ports(dialog: list[SipMessage]) -> dict[str, int | None]:
             and callee is None
             and msg.media_port is not None
         ):
-            callee = msg.media_port
+            callee = _sdp_end(msg)
     return {"caller": caller, "callee": callee}
 
 
@@ -136,7 +157,9 @@ def assemble_sessions(
             s
             for s in ordered_streams
             if s.key not in bound
-            and (s.record.dst_port in port_set or s.record.src_port in port_set)
+            and any(_at(end, s.record.dst_addr, s.record.dst_port)
+                    or _at(end, s.record.src_addr, s.record.src_port)
+                    for end in port_set)
         ]
         fwd, rev = _pick_directions(mine, ports)
         for s in mine:
@@ -203,9 +226,9 @@ def _pick_directions(mine: list[_Stream], ports: dict):
     fwd = rev = None
     callee, caller = ports.get("callee"), ports.get("caller")
     for s in mine:
-        if callee is not None and s.record.dst_port == callee and fwd is None:
+        if _at(callee, s.record.dst_addr, s.record.dst_port) and fwd is None:
             fwd = s
-        elif caller is not None and s.record.dst_port == caller and rev is None:
+        elif _at(caller, s.record.dst_addr, s.record.dst_port) and rev is None:
             rev = s
     for s in mine:
         if s is fwd or s is rev:
@@ -259,7 +282,8 @@ def _find_xr_session(
         candidates = set()
         for v in ports.values():
             if v is not None:
-                candidates |= {v, v + 1}
-        if rec.src_port in candidates or rec.dst_port in candidates:
+                candidates |= {v, (v[0], v[1] + 1)}
+        if any(_at(end, rec.src_addr, rec.src_port)
+               or _at(end, rec.dst_addr, rec.dst_port) for end in candidates):
             return session
     return None

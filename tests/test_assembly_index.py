@@ -5,8 +5,9 @@ lookups built once; ``tests/sessions_reference.py`` keeps the earlier
 implementation that rescanned every stream and session. Both must give
 equal results (same sessions in the same order, same residue) on record
 lists built so that every binding rule and tie-break is exercised:
-shared ports, SSRCs and Call-IDs, SIP with and without SDP, XR for
-known and unknown SSRCs on media ports and port + 1, mirrored RTP-only
+shared ports, SSRCs and Call-IDs, SIP with and without SDP, SDP
+addresses of the hosts, of other hosts or unusable, XR for known and
+unknown SSRCs on media ports and port + 1, mirrored RTP-only
 pairs, equal capture times, and exact duplicates. XR arrives in RTCP
 compounds, valid or not, reporting known or unknown SSRCs. A second
 property feeds RTP headers with CSRC lists and extensions, cut anywhere,
@@ -21,7 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests import sessions_reference
+from tests import builders, sessions_reference
 from voipqos.errors import BadVersion, DomainError, Truncated
 from voipqos.ingest import (
     PacketRecord,
@@ -45,6 +46,10 @@ times = st.integers(0, 30).map(lambda k: k * 0.25)
 addrs = st.sampled_from(ADDRS)
 ports = st.sampled_from(PORTS)
 ssrcs = st.sampled_from(SSRCS)
+# SDP c= addresses: the hosts, one that sends nothing, and ones that
+# leave the port alone to bind (0.0.0.0, not IPv4); None keeps 0.0.0.0
+sdp_addrs = st.sampled_from(ADDRS + ("10.0.0.3", "0.0.0.0", "999.0.0.1")) \
+    | st.none()
 
 
 def _record(ts, src, sport, dst, dport, payload) -> PacketRecord:
@@ -157,7 +162,10 @@ def sip_chunk(draw):
         payload = format_sip_response(
             status, "X", call_id, cseq, method, media_port=media_port
         )
-    return [_record(draw(times), draw(addrs), 5060, draw(addrs), 5060, payload)]
+    record = _record(draw(times), draw(addrs), 5060, draw(addrs), 5060, payload)
+    address = draw(sdp_addrs)
+    return [record if address is None
+            else builders.with_sdp_address(record, address)]
 
 
 junk_chunk = st.builds(

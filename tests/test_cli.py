@@ -16,22 +16,34 @@ import numpy as np
 import pytest
 
 import voipqos
+import voipqos.cli as cli_module
 import voipqos.cli.analyze as analyze_module
+import voipqos.evt.select as select_module
 from voipqos.cli import (
     AnalysisConfig,
     entrypoint,
     load_scenario,
     synth_to_file,
 )
-from voipqos.errors import BadSpec, DomainError, VoipQosError
-from voipqos.evt import GevParams, check_families, gev_sample, select_model
+from voipqos.errors import BadSpec, DomainError, NotConverged, VoipQosError
+from voipqos.evt import (
+    GevParams,
+    check_families,
+    fit_gev_batch,
+    fit_gev_mle,
+    gev_sample,
+    select_model,
+)
 from voipqos.ingest import (
     PacketRecord,
+    VoipMetricsBlock,
     encode_rtp,
+    encode_xr_packet,
     parse_pcap,
     write_jsonl,
     write_pcap,
 )
+from voipqos.metrics import MetricSeries
 
 from . import builders
 from .gev_models import JITTER_MODELS, RTT_MODELS
@@ -169,6 +181,52 @@ def out_dir(tmp_path_factory):
                            "--out", str(tmp / "out"),
                            "--scenario", tag]) == 0
     return tmp / "out"
+
+
+def _call_records(k: int) -> tuple[list, list]:
+    """Call ``k`` of a multi-call capture, on ports and an SSRC of its own:
+    150 RTP packets with GEV delays and 25 XR reports of GEV round-trip
+    delays. Returns (records, the XR delays in ms)."""
+    t0 = 1.0 + 0.4 * k
+    caller, callee, ssrc = 40000 + 10 * k, 42000 + 10 * k, 0xA000 + k
+    records = builders.basic_dialog(
+        f"call-{k}", invite_ts=t0, ringing_ts=t0 + 0.2, answer_ts=t0 + 0.4,
+        bye_ts=t0 + 4.0, bye_ok_ts=t0 + 4.1,
+        caller_port=caller, callee_port=callee,
+    )
+    delay = gev_sample(GevParams(-0.1, 1.8, 7.3), 150, seed=k) / 1000.0
+    records += [PacketRecord(
+        t0 + 0.5 + 0.02 * i + delay[i], builders.A_ADDR, builders.B_ADDR,
+        caller, callee, "udp", encode_rtp(8, i, 160 * i, ssrc, b"\x00" * 160),
+    ) for i in range(150)]
+    rtt = np.maximum(np.rint(gev_sample(GevParams(0.2, 12.0, 124.0), 25,
+                                        seed=100 + k)), 1.0)
+    for j, d in enumerate(rtt.tolist()):
+        ts = t0 + 0.55 + 0.12 * j
+        block = VoipMetricsBlock(source_ssrc=ssrc, round_trip_delay=int(d),
+                                 r_factor=90, signal_level=-12, report_ts=ts)
+        records.append(PacketRecord(
+            ts, builders.B_ADDR, builders.A_ADDR, callee + 1, caller + 1,
+            "udp", encode_xr_packet(0x2222, [block]),
+        ))
+    return records, rtt.tolist()
+
+
+@pytest.fixture(scope="module")
+def calls_capture(tmp_path_factory):
+    """Five overlapping calls in one pcap, and each call's XR delays."""
+    records, delays = [], {}
+    for k in range(5):
+        call, delays[f"call-{k}"] = _call_records(k)
+        records += call
+    path = tmp_path_factory.mktemp("calls") / "calls.pcap"
+    path.write_bytes(write_pcap(sorted(records, key=lambda r: r.ts)))
+    return path, delays
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestAnalyze:
@@ -481,7 +539,107 @@ class TestAnalyze:
         assert dirs == ["alpha", "beta"]
 
 
+    def test_output_does_not_depend_on_blas_threads(self, calls_capture,
+                                                     tmp_path):
+        # no sum of the batched fits may go through BLAS, which splits
+        # long sums across its threads
+        src = str(Path(voipqos.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "voipqos.cli", "analyze", "--input",
+                 str(calls_capture[0]), "--out", str(tmp_path / threads)],
+                capture_output=True, env=env, check=True,
+            )
+        one = _tree(tmp_path / "1")
+        assert sum(name.endswith("report.json") for name in one) == 5
+        assert one == _tree(tmp_path / "2")
+
+    def test_summaries_are_the_per_session_ones(self, calls_capture,
+                                                tmp_path):
+        # perfbench/checker.py compares metrics.rtt.mean with the mean of
+        # the call's XR delays exactly; the other summary fields are the
+        # per-session _series_summary of the series CSVs
+        path, delays = calls_capture
+        assert entrypoint(["analyze", "--input", str(path),
+                           "--out", str(tmp_path)]) == 0
+        for call_id, rtt in delays.items():
+            report = json.loads((tmp_path / call_id / "report.json").read_text())
+            want = float(np.mean(np.asarray(rtt, dtype=float)))
+            assert report["metrics"]["rtt"]["mean"] == want
+            for name, summary in report["metrics"].items():
+                t, v = np.loadtxt(tmp_path / call_id / summary["csv"],
+                                  delimiter=",", skiprows=1, ndmin=2).T
+                series = MetricSeries.create(name, t, v)
+                assert summary == analyze_module._series_summary(series), name
+
+    def test_fits_do_not_depend_on_the_block(self, calls_capture, tmp_path,
+                                             monkeypatch):
+        # every session in one batch, or each in a batch of its own: the
+        # same bytes, and each fit is fit_gev_batch's of the sample alone
+        path = str(calls_capture[0])
+        assert entrypoint(["analyze", "--input", path,
+                           "--out", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(analyze_module, "BLOCK_FIT_VALUES", 1)
+        assert entrypoint(["analyze", "--input", path,
+                           "--out", str(tmp_path / "each")]) == 0
+        assert _tree(tmp_path / "one") == _tree(tmp_path / "each")
+        report = json.loads(
+            (tmp_path / "one" / "call-2" / "report.json").read_text())
+        _, v = np.loadtxt(tmp_path / "one" / "call-2" / "jitter.csv",
+                          delimiter=",", skiprows=1).T
+        (fit,) = fit_gev_batch([v])
+        assert report["fits"]["jitter"] == json.loads(
+            json.dumps(fit.to_json_dict()))
+
+    def test_excluded_gev_is_fitted_once(self, monkeypatch):
+        calls = _count_gev_fits(monkeypatch, analyze_module)
+        # xi reaches -1 on this sample, so the ranking excludes GEV
+        z = gev_sample(GevParams(-0.6, 1.0, 0.0), 40, seed=5)
+        entry = analyze_module._fit_entry(z, ("GEV", "Normal"))
+        assert len(calls) == 1
+        assert [f["family"] for f in entry.pop("ranking")] == ["Normal"]
+        assert entry == _unbounded_fit_entry(z)
+
+
+def _count_gev_fits(monkeypatch, caller_module) -> list:
+    """Count the calls of fit_gev_mle through the caller's binding and
+    select_model's."""
+    calls = []
+    for module in (caller_module, select_module):
+        fit = module.fit_gev_mle
+
+        def counted(values, *args, fit=fit, **kwargs):
+            calls.append(len(values))
+            return fit(values, *args, **kwargs)
+
+        monkeypatch.setattr(module, "fit_gev_mle", counted)
+    return calls
+
+
+def _unbounded_fit_entry(z) -> dict:
+    """The entry of a fit that ends at xi <= -1: the fit it carries."""
+    with pytest.raises(NotConverged) as info:
+        fit_gev_mle(z)
+    assert info.value.fit.params.xi <= -1.0
+    return info.value.fit.to_json_dict()
+
+
 class TestFit:
+    def test_excluded_gev_is_fitted_once(self, tmp_path, capsys,
+                                         monkeypatch):
+        z = gev_sample(GevParams(-0.6, 1.0, 0.0), 40, seed=5)
+        path = tmp_path / "vals.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in z))
+        calls = _count_gev_fits(monkeypatch, cli_module)
+        assert entrypoint(["fit", "--input", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert calls == [40]
+        assert "GEV" not in {f["family"] for f in report["ranking"]}
+        assert report["gev"] == json.loads(
+            json.dumps(_unbounded_fit_entry(z)))
+
     def test_gev_data_ranks_gev_first(self, tmp_path, capsys):
         p = GevParams(*JITTER_MODELS["G722"][:3])
         vals = gev_sample(p, 2000, seed=42)
