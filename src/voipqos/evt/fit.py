@@ -745,6 +745,9 @@ def _fit_alone(z: np.ndarray, tol: float, max_iter: int):
                         _ks_sorted(z, lambda x: gev_cdf(params, x)), max_iter)
 
 
+#: what fitting one sample may raise; :func:`fit_gev_batch` returns it
+_FIT_ERRORS = (VoipQosError, ValueError)
+
 #: :func:`fit_gev_batch` fits samples of this many values or more alone:
 #: there the per-point arithmetic outweighs the calls a batch saves
 BATCH_MAX_POINTS = 1024
@@ -783,7 +786,7 @@ def _fit_batched(samples: list, tol: float, max_iter: int) -> list:
         try:
             out[rows[k]] = _gev_outcome(theta[k], ll[k], iterations[k], True,
                                         bseg.counts[k], e_max[k], max_iter)
-        except VoipQosError as exc:
+        except _FIT_ERRORS as exc:
             out[rows[k]] = exc
     return out
 
@@ -791,9 +794,10 @@ def _fit_batched(samples: list, tol: float, max_iter: int) -> list:
 def fit_gev_batch(samples, tol: float = 1e-8, max_iter: int = 200) -> list:
     """Fit a GEV to each sample, the small ones in one batched Newton run.
 
-    Returns one outcome per sample: its :class:`GevFit`, or the
-    :class:`~voipqos.errors.VoipQosError` that :func:`fit_gev_mle` raises
-    for it (a :class:`NotConverged` carries the fit reached).
+    Returns one outcome per sample: its :class:`GevFit`, or the error
+    (a :class:`~voipqos.errors.VoipQosError` or ``ValueError``) that
+    :func:`fit_gev_mle` raises for it; a :class:`NotConverged` carries the
+    fit reached.
 
     Samples of fewer than :data:`BATCH_MAX_POINTS` values are stepped by
     :func:`_newton_batch` from their PWM starts, each sample's sums taken
@@ -809,7 +813,7 @@ def fit_gev_batch(samples, tol: float = 1e-8, max_iter: int = 200) -> list:
     for data in samples:
         try:
             z = _sorted_sample(data)
-        except VoipQosError as exc:
+        except _FIT_ERRORS as exc:
             out.append(exc)
             continue
         if z.size < BATCH_MAX_POINTS:
@@ -820,8 +824,13 @@ def fit_gev_batch(samples, tol: float = 1e-8, max_iter: int = 200) -> list:
         for i, fit in zip(small, fits):
             if fit is not None:
                 out[i] = fit
-    return [_fit_alone(o, tol, max_iter) if isinstance(o, np.ndarray) else o
-            for o in out]
+    for i, z in enumerate(out):
+        if isinstance(z, np.ndarray):
+            try:
+                out[i] = _fit_alone(z, tol, max_iter)
+            except _FIT_ERRORS as exc:
+                out[i] = exc
+    return out
 
 
 def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:

@@ -183,11 +183,13 @@ def test_invalid_samples_get_their_errors_and_leave_the_rest():
     good = gev_sample(GevParams(0.1, 2.0, 10.0), 300, seed=2)
     nan = good.copy()
     nan[3] = math.nan
-    outcomes = fit_gev_batch([np.arange(19.0), good, nan, np.full(40, 2.5)])
+    outcomes = fit_gev_batch([np.arange(19.0), good, nan, np.full(40, 2.5),
+                              ["x"] * 30])
     assert isinstance(outcomes[0], TooFewPoints)
     assert outcomes[1] == fit_gev_batch([good])[0]
     assert isinstance(outcomes[2], DomainError)
     assert isinstance(outcomes[3], DegenerateData)
+    assert isinstance(outcomes[4], ValueError)
     assert fit_gev_batch([]) == []
 
 
