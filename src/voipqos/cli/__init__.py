@@ -22,9 +22,10 @@ import sys
 from pathlib import Path
 
 from ..errors import VoipQosError
-from ..evt import check_families, fit_gev_mle, select_model
+from ..evt import check_families
+from ..evt import fit_gev_mle, select_model  # noqa: F401 (unused; perfbench/tracer.py wraps them)
 from ..ingest.codecs import load_codec_map
-from .analyze import AnalysisConfig, _gev_entry, analyze_capture
+from .analyze import AnalysisConfig, _ranking_and_gev, analyze_capture
 from .report import merge_reports
 from .synth import load_scenario, synth_to_file
 
@@ -118,19 +119,12 @@ def _read_values(path: str):
 
 def _cmd_fit(args) -> int:
     values = _read_values(args.input)
-    ranking = select_model(values, _parse_candidates(args.candidates))
-    # the ranking carries its GEV fit, also one it could not rank
-    gev = ranking.gev or ranking.excluded.get("GEV")
-    if gev is None:
-        try:
-            gev = fit_gev_mle(values)
-        except (VoipQosError, ValueError) as exc:
-            gev = exc
+    ranking, gev = _ranking_and_gev(values, _parse_candidates(args.candidates))
     report = {
         "target": args.target,
         "n": len(values),
-        "ranking": [f.to_json_dict() for f in ranking],
-        "gev": _gev_entry(gev),
+        "ranking": ranking,
+        "gev": gev,
     }
     return _emit(report, args.out, "fit report")
 

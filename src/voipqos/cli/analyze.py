@@ -5,15 +5,14 @@ dict plus every export file as text, and ``analyze_capture`` only then
 touches the filesystem. Everything is deterministic for fixed inputs,
 so two runs produce byte-identical output trees.
 
-``analyze_capture`` fits the sessions' GEVs in blocks. While it builds
-and writes a block's sessions, their fits wait in a :class:`_FitBatch`
-and their reports leave the ``fits`` entries empty. Once the block's
-samples hold :data:`BLOCK_FIT_VALUES` values, one batched Newton run
-(:func:`~voipqos.evt.fit_gev_batch`) fits them all and fills the
-entries in, and the block's report.json files are written. A fit comes
-out as ``fit_gev_batch`` gives it for the sample alone, so the block
-bounds only the memory that waiting reports hold. With ``candidates``,
-each sample is ranked by ``select_model`` at once, session by session.
+``analyze_capture`` fits the GEVs of every session in one
+:func:`~voipqos.evt.fit_gev_batch` call after the session loop: each
+report's ``fits`` entries wait in a list passed to
+``build_session_report``, and the report.json files are written once
+they are filled in. A fit comes out as ``fit_gev_batch`` gives it for
+the sample alone, so a report built alone, which fits its own samples,
+has the same bytes. With ``candidates``, each sample is ranked by
+``select_model`` at once, session by session.
 
 Each artifact is written once (report schema version 2): units and the
 sigma_j/RTT quantiles live in report.json, samples in the series CSVs,
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import json
 import re
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,7 +44,6 @@ from ..evt import (
 )
 from ..ingest.capture import Capture, parse_jsonl, parse_pcap
 from ..ingest.codecs import load_codec_map
-from ..ingest.rtcp_xr import XrBlocks
 from ..ingest.sessions import CallSession, assemble_sessions
 from ..metrics import (
     MetricSeries,
@@ -64,9 +61,6 @@ from ..stats import bivariate_hist, empirical_cdf, pca
 SCHEMA_VERSION = 2
 #: p = 0, 0.05, ..., 1 for the sigma_j and RTT quantiles in report.json
 QUANTILE_PROBS = np.linspace(0.0, 1.0, 21)
-#: a block of sessions is fitted once its GEV samples hold this many
-#: values; one paper-scale call fills a block alone
-BLOCK_FIT_VALUES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -133,74 +127,70 @@ def _gev_entry(outcome) -> dict:
     return outcome.to_json_dict()
 
 
-class _FitBatch:
-    """GEV fits deferred to one :func:`fit_gev_batch` run.
+def _ranking_and_gev(values: np.ndarray, families) -> tuple[list, dict]:
+    """``select_model``'s ranking of ``values`` as JSON, and the GEV entry.
 
-    ``add`` returns an empty report entry, which ``run`` fills in.
+    The ranking carries its GEV fit, also one it could not rank; without
+    GEV among ``families``, ``fit_gev_mle`` fits the sample.
     """
-
-    def __init__(self):
-        self.samples: list = []
-        self.entries: list[dict] = []
-        self.n_values = 0
-
-    def add(self, values: np.ndarray) -> dict:
-        self.samples.append(values)
-        self.entries.append({})
-        self.n_values += len(values)
-        return self.entries[-1]
-
-    def run(self) -> None:
-        for entry, outcome in zip(self.entries, fit_gev_batch(self.samples)):
-            entry.update(_gev_entry(outcome))
-        self.samples, self.entries, self.n_values = [], [], 0
+    # families positional: perfbench/tracer.py reads them as args[1]
+    ranking = select_model(values, families)
+    gev = ranking.gev or ranking.excluded.get("GEV")
+    if gev is None:
+        try:
+            gev = fit_gev_mle(values)
+        except (VoipQosError, ValueError) as exc:
+            gev = exc
+    return [f.to_json_dict() for f in ranking], _gev_entry(gev)
 
 
-# set while analyze_capture builds a block: its fits wait for the block
-_pending_fits: ContextVar[_FitBatch | None] = ContextVar("pending_fits",
-                                                         default=None)
+def _fit_entry(values: np.ndarray, ranked_families: tuple | None,
+               pending: list) -> dict:
+    """The report entry of the GEV fit of ``values``.
 
-
-def _fit_single(values: np.ndarray):
-    """``fit_gev_mle(values)``, or the error it raised."""
-    try:
-        return fit_gev_mle(values)
-    except (VoipQosError, ValueError) as exc:
-        return exc
-
-
-def _fit_entry(values: np.ndarray, ranked_families: tuple | None) -> dict:
+    Without ``ranked_families`` the entry is empty, and ``(entry, values)``
+    waits in ``pending`` until :func:`_fill_fits` fits it.
+    """
     if len(values) < MIN_FIT_POINTS:
         return {"skipped": f"need >= {MIN_FIT_POINTS} values, have {len(values)}"}
     if ranked_families is not None:
-        ranking = select_model(values, ranked_families)
-        # the ranking carries its GEV fit, also one it could not rank
-        entry = _gev_entry(ranking.gev or ranking.excluded.get("GEV")
-                           or _fit_single(values))
-        entry["ranking"] = [f.to_json_dict() for f in ranking]
+        ranking, entry = _ranking_and_gev(values, ranked_families)
+        entry["ranking"] = ranking
         return entry
-    batch = _pending_fits.get()
-    if batch is None:
-        return _gev_entry(_fit_single(values))
-    return batch.add(values)
+    entry: dict = {}
+    pending.append((entry, values))
+    return entry
+
+
+def _fill_fits(pending: list) -> None:
+    """Fit every ``(entry, values)`` of ``pending`` in one
+    :func:`fit_gev_batch` call and fill the entries in."""
+    outcomes = fit_gev_batch([values for _, values in pending])
+    for (entry, _), outcome in zip(pending, outcomes):
+        entry.update(_gev_entry(outcome))
 
 
 def _session_span(session: CallSession) -> tuple[float, float]:
     """First and last time seen; assembly keeps every list time-sorted."""
-    timed = (session.rtp_fwd, session.rtp_rev, session.sip_dialog)
-    ends = [m.capture_ts for x in timed if x for m in (x[0], x[-1])]
-    xr_ts = XrBlocks.from_blocks(session.xr_blocks).report_ts
-    ends += xr_ts[:1].tolist() + xr_ts[-1:].tolist()
+    columns = (session.rtp_fwd.capture_ts, session.rtp_rev.capture_ts,
+               session.xr_blocks.report_ts)
+    ends = [float(c[i]) for c in columns if len(c) for i in (0, -1)]
+    dialog = session.sip_dialog
+    ends += [m.capture_ts for m in dialog[:1] + dialog[-1:]]
     return (min(ends), max(ends)) if ends else (0.0, 0.0)
 
 
 def build_session_report(
-    session: CallSession, config: AnalysisConfig
+    session: CallSession, config: AnalysisConfig, pending: list | None = None
 ) -> tuple[dict, dict]:
     """Compute every metric and export for one session.
 
     Returns (report dict, {relative filename: file text}); the report's
-    export references are exactly the returned filenames.
+    export references are exactly the returned filenames. With
+    ``pending``, the GEV fits are left to the caller: each empty entry of
+    ``report["fits"]`` is appended with its sample as ``(entry, values)``.
+    Without it, the session's samples are fitted here, in one
+    :func:`fit_gev_batch` call.
     """
     files: dict[str, str] = {}
     metrics: dict[str, dict] = {}
@@ -292,10 +282,13 @@ def build_session_report(
         delays = {"csd": d.csd, "sdd": d.sdd}
 
     fits = {}
+    waiting = [] if pending is None else pending
     for target in ("jitter", "rtt"):
         source = series_by_name.get(target)
         values = source.values() if source is not None else np.empty(0)
-        fits[target] = _fit_entry(values, config.candidates)
+        fits[target] = _fit_entry(values, config.candidates, waiting)
+    if pending is None:
+        _fill_fits(waiting)
 
     start, end = _session_span(session)
     report = {
@@ -347,38 +340,26 @@ def analyze_capture(config: AnalysisConfig) -> tuple[list, int, list]:
     del residue  # it views the capture buffer, which the reports do not need
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    reports, failures = [], []
+    written, failures, pending = [], [], []
     taken: set = set()
-    waiting: list = []  # (report, directory) of the block, fits pending
-    batch = _FitBatch()
-
-    def finish_block() -> None:
-        batch.run()
-        for report, session_dir in waiting:
-            (session_dir / "report.json").write_text(
-                json.dumps(report, sort_keys=True, indent=2) + "\n"
-            )
-            reports.append(report)
-        waiting.clear()
-
-    token = _pending_fits.set(batch)
-    try:
-        for session in sessions:
-            try:
-                report, files = build_session_report(session, config)
-            except VoipQosError as exc:
-                failures.append((session.session_id, str(exc)))
-                continue
-            dir_name = _safe_dir_name(report["session"]["id"], taken)
-            report["session"]["directory"] = dir_name
-            session_dir = out_root / dir_name
-            session_dir.mkdir(parents=True, exist_ok=True)
-            for name, content in files.items():
-                (session_dir / name).write_text(content)
-            waiting.append((report, session_dir))
-            if batch.n_values >= BLOCK_FIT_VALUES:
-                finish_block()
-        finish_block()
-    finally:
-        _pending_fits.reset(token)
-    return reports, set_aside, failures
+    for session in sessions:
+        fits: list = []
+        try:
+            report, files = build_session_report(session, config, pending=fits)
+        except VoipQosError as exc:
+            failures.append((session.session_id, str(exc)))
+            continue
+        pending += fits
+        dir_name = _safe_dir_name(report["session"]["id"], taken)
+        report["session"]["directory"] = dir_name
+        session_dir = out_root / dir_name
+        session_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            (session_dir / name).write_text(content)
+        written.append((report, session_dir))
+    _fill_fits(pending)
+    for report, session_dir in written:
+        (session_dir / "report.json").write_text(
+            json.dumps(report, sort_keys=True, indent=2) + "\n"
+        )
+    return [report for report, _ in written], set_aside, failures

@@ -10,11 +10,11 @@ so off-scale starts can still travel.
 
 :func:`_newton_batch` takes the damped Newton steps of many objectives
 at once, and :func:`fit_gev_batch` runs it on many small GEV samples
-laid end to end in one array: each sample's log-likelihood, gradient and
-Hessian are ``np.add.reduceat`` sums over its own segment, which do not
-depend on the other samples or on BLAS. An objective that needs any
-other step leaves the batch, and its sample is fitted by :func:`maximize`
-alone.
+laid end to end, a bounded number of values per run: each sample's
+log-likelihood, gradient and Hessian are ``np.add.reduceat`` sums over
+its own segment, which do not depend on the other samples or on BLAS.
+An objective that needs any other step leaves the batch, and its sample
+is fitted by :func:`maximize` alone.
 
 The GEV likelihood is maximized over theta = (xi, sigma, mu) with the
 analytic derivatives of Prescott & Walden (1980) and Hosking (1985,
@@ -54,6 +54,9 @@ from .gev import (
 MIN_FIT_POINTS = 20
 
 _MAX_HALVINGS = 30
+#: Newton stops once every step component is below this, relative to
+#: ``max(1, |theta_i|)``
+_STEP_TOL = 1e-8
 _RESOLUTION = 16.0 * np.finfo(float).eps
 _EULER_GAMMA = 0.5772  # Gumbel moment initializer constant
 _LN2, _LN3 = math.log(2.0), math.log(3.0)
@@ -512,8 +515,7 @@ def _expand(f, theta, direction, best, best_ll, limit):
     return best, best_ll
 
 
-def maximize(f, derivs, theta, tol: float = 1e-8, max_iter: int = 200,
-             start_derivs=None):
+def maximize(f, derivs, theta, max_iter: int = 200, start_derivs=None):
     """Safeguarded Newton ascent on ``f`` from a point where it is finite.
 
     ``f(theta)`` is the objective (``-inf`` outside its domain) and
@@ -524,11 +526,11 @@ def maximize(f, derivs, theta, tol: float = 1e-8, max_iter: int = 200,
     When the negated Hessian is not positive-definite the step is a
     ridge-shifted solve, whose large-shift limit is steepest ascent, with
     a doubling line search so off-scale starts can still travel.
-    Convergence is declared when every step component is below ``tol``
-    relative to ``max(1, |theta_i|)``, when twice the gain a Newton step
-    predicts is below the resolution of ``f`` (``_RESOLUTION`` relative),
-    or when no step along either direction improves ``f`` at any scale
-    down to ``2^-30``.
+    Convergence is declared when every step component is below
+    :data:`_STEP_TOL` relative to ``max(1, |theta_i|)``, when twice the
+    gain a Newton step predicts is below the resolution of ``f``
+    (``_RESOLUTION`` relative), or when no step along either direction
+    improves ``f`` at any scale down to ``2^-30``.
 
     Returns ``(theta, f(theta), iterations, converged)``. Unless
     ``start_derivs`` is given, the last call of ``derivs`` is at the
@@ -552,7 +554,7 @@ def maximize(f, derivs, theta, tol: float = 1e-8, max_iter: int = 200,
                 step = np.linalg.solve(neg_hess + lam * eye, g)
             except np.linalg.LinAlgError:
                 step = g
-        if np.max(np.abs(step) / np.maximum(np.abs(theta), 1.0)) < tol:
+        if np.max(np.abs(step) / np.maximum(np.abs(theta), 1.0)) < _STEP_TOL:
             return theta, ll, it, True
         if newton and float(g @ step) <= _RESOLUTION * max(1.0, abs(ll)):
             # the predicted gain is below what f can resolve, so no line
@@ -611,8 +613,7 @@ def _halve(f, theta, ll, rows, direction):
     return cand, llc, scale
 
 
-def _newton_batch(f, derivs, theta, tol: float = 1e-8, max_iter: int = 200,
-                 start_derivs=None):
+def _newton_batch(f, derivs, theta, max_iter: int = 200, start_derivs=None):
     """Damped Newton ascent of ``S`` objectives at once.
 
     ``theta`` is an ``(S, p)`` array of starts, each where its objective
@@ -648,7 +649,8 @@ def _newton_batch(f, derivs, theta, tol: float = 1e-8, max_iter: int = 200,
                                        g[newton, :, None])[..., 0]
         # the step tolerance, or a predicted gain below what f resolves
         stop = newton & (
-            (np.max(np.abs(step) / np.maximum(np.abs(at), 1.0), axis=1) < tol)
+            (np.max(np.abs(step) / np.maximum(np.abs(at), 1.0), axis=1)
+             < _STEP_TOL)
             | (np.vecdot(g, step) <= _RESOLUTION * np.maximum(1.0, np.abs(ll_at))))
         go = np.flatnonzero(newton & ~stop)
         cand, llc, scale = _halve(f, at[go], ll_at[go], rows[go], step[go])
@@ -708,7 +710,7 @@ def _gev_outcome(theta, ll, iterations, converged, n, e_max, max_iter):
     return fit
 
 
-def _fit_alone(z: np.ndarray, tol: float, max_iter: int):
+def _fit_alone(z: np.ndarray, max_iter: int):
     """:func:`fit_gev_mle` of one sorted sample: its fit, or the
     :class:`NotConverged` carrying it."""
     def f(theta: np.ndarray) -> float:
@@ -739,7 +741,7 @@ def _fit_alone(z: np.ndarray, tol: float, max_iter: int):
             theta, start = cand, None
 
     theta, ll, iterations, converged = maximize(
-        f, derivs, theta, tol, max_iter, start)
+        f, derivs, theta, max_iter, start)
     params = GevParams(xi=float(theta[0]), sigma=float(theta[1]), mu=float(theta[2]))
     return _gev_outcome(theta, ll, iterations, converged, z.size,
                         _ks_sorted(z, lambda x: gev_cdf(params, x)), max_iter)
@@ -752,8 +754,13 @@ _FIT_ERRORS = (VoipQosError, ValueError)
 #: there the per-point arithmetic outweighs the calls a batch saves
 BATCH_MAX_POINTS = 1024
 
+#: :func:`fit_gev_batch` steps at most this many values in one Newton
+#: run, which keeps the twelve per-point rows of
+#: :func:`_gev_derivs_segments` near 1.5 MB
+BATCH_RUN_VALUES = 1 << 14
 
-def _fit_batched(samples: list, tol: float, max_iter: int) -> list:
+
+def _fit_batched(samples: list, max_iter: int) -> list:
     """Outcomes of :func:`_newton_batch` runs of sorted samples, ``None``
     for each sample it cannot fit.
 
@@ -780,7 +787,7 @@ def _fit_batched(samples: list, tol: float, max_iter: int) -> list:
     theta, ll, iterations, converged = _newton_batch(
         lambda th, r: _gev_loglik(th, bseg.take(r)),
         lambda th, r: _gev_derivs_segments(th, bseg.take(r)),
-        theta[ok], tol, max_iter, (g[ok], hess[ok]))
+        theta[ok], max_iter, (g[ok], hess[ok]))
     e_max = _ks_gev(theta, bseg)
     for k in np.flatnonzero(converged & (theta[:, 0] > -1.0)):
         try:
@@ -791,8 +798,8 @@ def _fit_batched(samples: list, tol: float, max_iter: int) -> list:
     return out
 
 
-def fit_gev_batch(samples, tol: float = 1e-8, max_iter: int = 200) -> list:
-    """Fit a GEV to each sample, the small ones in one batched Newton run.
+def fit_gev_batch(samples, max_iter: int = 200) -> list:
+    """Fit a GEV to each sample, the small ones in batched Newton runs.
 
     Returns one outcome per sample: its :class:`GevFit`, or the error
     (a :class:`~voipqos.errors.VoipQosError` or ``ValueError``) that
@@ -800,16 +807,19 @@ def fit_gev_batch(samples, tol: float = 1e-8, max_iter: int = 200) -> list:
     fit reached.
 
     Samples of fewer than :data:`BATCH_MAX_POINTS` values are stepped by
-    :func:`_newton_batch` from their PWM starts, each sample's sums taken
-    by ``np.add.reduceat`` over its own values, so an outcome does not
-    depend on the other samples or on BLAS. The fit fields can differ
-    from :func:`fit_gev_mle`'s in the last digits, within the step
-    tolerance. Every other sample (larger, or one the batch cannot start,
-    step to the end or bring to a maximum at ``xi > -1``) is fitted by
+    :func:`_newton_batch` from their PWM starts, in runs of at most
+    :data:`BATCH_RUN_VALUES` values, so any number of samples may be
+    passed. Each sample's sums are taken by ``np.add.reduceat`` over its
+    own values, so an outcome does not depend on the other samples, on
+    the runs or on BLAS. The fit fields can differ from
+    :func:`fit_gev_mle`'s in the last digits, within the step tolerance.
+    Every other sample (larger, or one the batch cannot start, step to
+    the end or bring to a maximum at ``xi > -1``) is fitted by
     :func:`fit_gev_mle`'s scalar path, from its start.
     """
     out: list = []
-    small: list[int] = []
+    runs: list[list[int]] = []  # indices of the small samples, run by run
+    room = 0
     for data in samples:
         try:
             z = _sorted_sample(data)
@@ -817,23 +827,27 @@ def fit_gev_batch(samples, tol: float = 1e-8, max_iter: int = 200) -> list:
             out.append(exc)
             continue
         if z.size < BATCH_MAX_POINTS:
-            small.append(len(out))
+            if z.size > room:
+                runs.append([])
+                room = BATCH_RUN_VALUES
+            runs[-1].append(len(out))
+            room -= z.size
         out.append(z)
-    if small:
-        fits = _fit_batched([out[i] for i in small], tol, max_iter)
-        for i, fit in zip(small, fits):
+    for run in runs:
+        fits = _fit_batched([out[i] for i in run], max_iter)
+        for i, fit in zip(run, fits):
             if fit is not None:
                 out[i] = fit
     for i, z in enumerate(out):
         if isinstance(z, np.ndarray):
             try:
-                out[i] = _fit_alone(z, tol, max_iter)
+                out[i] = _fit_alone(z, max_iter)
             except _FIT_ERRORS as exc:
                 out[i] = exc
     return out
 
 
-def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
+def fit_gev_mle(data, max_iter: int = 200) -> GevFit:
     """Fit a GEV by damped Newton-Raphson on the log-likelihood.
 
     Starts from the probability-weighted-moment estimate of Hosking,
@@ -842,7 +856,7 @@ def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
     that estimate is unusable. When the negated Hessian at the start is
     not positive-definite (the symptom of tail-dominated sample moments)
     the start is rebuilt from Gumbel quantile matching instead.
-    :func:`maximize` then runs with ``tol`` and ``max_iter``. This is the
+    :func:`maximize` then runs for at most ``max_iter`` steps. This is the
     scalar path: :func:`fit_gev_batch` fits many small samples at once.
 
     Raises :class:`NotConverged` (carrying the best fit reached) when the
@@ -851,7 +865,7 @@ def fit_gev_mle(data, tol: float = 1e-8, max_iter: int = 200) -> GevFit:
     approaches the sample maximum (Smith 1985), so the point reached is no
     maximum. The carried fit has ``converged=False``.
     """
-    outcome = _fit_alone(_sorted_sample(data), tol, max_iter)
+    outcome = _fit_alone(_sorted_sample(data), max_iter)
     if isinstance(outcome, NotConverged):
         raise outcome
     return outcome

@@ -152,3 +152,20 @@ def test_traced_analyze_attempts_the_named_families(tracer, tmp_path):
     calls = sum(1 for span in t.spans if span[2] == "evt.select_model")
     assert calls >= 1
     assert t.counts["evt.families_attempted"] == 3 * calls
+
+
+def test_traced_analyze_renders_each_session_once(tracer, tmp_path):
+    # the GEV fits run after the session loop, outside every render span
+    capture = _synth_capture(tmp_path)
+    t = _traced(tracer, ["analyze", "--input", str(capture),
+                         "--out", str(tmp_path / "out")])
+    renders = {span[0] for span in t.spans if span[2] == "export.render"}
+    written = list((tmp_path / "out").rglob("report.json"))
+    assert len(renders) == len(written) == 1
+    parents = {span[0]: span[1] for span in t.spans}
+    for span in t.spans:
+        if span[2] == "evt.fit_gev_mle":
+            at = span[1]
+            while at is not None:
+                assert at not in renders
+                at = parents[at]

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import voipqos
-import voipqos.cli as cli_module
 import voipqos.cli.analyze as analyze_module
+import voipqos.evt.fit as fit_module
 import voipqos.evt.select as select_module
 from voipqos.cli import (
     AnalysisConfig,
@@ -456,10 +456,10 @@ class TestAnalyze:
 
         build = analyze_module.build_session_report
 
-        def failing(session, config):
+        def failing(session, config, pending=None):
             if session.session_id == "call-b":
                 raise DomainError("report failed")
-            return build(session, config)
+            return build(session, config, pending=pending)
 
         monkeypatch.setattr(analyze_module, "build_session_report", failing)
         clean = call("call-a", 1.0, 40000, 42000)
@@ -576,12 +576,12 @@ class TestAnalyze:
 
     def test_fits_do_not_depend_on_the_block(self, calls_capture, tmp_path,
                                              monkeypatch):
-        # every session in one batch, or each in a batch of its own: the
+        # every sample in one Newton run, or each in a run of its own: the
         # same bytes, and each fit is fit_gev_batch's of the sample alone
         path = str(calls_capture[0])
         assert entrypoint(["analyze", "--input", path,
                            "--out", str(tmp_path / "one")]) == 0
-        monkeypatch.setattr(analyze_module, "BLOCK_FIT_VALUES", 1)
+        monkeypatch.setattr(fit_module, "BATCH_RUN_VALUES", 1)
         assert entrypoint(["analyze", "--input", path,
                            "--out", str(tmp_path / "each")]) == 0
         assert _tree(tmp_path / "one") == _tree(tmp_path / "each")
@@ -593,12 +593,33 @@ class TestAnalyze:
         assert report["fits"]["jitter"] == json.loads(
             json.dumps(fit.to_json_dict()))
 
+    def test_a_report_built_alone_is_the_written_one(self, calls_capture,
+                                                     tmp_path):
+        # build_session_report without pending fits its own samples
+        path = calls_capture[0]
+        assert entrypoint(["analyze", "--input", str(path),
+                           "--out", str(tmp_path)]) == 0
+        config = AnalysisConfig(inputs=(str(path),))
+        sessions, _ = analyze_module.assemble_sessions(
+            parse_pcap(path.read_bytes()), config.payload_type_map)
+        assert len(sessions) == 5
+        for session in sessions:
+            report, files = analyze_module.build_session_report(session, config)
+            assert "xi" in report["fits"]["jitter"]
+            report["session"]["directory"] = session.session_id
+            written = tmp_path / session.session_id
+            assert (written / "report.json").read_text() == \
+                json.dumps(report, sort_keys=True, indent=2) + "\n"
+            for name, text in files.items():
+                assert (written / name).read_text() == text
+
     def test_excluded_gev_is_fitted_once(self, monkeypatch):
         calls = _count_gev_fits(monkeypatch, analyze_module)
         # xi reaches -1 on this sample, so the ranking excludes GEV
         z = gev_sample(GevParams(-0.6, 1.0, 0.0), 40, seed=5)
-        entry = analyze_module._fit_entry(z, ("GEV", "Normal"))
-        assert len(calls) == 1
+        pending = []
+        entry = analyze_module._fit_entry(z, ("GEV", "Normal"), pending)
+        assert len(calls) == 1 and pending == []
         assert [f["family"] for f in entry.pop("ranking")] == ["Normal"]
         assert entry == _unbounded_fit_entry(z)
 
@@ -632,7 +653,7 @@ class TestFit:
         z = gev_sample(GevParams(-0.6, 1.0, 0.0), 40, seed=5)
         path = tmp_path / "vals.txt"
         path.write_text("".join(f"{float(v)!r}\n" for v in z))
-        calls = _count_gev_fits(monkeypatch, cli_module)
+        calls = _count_gev_fits(monkeypatch, analyze_module)
         assert entrypoint(["fit", "--input", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert calls == [40]

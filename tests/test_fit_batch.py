@@ -1,10 +1,10 @@
 """Batched GEV fits against the scalar fit they replaced.
 
-``fit_gev_batch`` steps every small sample whose start allows it in one
-batched damped-Newton run, with each sample's sums taken by
-``np.add.reduceat`` over its own segment. A sample that needs any other
-step, or that ends at ``xi <= -1`` or out of iterations, is fitted on
-the scalar path, ``fit_gev_mle``'s. ``tests/fits_reference.py`` keeps
+``fit_gev_batch`` steps every small sample whose start allows it in
+batched damped-Newton runs of bounded size, with each sample's sums
+taken by ``np.add.reduceat`` over its own segment. A sample that needs
+any other step, or that ends at ``xi <= -1`` or out of iterations, is
+fitted on the scalar path, ``fit_gev_mle``'s. ``tests/fits_reference.py`` keeps
 the scalar fit as it stood before the batch, and every outcome must
 match it: the same status and notes, a log-likelihood never lower by
 more than 1e-12 relative, and parameters within 1e-8 of
@@ -143,6 +143,25 @@ def test_a_sample_fits_the_same_in_any_batch():
         _assert_matches_reference(a, z)
 
 
+def test_runs_hold_at_most_batch_run_values(monkeypatch):
+    samples = [gev_sample(GevParams(-0.1, 1.8, 7.3), n, seed=n)
+               for n in (149, 149, 400, 149, 20, 149)]
+    whole = fit_gev_batch(samples)
+    runs = []
+    batched = fit_module._fit_batched
+
+    def spy(zs, max_iter):
+        runs.append([z.size for z in zs])
+        return batched(zs, max_iter)
+
+    monkeypatch.setattr(fit_module, "_fit_batched", spy)
+    monkeypatch.setattr(fit_module, "BATCH_RUN_VALUES", 300)
+    assert fit_gev_batch(samples) == whole
+    # a run closes before the value that would overfill it; a sample
+    # larger than a run gets one of its own
+    assert runs == [[149, 149], [400], [149, 20], [149]]
+
+
 @given(samples=st.lists(segments(), min_size=1, max_size=3))
 @settings(max_examples=30)
 def test_the_scalar_path_is_the_reference(samples):
@@ -160,9 +179,9 @@ def _spy_scalar_path(monkeypatch) -> list:
     alone = []
     scalar = fit_module._fit_alone
 
-    def spy(z, tol, max_iter):
+    def spy(z, max_iter):
         alone.append(z.size)
-        return scalar(z, tol, max_iter)
+        return scalar(z, max_iter)
 
     monkeypatch.setattr(fit_module, "_fit_alone", spy)
     return alone
