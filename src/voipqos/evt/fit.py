@@ -1,27 +1,23 @@
 """Maximum-likelihood fitting by safeguarded Newton-Raphson.
 
-:func:`maximize` is the Newton engine of every single fit, here and in
-:mod:`.select`: each hands it an objective and its analytic gradient
-and Hessian. Steps are damped by halving until the objective does not
-decrease, so the iterate sequence is monotone. When the negated Hessian
-is not positive-definite the step falls back to a ridge-shifted solve
+:func:`_ascend` is the one Newton loop of the package. It steps many
+objectives at once, one per row of theta, and each row takes the step
+its own derivatives allow: a Newton step where its negated Hessian is
+positive-definite, damped by halving until the objective does not
+decrease, so the iterates are monotone; otherwise a ridge-shifted solve,
 whose large-shift limit is steepest ascent, with a doubling line search
-so off-scale starts can still travel.
-
-:func:`_newton_batch` takes the damped Newton steps of many objectives
-at once, and :func:`fit_gev_batch` runs it on many small GEV samples
-laid end to end, a bounded number of values per run: each sample's
-log-likelihood, gradient and Hessian are ``np.add.reduceat`` sums over
-its own segment, which do not depend on the other samples or on BLAS.
-An objective that needs any other step leaves the batch, and its sample
-is fitted by :func:`maximize` alone.
+so off-scale starts can still travel; and a scaled-ascent step when
+either fails at every scale. :func:`maximize`, the loop on one row, fits
+every family of :mod:`.select`.
 
 The GEV likelihood is maximized over theta = (xi, sigma, mu) with the
 analytic derivatives of Prescott & Walden (1980) and Hosking (1985,
-AS 215). The support constraint ``1 + xi (z_i - mu) / sigma > 0`` holds
-at every iterate because off-support points have likelihood ``-inf``.
-Near ``xi = 0`` the xi-derivatives use a power series in ``xi w``, so
-they are continuous through the Gumbel limit.
+AS 215), summed by :class:`_Sample` for a sample fitted alone and by
+:class:`_Segments` for many laid end to end. The support constraint
+``1 + xi (z_i - mu) / sigma > 0`` holds at every iterate because
+off-support points have likelihood ``-inf``. Near ``xi = 0`` the
+xi-derivatives use a power series in ``xi w``, so they are continuous
+through the Gumbel limit.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from .gev import (
     TailKind,
     _loglik_kernel,
     classify,
-    gev_cdf,
 )
 
 #: Fitting refuses fewer points than this as statistically meaningless.
@@ -283,47 +278,79 @@ def loc_scale_derivs(n: int, scale: float, y: np.ndarray, d1, d2):
 
 class _Segments:
     """Samples laid end to end: sample ``r`` is
-    ``z[offsets[r]:offsets[r] + counts[r]]``."""
+    ``z[offsets[r]:offsets[r] + counts[r]]``. Each per-sample sum reads
+    only its own segment, so it does not depend on the other samples, and
+    no sum goes through BLAS."""
 
     def __init__(self, z: np.ndarray, counts):
         self.z = z
         self.counts = np.asarray(counts, dtype=np.intp)
         self.offsets = np.cumsum(self.counts) - self.counts
-        self._subsets: dict = {}
 
     def per_point(self, v: np.ndarray) -> np.ndarray:
         """Each sample's entry of ``v``, once per point of the sample."""
         return np.repeat(v, self.counts)
 
-    def sum(self, terms: np.ndarray) -> np.ndarray:
-        """Per-sample sums along the last axis of ``terms``.
-
-        Each sum reads only its own segment, so it does not depend on the
-        other samples, and no sum goes through BLAS.
-        """
-        return np.add.reduceat(terms, self.offsets, axis=-1)
+    def sum(self, a: np.ndarray, b: np.ndarray | None = None):
+        """Per-sample sums of ``a``, or of ``a * b``."""
+        return np.add.reduceat(a if b is None else a * b, self.offsets)
 
     def take(self, rows: np.ndarray) -> "_Segments":
         """The samples ``rows`` (ascending indices), laid end to end."""
         if rows.size == self.counts.size:
             return self
-        key = rows.tobytes()
-        sub = self._subsets.get(key)
-        if sub is None:
-            if len(self._subsets) >= 4:
-                del self._subsets[next(iter(self._subsets))]
-            keep = np.zeros(self.counts.size, dtype=bool)
-            keep[rows] = True
-            sub = _Segments(self.z[self.per_point(keep)], self.counts[rows])
-            self._subsets[key] = sub
-        return sub
+        keep = np.zeros(self.counts.size, dtype=bool)
+        keep[rows] = True
+        return _Segments(self.z[self.per_point(keep)], self.counts[rows])
+
+    def loglik(self, theta: np.ndarray) -> np.ndarray:
+        """Each sample's GEV log-likelihood at its row of ``theta``.
+
+        Per point the arithmetic of ``gev._loglik_kernel``; ``-inf`` where
+        ``sigma <= 0``, a parameter is not finite, a point is off the
+        support or the sum is not finite.
+        """
+        xi, sigma, mu = theta.T
+        with np.errstate(all="ignore"):
+            w = self.z - self.per_point(mu)
+            w /= self.per_point(sigma)
+            om, on = _omega_points(self.per_point(xi), w)
+            val = (-self.counts * np.log(sigma) - (1.0 + xi) * self.sum(om)
+                   - self.sum(np.exp(-om)))
+        ok = ((sigma > 0.0) & np.isfinite(theta).all(axis=1) & np.isfinite(val)
+              & np.logical_and.reduceat(on, self.offsets))
+        return np.where(ok, val, -np.inf)
 
 
-def _omega_points(xi: np.ndarray, w: np.ndarray):
+class _Sample(_Segments):
+    """One sample, its sums taken by contiguous ``np.sum`` and :func:`dot`
+    and its log-likelihood by ``gev._loglik_kernel``: the arithmetic of
+    :func:`fit_gev_mle`."""
+
+    def __init__(self, z: np.ndarray):
+        super().__init__(z, [z.size])
+
+    def per_point(self, v: np.ndarray) -> float:
+        return float(v[0])
+
+    def sum(self, a: np.ndarray, b: np.ndarray | None = None) -> float:
+        return float(np.sum(a)) if b is None else dot(a, b)
+
+    def take(self, rows: np.ndarray) -> "_Sample":
+        return self
+
+    def loglik(self, theta: np.ndarray) -> np.ndarray:
+        xi, sigma, mu = theta[0]
+        if not (sigma > 0.0) or not np.all(np.isfinite(theta)):
+            return np.array([-math.inf])
+        return np.array([_loglik_kernel(xi, sigma, mu, self.z)])
+
+
+def _omega_points(xi, w: np.ndarray):
     """``om = log1p(xi w) / xi`` and the on-support mask, per point.
 
-    The arithmetic of ``gev._omega`` with one shape per point: ``om = w``
-    where ``xi = 0``, and ``om`` is 0 off the support.
+    The arithmetic of ``gev._omega`` with one shape, or one shape per
+    point: ``om = w`` where ``xi = 0``, and ``om`` is 0 off the support.
     """
     xw = xi * w
     on = xw > -1.0
@@ -333,99 +360,27 @@ def _omega_points(xi: np.ndarray, w: np.ndarray):
     return om, on
 
 
-def _gev_loglik(theta: np.ndarray, seg: _Segments) -> np.ndarray:
-    """Each sample's GEV log-likelihood at its row of ``theta``.
-
-    Per point the arithmetic of ``gev._loglik_kernel``; ``-inf`` where
-    ``sigma <= 0``, a parameter is not finite, a point is off the support
-    or the sum is not finite.
-    """
-    xi, sigma, mu = theta.T
-    with np.errstate(all="ignore"):
-        w = seg.z - seg.per_point(mu)
-        w /= seg.per_point(sigma)
-        om, on = _omega_points(seg.per_point(xi), w)
-        val = (-seg.counts * np.log(sigma) - (1.0 + xi) * seg.sum(om)
-               - seg.sum(np.exp(-om)))
-    ok = ((sigma > 0.0) & np.isfinite(theta).all(axis=1) & np.isfinite(val)
-          & np.logical_and.reduceat(on, seg.offsets))
-    return np.where(ok, val, -np.inf)
-
-
-def _gev_derivs_segments(theta: np.ndarray, seg: _Segments):
-    """Analytic gradients ``(k, 3)`` and Hessians ``(k, 3, 3)`` of each
-    sample's GEV log-likelihood at its row of ``theta``.
+def _gev_derivs(theta: np.ndarray, seg):
+    """Analytic gradients ``(k, 3)`` and Hessians ``(k, 3, 3)`` of the GEV
+    log-likelihood of each sample of the :class:`_Segments` ``seg`` at its
+    row of ``theta``; of one sample ``seg`` at ``theta`` of shape ``(3,)``.
 
     With ``w = (z - mu) / sigma`` and ``om`` as in :func:`omega_derivs`,
     each point contributes ``g = -(1 + xi) om - exp(-om)`` plus the
     ``-log sigma`` term (Prescott & Walden 1980; Hosking 1985, AS 215).
-    The per-point derivatives are only ever summed, so the twelve
-    per-point terms go into one array and are summed per sample by one
-    ``reduceat``; the other arrays are reused in place.
+    The per-point derivatives are only ever summed, by ``seg.sum``, alone
+    or as the product of two arrays; the arrays are reused in place.
     """
+    if not isinstance(seg, _Segments):
+        g, hess = _gev_derivs(np.reshape(theta, (1, 3)), _Sample(seg))
+        return g[0], hess[0]
     xi = seg.per_point(theta[:, 0])
+    sigma = theta[:, 1]
     w = seg.z - seg.per_point(theta[:, 2])
-    w /= seg.per_point(theta[:, 1])
-    terms = np.empty((12, w.size))
+    w /= seg.per_point(sigma)
     with np.errstate(all="ignore"):
         a, om, om1, om2 = omega_derivs(xi, w)
-        terms[0] = om
-        terms[2] = om1
-        t = np.negative(om, out=om)
-        np.exp(t, out=t)
-        u = t - 1.0  # dg/dom
-        u -= xi
-        ia = np.reciprocal(a, out=a)
-        d1 = np.multiply(u, ia, out=terms[5])  # dg/dw
-        d2 = np.subtract(xi, t, out=terms[6])  # d2g/dw2 = (1 + xi) (xi - t) / a^2
-        d2 *= 1.0 + xi
-        d2 *= ia
-        d2 *= ia
-        # dg/dxi = -om + u om1, d2g/dxi2 = -2 om1 - t om1^2 + u om2
-        np.multiply(u, om1, out=terms[1])
-        tom1 = np.multiply(t, om1, out=t)
-        np.multiply(tom1, om1, out=terms[3])
-        np.multiply(u, om2, out=terms[4])
-        np.multiply(w, d1, out=terms[7])
-        np.multiply(w, d2, out=terms[8])
-        np.multiply(w, w, out=terms[9])
-        terms[9] *= d2
-        # minus d2g/dxi dw = (t om1 + 1 + u w / a) / a
-        neg_g_xw = np.add(tom1, 1.0, out=terms[10])
-        neg_g_xw += terms[7]
-        neg_g_xw *= ia
-        np.multiply(w, neg_g_xw, out=terms[11])
-        s = seg.sum(terms)
-        sigma = theta[:, 1]
-        g_mu, g_sigma, h_mumu, h_musigma, h_sigmasigma = _loc_scale_chain(
-            seg.counts, sigma, *s[5:10])
-    grad = np.empty((len(theta), 3))
-    grad[:, 0] = s[1] - s[0]
-    grad[:, 1] = g_sigma
-    grad[:, 2] = g_mu
-    hess = np.empty((len(theta), 3, 3))
-    hess[:, 0, 0] = -2.0 * s[2] - s[3] + s[4]
-    hess[:, 0, 1] = hess[:, 1, 0] = s[11] / sigma
-    hess[:, 0, 2] = hess[:, 2, 0] = s[10] / sigma
-    hess[:, 1, 1] = h_sigmasigma
-    hess[:, 2, 2] = h_mumu
-    hess[:, 1, 2] = hess[:, 2, 1] = h_musigma
-    return grad, hess
-
-
-def _gev_derivs(theta: np.ndarray, z: np.ndarray):
-    """Analytic gradient and Hessian of the GEV log-likelihood of one sample.
-
-    The scalar path's kernel: the sums of :func:`_gev_derivs_segments`,
-    taken by ``np.sum`` and :func:`dot`.
-    """
-    xi, sigma, mu = (float(v) for v in theta)
-    w = z - mu
-    w /= sigma
-    with np.errstate(over="ignore", under="ignore", divide="ignore",
-                     invalid="ignore"):
-        a, om, om1, om2 = omega_derivs(xi, w)
-        sum_om = float(np.sum(om))
+        sum_om = seg.sum(om)
         t = np.negative(om, out=om)
         np.exp(t, out=t)
         u = t - 1.0  # dg/dom
@@ -436,26 +391,24 @@ def _gev_derivs(theta: np.ndarray, z: np.ndarray):
         d2 *= 1.0 + xi
         d2 *= ia
         d2 *= ia
-        g_x = dot(u, om1) - sum_om  # sum of dg/dxi = -om + u om1
-        # sum of d2g/dxi2 = -2 om1 - t om1^2 + u om2
-        tom1 = t * om1
-        g_xx = -2.0 * float(np.sum(om1)) - dot(tom1, om1) + dot(u, om2)
+        # dg/dxi = -om + u om1, d2g/dxi2 = -2 om1 - t om1^2 + u om2
+        g_xi = seg.sum(u, om1) - sum_om
+        tom1 = np.multiply(t, om1, out=t)
+        h_xixi = -2.0 * seg.sum(om1) - seg.sum(tom1, om1) + seg.sum(u, om2)
         # minus d2g/dxi dw = (t om1 + 1 + u w / a) / a
-        neg_g_xw = tom1
-        neg_g_xw += 1.0
-        neg_g_xw += np.multiply(w, d1, out=t)
+        neg_g_xw = np.add(tom1, 1.0, out=tom1)
+        neg_g_xw += w * d1
         neg_g_xw *= ia
-        g_ls, h_ls = loc_scale_derivs(z.size, sigma, w, d1, d2)
-        cross = np.array([float(np.sum(neg_g_xw)), dot(w, neg_g_xw)]) / sigma
-    grad = np.array([g_x, g_ls[1], g_ls[0]])
-    hess = np.empty((3, 3))
-    hess[0, 0] = g_xx
-    hess[0, 1] = hess[1, 0] = cross[1]
-    hess[0, 2] = hess[2, 0] = cross[0]
-    hess[1, 1] = h_ls[1, 1]
-    hess[2, 2] = h_ls[0, 0]
-    hess[1, 2] = hess[2, 1] = h_ls[0, 1]
-    return grad, hess
+        g_mu, g_sigma, h_mumu, h_musigma, h_sigmasigma = _loc_scale_chain(
+            seg.counts, sigma, seg.sum(d1), seg.sum(d2), seg.sum(w, d1),
+            seg.sum(w, d2), seg.sum(w * w, d2))
+        h_xisigma = seg.sum(w, neg_g_xw) / sigma
+        h_ximu = seg.sum(neg_g_xw) / sigma
+    grad = np.stack(np.broadcast_arrays(g_xi, g_sigma, g_mu), axis=-1)
+    hess = np.stack(np.broadcast_arrays(h_xixi, h_xisigma, h_ximu,
+                                        h_xisigma, h_sigmasigma, h_musigma,
+                                        h_ximu, h_musigma, h_mumu), axis=-1)
+    return grad, hess.reshape(-1, 3, 3)
 
 
 def _ks_gev(theta: np.ndarray, seg: _Segments) -> np.ndarray:
@@ -481,190 +434,155 @@ def _ks_gev(theta: np.ndarray, seg: _Segments) -> np.ndarray:
     return np.maximum.reduceat(gap, seg.offsets)
 
 
-def _is_positive_definite(a: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(a)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _backtrack(f, theta, ll, direction):
-    """Halve along ``direction`` until the log-likelihood does not decrease."""
-    scale = 1.0
-    for _ in range(_MAX_HALVINGS):
-        cand = theta + scale * direction
-        llc = f(cand)
-        if math.isfinite(llc) and llc >= ll:
-            return cand, llc, scale
-        scale *= 0.5
-    return None, ll, 0.0
-
-
-def _expand(f, theta, direction, best, best_ll, limit):
-    """Greedy doubling along ``direction`` past the unit step."""
-    k = 2.0
-    while k <= limit:
-        cand = theta + k * direction
-        llc = f(cand)
-        if math.isfinite(llc) and llc > best_ll:
-            best, best_ll = cand, llc
-            k *= 2.0
-        else:
-            break
-    return best, best_ll
-
-
-def maximize(f, derivs, theta, max_iter: int = 200, start_derivs=None):
-    """Safeguarded Newton ascent on ``f`` from a point where it is finite.
-
-    ``f(theta)`` is the objective (``-inf`` outside its domain) and
-    ``derivs(theta)`` its gradient and Hessian; ``start_derivs``, when
-    given, is ``derivs(theta)`` at the start, already computed. Each
-    step is damped by halving until ``f`` does not decrease, so the
-    iterates are monotone.
-    When the negated Hessian is not positive-definite the step is a
-    ridge-shifted solve, whose large-shift limit is steepest ascent, with
-    a doubling line search so off-scale starts can still travel.
-    Convergence is declared when every step component is below
-    :data:`_STEP_TOL` relative to ``max(1, |theta_i|)``, when twice the
-    gain a Newton step predicts is below the resolution of ``f``
-    (``_RESOLUTION`` relative), or when no step along either direction
-    improves ``f`` at any scale down to ``2^-30``.
-
-    Returns ``(theta, f(theta), iterations, converged)``. Unless
-    ``start_derivs`` is given, the last call of ``derivs`` is at the
-    returned ``theta``, and its result is not modified.
-    """
-    theta = np.asarray(theta, dtype=float)
-    ll = f(theta)
-    g, hess = derivs(theta) if start_derivs is None else start_derivs
-    eye = np.eye(theta.size)
-    for it in range(1, max_iter + 1):
-        g = np.where(np.isfinite(g), g, 0.0)
-        usable_hess = bool(np.all(np.isfinite(hess)))
-        neg_hess = -hess if usable_hess else eye
-        newton = usable_hess and _is_positive_definite(neg_hess)
-        if newton:
-            step = np.linalg.solve(neg_hess, g)
-        else:
-            try:
-                ev = np.linalg.eigvalsh(neg_hess)
-                lam = abs(ev[0]) * 1.5 + 1e-6 * max(1.0, abs(ev[-1]))
-                step = np.linalg.solve(neg_hess + lam * eye, g)
-            except np.linalg.LinAlgError:
-                step = g
-        if np.max(np.abs(step) / np.maximum(np.abs(theta), 1.0)) < _STEP_TOL:
-            return theta, ll, it, True
-        if newton and float(g @ step) <= _RESOLUTION * max(1.0, abs(ll)):
-            # the predicted gain is below what f can resolve, so no line
-            # search could confirm the step
-            return theta, ll, it, True
-        cand, llc, scale = _backtrack(f, theta, ll, step)
-        if cand is not None and not newton and scale == 1.0:
-            cand, llc = _expand(f, theta, step, cand, llc, 2.0 ** 20)
-        if cand is None:
-            # Newton direction failed outright; try scaled ascent
-            d = g * np.maximum(np.abs(theta), 1.0)
-            norm = float(np.linalg.norm(d))
-            if norm == 0.0:
-                return theta, ll, it, True  # exactly stationary gradient
-            d = d / norm * np.maximum(np.abs(theta), 1.0) * 1e-3
-            cand, llc, scale = _backtrack(f, theta, ll, d)
-            if cand is not None and scale == 1.0:
-                cand, llc = _expand(f, theta, d, cand, llc, 2.0 ** 30)
-            if cand is None:
-                # the objective is resolved to its floating-point plateau
-                return theta, ll, it, True
-        theta, ll = cand, llc
-        g, hess = derivs(theta)
-    return theta, ll, max_iter, False
-
-
 def _positive_definite(a: np.ndarray) -> np.ndarray:
-    """:func:`_is_positive_definite` of each matrix of the stack ``a``."""
+    """Whether each matrix of the stack ``a`` is positive-definite."""
     try:
         np.linalg.cholesky(a)  # raises if any matrix is not
         return np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
-        return np.array([_is_positive_definite(m) for m in a], dtype=bool)
+        if len(a) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_positive_definite(m[None]) for m in a])
 
 
-def _halve(f, theta, ll, rows, direction):
-    """:func:`_backtrack` of each row at once: halve its step until its
-    objective does not decrease.
+def _line_search(f, theta, ll, rows, direction, expand, limit: float):
+    """Each row's point along its ``direction`` from ``theta``.
 
-    Returns ``(cand, llc, scale)`` per row; ``scale`` is 0 where no scale
-    down to ``2^-29`` works.
+    The step is halved until the row's objective does not decrease, at
+    most :data:`_MAX_HALVINGS` times; where ``expand`` holds and the unit
+    step held, it is then doubled while the objective increases, up to
+    ``limit`` times. Returns ``(cand, f(cand), found)``; where ``found``
+    is false no scale worked, and ``cand`` is not to be used.
     """
-    cand, llc, scale = theta.copy(), ll.copy(), np.zeros(len(rows))
-    pending = np.arange(len(rows))
-    s = 1.0
-    for _ in range(_MAX_HALVINGS):
+    if not rows.size:
+        return theta, ll, np.zeros(0, dtype=bool)
+    cand = theta + direction
+    llc = f(cand, rows)
+    found = np.isfinite(llc) & (llc >= ll)
+    grow = (expand & found).nonzero()[0]
+    pending = (~found).nonzero()[0]
+    s = 0.5
+    for _ in range(_MAX_HALVINGS - 1):
         if not pending.size:
             break
         trial = theta[pending] + s * direction[pending]
         lt = f(trial, rows[pending])
         ok = np.isfinite(lt) & (lt >= ll[pending])
         hit = pending[ok]
-        cand[hit], llc[hit], scale[hit] = trial[ok], lt[ok], s
+        cand[hit], llc[hit], found[hit] = trial[ok], lt[ok], True
         pending = pending[~ok]
         s *= 0.5
-    return cand, llc, scale
+    s = 2.0
+    while grow.size and s <= limit:
+        trial = theta[grow] + s * direction[grow]
+        lt = f(trial, rows[grow])
+        ok = np.isfinite(lt) & (lt > llc[grow])
+        grow = grow[ok]
+        cand[grow], llc[grow] = trial[ok], lt[ok]
+        s *= 2.0
+    return cand, llc, found
 
 
-def _newton_batch(f, derivs, theta, max_iter: int = 200, start_derivs=None):
-    """Damped Newton ascent of ``S`` objectives at once.
+def _ascend(f, derivs, theta, max_iter: int = 200, start_derivs=None):
+    """Safeguarded Newton ascent of one objective per row of ``theta``.
 
-    ``theta`` is an ``(S, p)`` array of starts, each where its objective
-    is finite. For ascending objective indices ``rows`` and their points
-    ``th`` (one row each), ``f(th, rows)`` gives the objectives (``-inf``
-    outside their domain) and ``derivs(th, rows)`` their gradients
-    ``(k, p)`` and Hessians ``(k, p, p)``; ``start_derivs``, when given,
-    is ``derivs`` at every start, already computed.
+    ``theta`` is a ``(k, p)`` array of starts, each where its objective
+    is finite. For ascending row indices ``rows`` and their points ``th``,
+    ``f(th, rows)`` gives the objectives (``-inf`` outside their domain)
+    and ``derivs(th, rows)`` their gradients ``(m, p)`` and Hessians
+    ``(m, p, p)``; ``start_derivs`` is ``derivs`` at the starts, if known.
 
-    Each objective takes the steps :func:`maximize` takes while its
-    negated Hessian is positive-definite and a halving of the Newton step
-    does not lower it, and stops by the same rules. Otherwise it leaves
-    the batch where it stands, with 0 iterations, and the caller fits it
-    by :func:`maximize`; a converged objective leaves it too.
+    A row steps as the module docstring says, its Newton steps solved and
+    line-searched together with the other rows'. It converges when every
+    step component is below :data:`_STEP_TOL` relative to
+    ``max(1, |theta_i|)``, when twice the gain a Newton step predicts is
+    below the resolution of its objective (``_RESOLUTION`` relative), or
+    when no step improves it at any scale down to ``2^-29``. Its
+    arithmetic is its own, so it ends where it would end alone.
 
-    Returns ``(theta, f(theta), iterations, converged)``, one row or
-    entry per objective.
+    Returns ``(theta, f(theta), iterations, converged, peaked)``;
+    ``peaked`` marks the rows that stopped at a Newton step, where the
+    negated Hessian is positive-definite, so the point is a maximum.
+    Unless ``start_derivs`` is given, the last call of ``derivs`` for a
+    row is at its returned point, and its result is not modified.
     """
     theta = np.array(theta, dtype=float)
-    rows = np.arange(len(theta))
+    k, p = theta.shape
+    rows = np.arange(k)
     ll = f(theta, rows)
     g, hess = derivs(theta, rows) if start_derivs is None else start_derivs
-    iterations = np.full(len(theta), max_iter)
-    converged = np.zeros(len(theta), dtype=bool)
+    iterations = np.full(k, max_iter)
+    converged = np.zeros(k, dtype=bool)
+    peaked = np.zeros(k, dtype=bool)
+    eye = np.eye(p)
     for it in range(1, max_iter + 1):
         at, ll_at = theta[rows], ll[rows]
         g = np.where(np.isfinite(g), g, 0.0)
-        neg_hess = -hess
-        newton = np.isfinite(hess).all(axis=(1, 2))
-        newton[newton] = _positive_definite(neg_hess[newton])
-        step = np.zeros_like(g)
-        step[newton] = np.linalg.solve(neg_hess[newton],
-                                       g[newton, :, None])[..., 0]
-        # the step tolerance, or a predicted gain below what f resolves
-        stop = newton & (
-            (np.max(np.abs(step) / np.maximum(np.abs(at), 1.0), axis=1)
-             < _STEP_TOL)
-            | (np.vecdot(g, step) <= _RESOLUTION * np.maximum(1.0, np.abs(ll_at))))
-        go = np.flatnonzero(newton & ~stop)
-        cand, llc, scale = _halve(f, at[go], ll_at[go], rows[go], step[go])
-        iterations[rows[stop]] = it
-        converged[rows[stop]] = True
-        iterations[rows[~newton]] = 0
-        iterations[rows[go[scale == 0.0]]] = 0
-        moved = scale > 0.0
-        rows = rows[go[moved]]
-        theta[rows], ll[rows] = cand[moved], llc[moved]
+        usable = np.isfinite(hess).all(axis=(1, 2))
+        neg_hess = np.where(usable[:, None, None], -hess, eye)
+        newton = usable & _positive_definite(neg_hess)
+        # the other rows solve with the identity here, then take their own
+        step = np.linalg.solve(np.where(newton[:, None, None], neg_hess, eye),
+                               g[..., None])[..., 0]
+        for i in (~newton).nonzero()[0]:
+            # ridge-shifted, whose large-shift limit is steepest ascent
+            try:
+                ev = np.linalg.eigvalsh(neg_hess[i])
+                lam = abs(ev[0]) * 1.5 + 1e-6 * max(1.0, abs(ev[-1]))
+                step[i] = np.linalg.solve(neg_hess[i] + lam * eye, g[i])
+            except np.linalg.LinAlgError:
+                step[i] = g[i]
+        floor = np.maximum(np.abs(at), 1.0)
+        stop = (np.abs(step) / floor).max(axis=1) < _STEP_TOL
+        # a predicted gain below what f resolves, which no line search
+        # could confirm
+        stop |= newton & (np.einsum("ij,ij->i", g, step)
+                          <= _RESOLUTION * np.maximum(1.0, np.abs(ll_at)))
+        peaked[rows[stop & newton]] = True
+        go = (~stop).nonzero()[0]
+        cand, llc, found = _line_search(f, at[go], ll_at[go], rows[go],
+                                        step[go], ~newton[go], 2.0 ** 20)
+        lost = (~found).nonzero()[0]
+        if lost.size:
+            # the step failed outright: scaled ascent, unless the
+            # gradient is exactly stationary
+            d = g[go[lost]] * floor[go[lost]]
+            norm = np.array([np.linalg.norm(v) for v in d])
+            tilt = norm != 0.0
+            lost, j = lost[tilt], go[lost[tilt]]
+            d = d[tilt] / norm[tilt, None] * floor[j] * 1e-3
+            cand[lost], llc[lost], found[lost] = _line_search(
+                f, at[j], ll_at[j], rows[j], d, True, 2.0 ** 30)
+        # a row that no step improves is resolved to its plateau
+        stop[go[~found]] = True
+        done = rows[stop]
+        iterations[done] = it
+        converged[done] = True
+        rows = rows[go[found]]
+        theta[rows], ll[rows] = cand[found], llc[found]
         if not rows.size:
             break
         g, hess = derivs(theta[rows], rows)
-    return theta, ll, iterations, converged
+    return theta, ll, iterations, converged, peaked
+
+
+def maximize(f, derivs, theta, max_iter: int = 200, start_derivs=None):
+    """Safeguarded Newton ascent on ``f`` from a point where it is finite:
+    :func:`_ascend` on one row.
+
+    ``f(theta)`` is the objective (``-inf`` outside its domain) and
+    ``derivs(theta)`` its gradient and Hessian; ``start_derivs`` is
+    ``derivs(theta)`` at the start, if known. Returns ``(theta, f(theta),
+    iterations, converged)``. Unless ``start_derivs`` is given, the last
+    call of ``derivs`` is at the returned ``theta``, and its result is not
+    modified.
+    """
+    start = None if start_derivs is None else [d[None] for d in start_derivs]
+    theta, ll, iterations, converged, _ = _ascend(
+        lambda th, rows: np.array([f(th[0])]),
+        lambda th, rows: [d[None] for d in derivs(th[0])],
+        np.asarray(theta, dtype=float)[None], max_iter, start)
+    return theta[0], float(ll[0]), int(iterations[0]), bool(converged[0])
 
 
 def _sorted_sample(data) -> np.ndarray:
@@ -678,6 +596,10 @@ def _sorted_sample(data) -> np.ndarray:
     if float(np.ptp(z)) == 0.0:
         raise DegenerateData("all data points are identical; scale is not estimable")
     return z
+
+
+#: what fitting one sample may raise; :func:`fit_gev_batch` returns it
+_FIT_ERRORS = (VoipQosError, ValueError)
 
 
 def _gev_outcome(theta, ll, iterations, converged, n, e_max, max_iter):
@@ -710,92 +632,66 @@ def _gev_outcome(theta, ll, iterations, converged, n, e_max, max_iter):
     return fit
 
 
-def _fit_alone(z: np.ndarray, max_iter: int):
-    """:func:`fit_gev_mle` of one sorted sample: its fit, or the
-    :class:`NotConverged` carrying it."""
-    def f(theta: np.ndarray) -> float:
-        xi, sigma, mu = theta
-        if not (sigma > 0.0) or not np.all(np.isfinite(theta)):
-            return -math.inf
-        return _loglik_kernel(xi, sigma, mu, z)
+def _fit_gev(seg: _Segments, max_iter: int):
+    """Fit a GEV to each sorted sample of ``seg`` in one :func:`_ascend` run.
 
-    def derivs(theta: np.ndarray):
-        return _gev_derivs(theta, z)
+    Returns one outcome per sample (its :class:`GevFit`, the
+    :class:`NotConverged` carrying the fit reached, or the ``ValueError``
+    that building the fit raised) and :func:`_ascend`'s ``peaked``. The
+    start rule is :func:`fit_gev_mle`'s, for every sample.
+    """
+    samples = [seg.z[o:o + n] for o, n in zip(seg.offsets, seg.counts)]
 
-    def widen(theta0: np.ndarray) -> np.ndarray:
+    def f(th, rows):
+        return seg.take(rows).loglik(th)
+
+    def derivs(th, rows):
+        return _gev_derivs(th, seg.take(rows))
+
+    def widen(theta, rows):
         # A start whose support excludes some point has -inf likelihood
         # and no usable derivatives; growing sigma always covers the data
         # because the support half-width is sigma/|xi|.
+        bad = np.arange(len(rows))
         for _ in range(200):
-            if math.isfinite(f(theta0)):
+            bad = bad[~np.isfinite(f(theta[bad], rows[bad]))]
+            if not bad.size:
                 break
-            theta0 = theta0 * np.array([1.0, 2.0, 1.0])
-        return theta0
+            theta[bad, 1] *= 2.0
+        return theta
 
-    theta = _pwm_init(z)
-    theta = widen(_moment_init(z) if theta is None else theta)
-    start = derivs(theta)
-    if not _is_positive_definite(-start[1]):
-        cand = widen(_quantile_init(z))
-        if math.isfinite(f(cand)):
-            theta, start = cand, None
+    rows = np.arange(len(samples))
+    theta = widen(np.array([_moment_init(z) if t is None else t for z, t
+                            in zip(samples, map(_pwm_init, samples))]), rows)
+    g, hess = derivs(theta, rows)
+    redo = (~_positive_definite(-hess)).nonzero()[0]
+    if redo.size:
+        cand = widen(np.array([_quantile_init(samples[r]) for r in redo]), redo)
+        ok = np.isfinite(f(cand, redo))
+        redo, cand = redo[ok], cand[ok]
+        if redo.size:
+            theta[redo] = cand
+            g[redo], hess[redo] = derivs(cand, redo)
+    theta, ll, iterations, converged, peaked = _ascend(
+        f, derivs, theta, max_iter, (g, hess))
+    e_max = _ks_gev(theta, seg)
+    out: list = []
+    for r in rows:
+        try:
+            out.append(_gev_outcome(theta[r], ll[r], iterations[r], converged[r],
+                                    seg.counts[r], e_max[r], max_iter))
+        except _FIT_ERRORS as exc:
+            out.append(exc)
+    return out, peaked
 
-    theta, ll, iterations, converged = maximize(
-        f, derivs, theta, max_iter, start)
-    params = GevParams(xi=float(theta[0]), sigma=float(theta[1]), mu=float(theta[2]))
-    return _gev_outcome(theta, ll, iterations, converged, z.size,
-                        _ks_sorted(z, lambda x: gev_cdf(params, x)), max_iter)
-
-
-#: what fitting one sample may raise; :func:`fit_gev_batch` returns it
-_FIT_ERRORS = (VoipQosError, ValueError)
 
 #: :func:`fit_gev_batch` fits samples of this many values or more alone:
 #: there the per-point arithmetic outweighs the calls a batch saves
 BATCH_MAX_POINTS = 1024
 
 #: :func:`fit_gev_batch` steps at most this many values in one Newton
-#: run, which keeps the twelve per-point rows of
-#: :func:`_gev_derivs_segments` near 1.5 MB
+#: run, which keeps each per-point array of the GEV kernels near 128 kB
 BATCH_RUN_VALUES = 1 << 14
-
-
-def _fit_batched(samples: list, max_iter: int) -> list:
-    """Outcomes of :func:`_newton_batch` runs of sorted samples, ``None``
-    for each sample it cannot fit.
-
-    A sample stays out of the batch when its PWM start is unusable, off
-    the support or has a negated Hessian that is not positive-definite,
-    and it leaves the batch when it needs another step; one that ends at
-    ``xi <= -1`` or out of iterations is refused too.
-    """
-    seg = _Segments(np.concatenate(samples), [z.size for z in samples])
-    out: list = [None] * len(samples)
-    starts = [_pwm_init(z) for z in samples]
-    rows = np.array([r for r, t in enumerate(starts) if t is not None],
-                    dtype=np.intp)
-    if not rows.size:
-        return out
-    theta = np.array([starts[r] for r in rows])
-    bseg = seg.take(rows)
-    g, hess = _gev_derivs_segments(theta, bseg)
-    ok = np.isfinite(_gev_loglik(theta, bseg)) & _positive_definite(-hess)
-    rows = rows[ok]
-    if not rows.size:
-        return out
-    bseg = seg.take(rows)
-    theta, ll, iterations, converged = _newton_batch(
-        lambda th, r: _gev_loglik(th, bseg.take(r)),
-        lambda th, r: _gev_derivs_segments(th, bseg.take(r)),
-        theta[ok], max_iter, (g[ok], hess[ok]))
-    e_max = _ks_gev(theta, bseg)
-    for k in np.flatnonzero(converged & (theta[:, 0] > -1.0)):
-        try:
-            out[rows[k]] = _gev_outcome(theta[k], ll[k], iterations[k], True,
-                                        bseg.counts[k], e_max[k], max_iter)
-        except _FIT_ERRORS as exc:
-            out[rows[k]] = exc
-    return out
 
 
 def fit_gev_batch(samples, max_iter: int = 200) -> list:
@@ -806,16 +702,15 @@ def fit_gev_batch(samples, max_iter: int = 200) -> list:
     :func:`fit_gev_mle` raises for it; a :class:`NotConverged` carries the
     fit reached.
 
-    Samples of fewer than :data:`BATCH_MAX_POINTS` values are stepped by
-    :func:`_newton_batch` from their PWM starts, in runs of at most
-    :data:`BATCH_RUN_VALUES` values, so any number of samples may be
-    passed. Each sample's sums are taken by ``np.add.reduceat`` over its
-    own values, so an outcome does not depend on the other samples, on
-    the runs or on BLAS. The fit fields can differ from
-    :func:`fit_gev_mle`'s in the last digits, within the step tolerance.
-    Every other sample (larger, or one the batch cannot start, step to
-    the end or bring to a maximum at ``xi > -1``) is fitted by
-    :func:`fit_gev_mle`'s scalar path, from its start.
+    Samples of fewer than :data:`BATCH_MAX_POINTS` values are fitted in
+    runs of at most :data:`BATCH_RUN_VALUES` values, each sample's sums
+    taken by ``np.add.reduceat`` over its own values, so an outcome does
+    not depend on the other samples, on the runs or on BLAS. Its fields
+    can differ from :func:`fit_gev_mle`'s in the last digits, within the
+    step tolerance. :func:`fit_gev_mle` itself fits the larger samples,
+    and each whose batched fit is not a converged maximum at ``xi > -1``:
+    one that ends at ``xi <= -1``, out of iterations, or other than by a
+    Newton step.
     """
     out: list = []
     runs: list[list[int]] = []  # indices of the small samples, run by run
@@ -834,14 +729,16 @@ def fit_gev_batch(samples, max_iter: int = 200) -> list:
             room -= z.size
         out.append(z)
     for run in runs:
-        fits = _fit_batched([out[i] for i in run], max_iter)
-        for i, fit in zip(run, fits):
-            if fit is not None:
+        zs = [out[i] for i in run]
+        fits, peaked = _fit_gev(
+            _Segments(np.concatenate(zs), [z.size for z in zs]), max_iter)
+        for i, fit, peak in zip(run, fits, peaked):
+            if peak and isinstance(fit, GevFit):
                 out[i] = fit
     for i, z in enumerate(out):
         if isinstance(z, np.ndarray):
             try:
-                out[i] = _fit_alone(z, max_iter)
+                out[i] = fit_gev_mle(z, max_iter)
             except _FIT_ERRORS as exc:
                 out[i] = exc
     return out
@@ -853,11 +750,12 @@ def fit_gev_mle(data, max_iter: int = 200) -> GevFit:
     Starts from the probability-weighted-moment estimate of Hosking,
     Wallis & Wood (1985), or from Gumbel moment estimates (scale
     ``s sqrt(6)/pi``, location ``mean - 0.5772 scale``, shape 0.1) when
-    that estimate is unusable. When the negated Hessian at the start is
-    not positive-definite (the symptom of tail-dominated sample moments)
-    the start is rebuilt from Gumbel quantile matching instead.
-    :func:`maximize` then runs for at most ``max_iter`` steps. This is the
-    scalar path: :func:`fit_gev_batch` fits many small samples at once.
+    that estimate is unusable, its scale doubled until the likelihood is
+    finite. When the negated Hessian at the start is not positive-definite
+    (the symptom of tail-dominated sample moments) the start is rebuilt
+    from Gumbel quantile matching instead. :func:`_ascend` then runs for
+    at most ``max_iter`` steps, the sums taken by contiguous ``np.sum``
+    and ``einsum``.
 
     Raises :class:`NotConverged` (carrying the best fit reached) when the
     iteration budget runs out, or when the fit ends at ``xi <= -1``: there
@@ -865,7 +763,7 @@ def fit_gev_mle(data, max_iter: int = 200) -> GevFit:
     approaches the sample maximum (Smith 1985), so the point reached is no
     maximum. The carried fit has ``converged=False``.
     """
-    outcome = _fit_alone(_sorted_sample(data), max_iter)
-    if isinstance(outcome, NotConverged):
+    (outcome,), _ = _fit_gev(_Sample(_sorted_sample(data)), max_iter)
+    if not isinstance(outcome, GevFit):
         raise outcome
     return outcome

@@ -1,19 +1,23 @@
-"""Batched GEV fits against the scalar fit they replaced.
+"""The one Newton loop and the batched GEV fits against the loops they replaced.
 
-``fit_gev_batch`` steps every small sample whose start allows it in
-batched damped-Newton runs of bounded size, with each sample's sums
-taken by ``np.add.reduceat`` over its own segment. A sample that needs
-any other step, or that ends at ``xi <= -1`` or out of iterations, is
-fitted on the scalar path, ``fit_gev_mle``'s. ``tests/fits_reference.py`` keeps
-the scalar fit as it stood before the batch, and every outcome must
-match it: the same status and notes, a log-likelihood never lower by
-more than 1e-12 relative, and parameters within 1e-8 of
-``max(1, |theta|)``. The scalar path matches it exactly.
+``_ascend`` steps one objective per row, and each row takes the Newton,
+ridge-shifted or scaled-ascent step its own derivatives allow, so it
+ends exactly where it ends alone. ``maximize`` is that loop on one row,
+and every ``select`` family fits through it as through the reference
+loop. ``fit_gev_batch`` fits the small samples in batched runs, each
+sample's sums taken by ``np.add.reduceat`` over its own segment; a
+sample of ``BATCH_MAX_POINTS`` values or more, or one whose batched fit
+is not a converged maximum at ``xi > -1``, is fitted by ``fit_gev_mle``.
+``tests/fits_reference.py`` keeps the scalar fit as it stood before the
+batch, and every outcome must match it: the same status and notes, a
+log-likelihood never lower by more than 1e-12 relative, and parameters
+within 1e-8 of ``max(1, |theta|)``. ``fit_gev_mle`` matches it exactly.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from voipqos.errors import (
     VoipQosError,
 )
 from voipqos.evt import (
+    MIN_FIT_POINTS,
     GevFit,
     GevParams,
     fit_gev_batch,
@@ -38,6 +43,7 @@ from voipqos.evt import (
     gev_sample,
 )
 from voipqos.evt import fit as fit_module
+from voipqos.evt import select
 
 
 def _theta(fit: GevFit) -> tuple:
@@ -89,37 +95,39 @@ def test_batched_fits_match_the_scalar_reference(samples):
         _assert_matches_reference(got, z)
 
 
-def _scalar_path_samples() -> dict:
-    """One sample for each way out of the batch."""
+def _contiguous_path_samples() -> dict:
+    """The two that leave the batch, then two that take other steps in it."""
     spx = RTT_MODELS["SPX-16"]
     return {
-        # xi reaches -1, where the likelihood is unbounded
+        # outcome: xi reaches -1, where the likelihood is unbounded
         "unbounded": gev_sample(GevParams(-0.6, 1.0, 0.0), 40, seed=5),
-        # xi > 1: the start's negated Hessian is not positive-definite,
-        # so the start is rebuilt from Gumbel quantiles
+        # size: 2000 values; xi > 1, so the start's negated Hessian is not
+        # positive-definite and the start is rebuilt from Gumbel quantiles
         "quantile start": gev_sample(GevParams(*spx[:3]), 2000, seed=8),
         # the PWM start misses the largest point: moment start, widened
         "moment start": np.sort(np.r_[np.linspace(0.0, 1.0, 40) ** 0.3, 1.6]),
-        # ridge-shifted steps on the way to xi near -1
-        "ridge steps": gev_sample(GevParams(-0.8934275995916446, 2.0, 10.0),
-                                  125, seed=1752032165),
+        # ridge-shifted steps on the way to xi = -0.74
+        "ridge steps": gev_sample(GevParams(-0.7, 2.0, 10.0), 60, seed=3),
     }
 
 
-def test_every_way_out_of_the_batch_matches_the_reference_exactly(monkeypatch):
+def test_size_and_outcome_send_a_sample_to_the_contiguous_path(monkeypatch):
     alone = _spy_scalar_path(monkeypatch)
-    cases = _scalar_path_samples()
+    cases = _contiguous_path_samples()
     plain = gev_sample(GevParams(-0.1, 1.8, 7.3), 149, seed=1)
     outcomes = fit_gev_batch([plain, *cases.values()])
-    # the plain sample stays in the batch; every other one leaves it
-    assert sorted(alone) == sorted(z.size for z in cases.values())
-    _assert_matches_reference(outcomes[0], plain)
-    for got, (name, z) in zip(outcomes[1:], cases.items()):
+    # only the unbounded and the large sample leave the batch
+    assert alone == [cases["unbounded"].size, cases["quantile start"].size]
+    for got, (name, z) in zip(outcomes[1:3], cases.items()):
         want = _reference(z)
         if isinstance(want, NotConverged):
             assert isinstance(got, NotConverged), name
+            assert str(got) == str(want), name
             got, want = got.fit, want.fit
         assert got == want, name
+    _assert_matches_reference(outcomes[0], plain)
+    for got, z in zip(outcomes[3:], [cases["moment start"], cases["ridge steps"]]):
+        _assert_matches_reference(got, z)
 
 
 def test_an_exhausted_budget_matches_the_reference():
@@ -148,13 +156,13 @@ def test_runs_hold_at_most_batch_run_values(monkeypatch):
                for n in (149, 149, 400, 149, 20, 149)]
     whole = fit_gev_batch(samples)
     runs = []
-    batched = fit_module._fit_batched
+    batched = fit_module._fit_gev
 
-    def spy(zs, max_iter):
-        runs.append([z.size for z in zs])
-        return batched(zs, max_iter)
+    def spy(seg, max_iter):
+        runs.append(seg.counts.tolist())
+        return batched(seg, max_iter)
 
-    monkeypatch.setattr(fit_module, "_fit_batched", spy)
+    monkeypatch.setattr(fit_module, "_fit_gev", spy)
     monkeypatch.setattr(fit_module, "BATCH_RUN_VALUES", 300)
     assert fit_gev_batch(samples) == whole
     # a run closes before the value that would overfill it; a sample
@@ -175,15 +183,14 @@ def test_the_scalar_path_is_the_reference(samples):
 
 
 def _spy_scalar_path(monkeypatch) -> list:
-    """The sizes of the samples fitted on the scalar path, as they are."""
+    """The sizes of the samples ``fit_gev_batch`` fits by ``fit_gev_mle``."""
     alone = []
-    scalar = fit_module._fit_alone
 
     def spy(z, max_iter):
         alone.append(z.size)
-        return scalar(z, max_iter)
+        return fit_gev_mle(z, max_iter)
 
-    monkeypatch.setattr(fit_module, "_fit_alone", spy)
+    monkeypatch.setattr(fit_module, "fit_gev_mle", spy)
     return alone
 
 
@@ -228,18 +235,164 @@ def test_segment_ks_distances_equal_the_scalar_ones(xi, sigma, mu, n, seed):
     assert got[1] == fit_module._ks_sorted(z, lambda x: gev_cdf(p, x))
 
 
-def test_rows_that_need_another_step_leave_where_they_stand():
+def _quartic(th):
     # f(x) = -x^4 / 4 + x^2: the negated Hessian 3x^2 - 2 is not
-    # positive-definite near 0, so that row leaves; the other converges
+    # positive-definite near 0, so a start there takes a ridge step
+    x = th[0]
+    return -x ** 4 / 4.0 + x * x
+
+
+def _quartic_derivs(th):
+    x = th[0]
+    return np.array([-x ** 3 + 2.0 * x]), np.array([[-3.0 * x * x + 2.0]])
+
+
+def _log_cosh(th):
+    # f(x) = -log cosh(x - 1): far from 1 the curvature vanishes, so the
+    # Newton step overshoots at every scale and scaled ascent takes over
+    y = th[0] - 1.0
+    return -(np.logaddexp(y, -y) - math.log(2.0))
+
+
+def _log_cosh_derivs(th):
+    y = th[0] - 1.0
+    return np.array([-math.tanh(y)]), np.array([[-1.0 / math.cosh(y) ** 2]])
+
+
+def _rows_of(objectives):
+    """``f`` and ``derivs`` over rows, row ``r`` being ``objectives[r]``."""
     def f(th, rows):
-        x = th[:, 0]
-        return -x ** 4 / 4.0 + x * x
+        return np.array([objectives[r][0](t) for t, r in zip(th, rows)])
 
     def derivs(th, rows):
-        x = th[:, 0]
-        return (-x ** 3 + 2.0 * x)[:, None], (-3.0 * x * x + 2.0)[:, None, None]
+        out = [objectives[r][1](t) for t, r in zip(th, rows)]
+        return np.array([g for g, _ in out]), np.array([h for _, h in out])
 
-    theta, _, iterations, converged = fit_module._newton_batch(
-        f, derivs, np.array([[0.1], [3.0]]))
-    assert iterations[0] == 0 and not converged[0] and theta[0, 0] == 0.1
-    assert converged[1] and theta[1, 0] == pytest.approx(math.sqrt(2.0))
+    return f, derivs
+
+
+def _gev_rows(samples):
+    seg = fit_module._Segments(np.concatenate(samples), [z.size for z in samples])
+    return (lambda th, rows: seg.take(rows).loglik(th),
+            lambda th, rows: fit_module._gev_derivs(th, seg.take(rows)))
+
+
+def _gev_start(z):
+    """The PWM start of a sorted sample, or its moment start, widened."""
+    theta = fit_module._pwm_init(z)
+    theta = fit_module._moment_init(z) if theta is None else theta
+    while not math.isfinite(fit_module._Sample(z).loglik(theta[None])[0]):
+        theta[1] *= 2.0
+    return theta
+
+
+def _spy_line_searches(monkeypatch) -> list:
+    """``(rows, limit)`` of each line search that may double its step."""
+    seen = []
+    search = fit_module._line_search
+
+    def spy(f, theta, ll, rows, direction, expand, limit):
+        seen.append((rows[np.broadcast_to(expand, rows.shape)].tolist(), limit))
+        return search(f, theta, ll, rows, direction, expand, limit)
+
+    monkeypatch.setattr(fit_module, "_line_search", spy)
+    return seen
+
+
+def _assert_rows_ascend_alone(make, items, theta):
+    together = fit_module._ascend(*make(items), theta)
+    for r, item in enumerate(items):
+        alone = fit_module._ascend(*make([item]), theta[r:r + 1])
+        for got, want in zip(together[:4], alone[:4]):
+            assert np.array_equal(got[r], want[0]), r
+
+
+def test_each_row_ascends_as_it_would_alone(monkeypatch):
+    seen = _spy_line_searches(monkeypatch)
+    objectives = ([(_quartic, _quartic_derivs)] * 2
+                  + [(_log_cosh, _log_cosh_derivs)] * 3)
+    theta = np.array([[0.1], [3.0], [-30.0], [-1.5], [3.2]])
+    _assert_rows_ascend_alone(_rows_of, objectives, theta)
+    # row 0 takes a ridge step in place, row 2 scaled ascent, and rows 3
+    # and 4 halve their first Newton steps together
+    assert [0] in [rows for rows, limit in seen if limit == 2.0 ** 20]
+    assert any(2 in rows for rows, limit in seen if limit == 2.0 ** 30)
+    # and each ends where the reference loop ends, after one step too
+    for max_iter in (1, 200):
+        together = fit_module._ascend(*_rows_of(objectives), theta, max_iter)
+        for r, (f, derivs) in enumerate(objectives):
+            want = ref.maximize(f, derivs, theta[r], max_iter=max_iter)
+            got = [v[r] for v in together[:4]]
+            assert np.array_equal(got[0], want[0]), (max_iter, r)
+            assert got[1:] == list(want[1:]), (max_iter, r)
+    assert np.abs(together[0][:2, 0]) == pytest.approx([math.sqrt(2.0)] * 2)
+
+    # GEV rows, one of them taking ridge steps
+    seen.clear()
+    samples = [np.sort(gev_sample(GevParams(-0.1, 1.8, 7.3), 149, seed=1)),
+               np.sort(_contiguous_path_samples()["ridge steps"]),
+               np.sort(gev_sample(GevParams(0.3, 2.0, 10.0), 60, seed=2))]
+    starts = np.array([_gev_start(z) for z in samples])
+    _assert_rows_ascend_alone(_gev_rows, samples, starts)
+    assert any(1 in rows for rows, limit in seen if limit == 2.0 ** 20)
+
+
+def _spy_derivs(derivs, calls):
+    def spy(th):
+        out = derivs(th)
+        calls.append((th.copy(), out, [a.copy() for a in out]))
+        return out
+    return spy
+
+
+@pytest.mark.parametrize("exit_, f, derivs, start, max_iter, want", [
+    # the second Newton step is 0: the step tolerance
+    ("step tolerance", lambda th: -(th[0] - 1.0) ** 2,
+     lambda th: (np.array([-2.0 * (th[0] - 1.0)]), np.array([[-2.0]])),
+     [0.0], 200, (2, True)),
+    # a gain of 2e-11 at a level of 1e6: below the resolution
+    ("resolution", lambda th: 1e6 - 1e-12 * (th[0] - 3.0) ** 2,
+     lambda th: (np.array([-2e-12 * (th[0] - 3.0)]), np.array([[-2e-12]])),
+     [0.0], 200, (1, True)),
+    # a kink at the maximum: the left derivative points down at every scale
+    ("plateau", lambda th: -abs(th[0]),
+     lambda th: (np.array([-1.0 if th[0] >= 0.0 else 1.0]), np.array([[-1.0]])),
+     [0.0], 200, (1, True)),
+    ("exhausted budget", _quartic, _quartic_derivs, [3.0], 2, (2, False)),
+])
+def test_maximize_last_calls_derivs_at_the_returned_point(exit_, f, derivs,
+                                                         start, max_iter, want):
+    # _fit_genpareto reads the last derivs result as the one at theta
+    calls = []
+    theta, ll, iterations, converged = fit_module.maximize(
+        f, _spy_derivs(derivs, calls), start, max_iter)
+    assert (iterations, converged) == want, exit_
+    last_theta, out, copies = calls[-1]
+    assert np.array_equal(last_theta, theta) and ll == f(theta)
+    for a, b in zip(out, copies):
+        assert np.array_equal(a, b)
+
+
+@given(xi=st.floats(-0.4, 0.6), sigma=st.floats(0.1, 20.0),
+       mu=st.floats(30.0, 200.0), n=st.integers(20, 400),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_select_families_fit_as_with_the_reference_loop(xi, sigma, mu, n, seed):
+    # model_select's bytes depend on these fits being the same
+    z = gev_sample(GevParams(xi, sigma, mu), n, seed=seed)
+    z = z[z > 0.0] if np.sum(z > 0.0) >= MIN_FIT_POINTS else np.abs(z) + 1.0
+    families = ("Gumbel", "Logistic", "Weibull", "Gamma", "GeneralizedPareto")
+
+    def fits():
+        out = []
+        for family in families:
+            try:
+                out.append(select._FITTERS[family].fit(z))
+            except ValueError as exc:
+                out.append(str(exc))
+        return out
+
+    got = fits()
+    with mock.patch.object(select, "maximize", ref.maximize):
+        want = fits()
+    assert got == want
