@@ -236,7 +236,8 @@ def build_session_report(
 
     if jitter is not None:
         bw = series_by_name["bandwidth"]
-        bw_at_jitter = np.interp(jitter.times(), bw.times(), bw.values())
+        # jitter's times are bandwidth's from the second packet on
+        bw_at_jitter = bw.values()[1:]
         hist = bivariate_hist(bw_at_jitter, sigma_j.values())
         files["bandwidth_sigma_hist.csv"] = hist.to_csv()
         exports["bandwidth_sigma_hist"] = "bandwidth_sigma_hist.csv"

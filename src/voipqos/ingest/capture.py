@@ -11,8 +11,10 @@ Decoding is columnar. The walk over record headers is the only
 per-record Python loop; the link, IPv4 and UDP checks then run once over
 numpy columns, and the result is a ``Capture``: timestamps, uint32
 addresses, ports, and each payload's offset and length into the
-unchanged input buffer. A Capture reads as a sequence of PacketRecord,
-built on demand.
+unchanged input buffer. ``Table`` is the one protocol of the ingest
+column tables, Capture, RtpStream and XrBlocks: each reads as a
+sequence of its row dataclass (for a Capture, PacketRecord), built on
+demand, slices as a view, and ``from_rows`` builds it from such rows.
 
 The jsonl side is the human-writable twin used for diffable fixtures:
 one JSON object per line with keys ts, src, dst, sport, dport, proto,
@@ -65,94 +67,59 @@ class PacketRecord:
                 raise DomainError(f"port {port} outside 0..65535")
 
 
-class Capture(Sequence):
-    """UDP packet records as columns over one payload buffer.
+class Table(Sequence):
+    """Rows held as equally long, read-only numpy columns.
 
-    Row i is a packet captured at ``ts[i]`` (float64 seconds) from
-    ``src[i]:sport[i]`` to ``dst[i]:dport[i]`` (uint32 IPv4 addresses,
-    uint16 ports); its UDP payload is ``buf[offset[i]:offset[i] +
-    length[i]]``. Indexing builds a PacketRecord, and a Capture equals
-    any sequence holding the same records in the same order.
+    A subclass declares its columns and their dtypes in ``_COLUMNS``,
+    and the attributes its rows share, which slicing leaves whole, in
+    ``_SHARED``. It builds row i with ``_row(i)``, and the columns of a
+    row sequence, as keyword arguments, with ``_columns_of(rows)``.
+    Indexing builds a row, a slice is a table viewing the same columns,
+    and a table equals any sequence holding the same rows in order.
     """
 
-    __slots__ = ("buf", "ts", "src", "dst", "sport", "dport", "offset",
-                 "length")
+    _SHARED: tuple[str, ...] = ()
+    _COLUMNS: tuple = ()
+    __slots__ = ()
 
-    def __init__(self, buf, ts, src, dst, sport, dport, offset, length):
-        self.buf = buf
-        for name, value, dtype in (
-            ("ts", ts, np.float64), ("src", src, np.uint32),
-            ("dst", dst, np.uint32), ("sport", sport, np.uint16),
-            ("dport", dport, np.uint16), ("offset", offset, np.int64),
-            ("length", length, np.int64),
-        ):
-            column = np.asarray(value, dtype=dtype)
+    def __init__(self, *args, **kwargs):
+        """The shared attributes, then the columns, by position or name."""
+        names = self._SHARED + tuple(name for name, _ in self._COLUMNS)
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(
+                f"{type(self).__name__} takes {', '.join(names)}; got "
+                f"{len(args)} positional and {sorted(kwargs)} by name")
+        for name in self._SHARED:
+            setattr(self, name, values[name])
+        for name, dtype in self._COLUMNS:
+            column = np.asarray(values[name], dtype=dtype)
             column.setflags(write=False)
             setattr(self, name, column)
 
     @classmethod
-    def from_records(cls, records) -> Capture:
-        """The columns of a record sequence; a Capture comes back as is."""
-        if isinstance(records, Capture):
-            return records
-        records = list(records)
-        length = np.array([len(r.payload) for r in records], dtype=np.int64)
-        return cls(
-            b"".join(r.payload for r in records),
-            [r.ts for r in records],
-            [_ipv4_int(r.src_addr) for r in records],
-            [_ipv4_int(r.dst_addr) for r in records],
-            [r.src_port for r in records],
-            [r.dst_port for r in records],
-            np.cumsum(length) - length,
-            length,
+    def from_rows(cls, rows):
+        """The table of a row sequence; a table of this type comes back."""
+        if isinstance(rows, cls):
+            return rows
+        return cls(**cls._columns_of(list(rows)))
+
+    def take(self, rows):
+        """The rows at the given positions, or a view of the given slice."""
+        if not isinstance(rows, slice):
+            rows = np.asarray(rows, dtype=np.int64)
+        return type(self)(
+            *(getattr(self, name) for name in self._SHARED),
+            *(getattr(self, name)[rows] for name, _ in self._COLUMNS),
         )
-
-    @classmethod
-    def concat(cls, captures: list[Capture]) -> Capture:
-        """One Capture holding the rows of each, in order."""
-        if len(captures) == 1:
-            return captures[0]
-        shift = np.cumsum([0] + [len(c.buf) for c in captures[:-1]])
-        columns = {
-            name: np.concatenate([getattr(c, name) for c in captures])
-            for name in ("ts", "src", "dst", "sport", "dport", "length")
-        }
-        return cls(
-            b"".join(c.buf for c in captures),
-            offset=np.concatenate(
-                [c.offset + k for c, k in zip(captures, shift.tolist())]
-            ),
-            **columns,
-        )
-
-    def take(self, rows) -> Capture:
-        """The rows at the given positions, over the same buffer."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return Capture(self.buf, self.ts[rows], self.src[rows],
-                       self.dst[rows], self.sport[rows], self.dport[rows],
-                       self.offset[rows], self.length[rows])
-
-    def payload(self, i: int) -> bytes:
-        start = int(self.offset[i])
-        return bytes(self.buf[start:start + int(self.length[i])])
 
     def __len__(self) -> int:
-        return len(self.ts)
+        return len(getattr(self, self._COLUMNS[0][0]))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return self.take(np.arange(len(self))[i])
-        i = range(len(self))[i]  # IndexError past either end
-        return PacketRecord(
-            ts=float(self.ts[i]),
-            src_addr=_dotted(int(self.src[i])),
-            dst_addr=_dotted(int(self.dst[i])),
-            src_port=int(self.sport[i]),
-            dst_port=int(self.dport[i]),
-            transport="udp",
-            payload=self.payload(i),
-        )
+            return self.take(i)
+        return self._row(range(len(self))[i])  # IndexError past either end
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
@@ -162,7 +129,63 @@ class Capture(Sequence):
         )
 
     def __repr__(self) -> str:
-        return f"Capture({len(self)} records)"
+        return f"{type(self).__name__}({len(self)} rows)"
+
+
+class Capture(Table):
+    """UDP packet records as columns over one payload buffer.
+
+    Row i is a packet captured at ``ts[i]`` (float64 seconds) from
+    ``src[i]:sport[i]`` to ``dst[i]:dport[i]`` (uint32 IPv4 addresses,
+    uint16 ports); its UDP payload is ``buf[offset[i]:offset[i] +
+    length[i]]``, and the row is a PacketRecord.
+    """
+
+    _SHARED = ("buf",)
+    _COLUMNS = (("ts", np.float64), ("src", np.uint32), ("dst", np.uint32),
+                ("sport", np.uint16), ("dport", np.uint16),
+                ("offset", np.int64), ("length", np.int64))
+    __slots__ = _SHARED + tuple(name for name, _ in _COLUMNS)
+
+    @staticmethod
+    def _columns_of(records) -> dict:
+        length = np.array([len(r.payload) for r in records], dtype=np.int64)
+        return dict(
+            buf=b"".join(r.payload for r in records),
+            ts=[r.ts for r in records],
+            src=[_ipv4_int(r.src_addr) for r in records],
+            dst=[_ipv4_int(r.dst_addr) for r in records],
+            sport=[r.src_port for r in records],
+            dport=[r.dst_port for r in records],
+            offset=np.cumsum(length) - length,
+            length=length,
+        )
+
+    @classmethod
+    def concat(cls, captures: list[Capture]) -> Capture:
+        """One Capture holding the rows of each, in order."""
+        if len(captures) == 1:
+            return captures[0]
+        shift = np.cumsum([0] + [len(c.buf) for c in captures[:-1]]).tolist()
+        columns = {name: np.concatenate([getattr(c, name) for c in captures])
+                   for name, _ in cls._COLUMNS if name != "offset"}
+        offset = np.concatenate([c.offset + k for c, k in zip(captures, shift)])
+        return cls(b"".join(c.buf for c in captures), offset=offset, **columns)
+
+    def payload(self, i: int) -> bytes:
+        start = int(self.offset[i])
+        return bytes(self.buf[start:start + int(self.length[i])])
+
+    def _row(self, i: int) -> PacketRecord:
+        return PacketRecord(
+            ts=float(self.ts[i]),
+            src_addr=_dotted(int(self.src[i])),
+            dst_addr=_dotted(int(self.dst[i])),
+            src_port=int(self.sport[i]),
+            dst_port=int(self.dport[i]),
+            transport="udp",
+            payload=self.payload(i),
+        )
 
 
 def _ipv4_int(addr: str) -> int:
@@ -372,7 +395,7 @@ def parse_jsonl(text: str) -> Capture:
             )
         except (TypeError, ValueError, DomainError) as exc:
             raise BadRecord(f"line {lineno}: {exc}") from exc
-    return Capture.from_records(records)
+    return Capture.from_rows(records)
 
 
 def write_jsonl(records: list[PacketRecord]) -> str:

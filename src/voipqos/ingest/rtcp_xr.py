@@ -23,19 +23,20 @@ body words:
 ``parse_rtcp_xr`` decodes one compound packet into VoipMetricsBlock
 objects; it is the reference decoder. ``xr_block_columns`` decodes the
 blocks of many compound packets at once, with the same refusal rules,
-and ``XrBlocks`` carries blocks as columns.
+and ``XrBlocks`` is the ``capture.Table`` of VoipMetricsBlock rows.
+``_BODY`` declares the body layout once: the numpy record, the column
+types and each field's range check derive from it.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import BadVersion, DomainError, Truncated
-from .capture import read_uint
+from .capture import Table, read_uint
 
 XR_PACKET_TYPE = 207
 VOIP_METRICS_BLOCK_TYPE = 7
@@ -74,52 +75,14 @@ class VoipMetricsBlock:
     report_ts: float = 0.0  # capture time of the enclosing packet
 
     def __post_init__(self) -> None:
-        if not 0 <= self.source_ssrc <= 0xFFFFFFFF:
-            raise DomainError("source_ssrc outside 32-bit range")
-        for name in (
-            "loss_rate", "discard_rate", "burst_density", "gap_density",
-            "rerl", "gmin", "ext_r_factor", "mos_lq", "mos_cq",
-            "rx_config", "reserved",
-        ):
-            v = getattr(self, name)
-            if not 0 <= v <= 255:
-                raise DomainError(f"{name}={v} outside unsigned 8-bit range")
-        for name in (
-            "burst_duration", "gap_duration", "round_trip_delay",
-            "end_system_delay", "jb_nominal", "jb_maximum", "jb_abs_max",
-        ):
-            v = getattr(self, name)
-            if not 0 <= v <= 0xFFFF:
-                raise DomainError(f"{name}={v} outside unsigned 16-bit range")
-        for name in ("signal_level", "noise_level"):
-            v = getattr(self, name)
-            if not -128 <= v <= 127:
-                raise DomainError(f"{name}={v} outside signed 8-bit range")
         if not (0 <= self.r_factor <= 100 or self.r_factor == UNAVAILABLE):
             raise DomainError(
                 f"r_factor={self.r_factor} must be in 0..100 or 127 (unavailable)"
             )
-
-    def wire_fields(self) -> tuple:
-        return (
-            self.source_ssrc,
-            self.loss_rate, self.discard_rate,
-            self.burst_density, self.gap_density,
-            self.burst_duration, self.gap_duration,
-            self.round_trip_delay, self.end_system_delay,
-            self.signal_level, self.noise_level, self.rerl, self.gmin,
-            self.r_factor, self.ext_r_factor, self.mos_lq, self.mos_cq,
-            self.rx_config, self.reserved,
-            self.jb_nominal, self.jb_maximum, self.jb_abs_max,
-        )
-
-
-def encode_voip_metrics(block: VoipMetricsBlock) -> bytes:
-    """Encode one block: 4-byte block header + 32-byte body."""
-    header = struct.pack(
-        ">BBH", VOIP_METRICS_BLOCK_TYPE, 0, VOIP_METRICS_BLOCK_WORDS
-    )
-    return header + _BODY.pack(*block.wire_fields())
+        for name, low, high, width in _WIRE_RANGES:
+            v = getattr(self, name)
+            if not low <= v <= high:
+                raise DomainError(f"{name}={v} outside {width} range")
 
 
 # the block's wire fields, in _BODY order: every field but report_ts
@@ -132,10 +95,21 @@ _BODY_DTYPE = np.dtype([
     for name, code in zip(_WIRE_NAMES, _BODY.format[1:])
 ])
 
+# (name, low, high, "unsigned N-bit") of each wire field, from its dtype
+_WIRE_RANGES = tuple(
+    (name, int(info.min), int(info.max),
+     f"{'signed' if info.min else 'unsigned'} {info.bits}-bit")
+    for name in _WIRE_NAMES
+    for info in [np.iinfo(_BODY_DTYPE[name])]
+)
 
-def _decode_voip_metrics(body: bytes, report_ts: float) -> VoipMetricsBlock:
-    return VoipMetricsBlock(**dict(zip(_WIRE_NAMES, _BODY.unpack(body))),
-                            report_ts=report_ts)
+
+def encode_voip_metrics(block: VoipMetricsBlock) -> bytes:
+    """Encode one block: 4-byte block header + 32-byte body."""
+    header = struct.pack(
+        ">BBH", VOIP_METRICS_BLOCK_TYPE, 0, VOIP_METRICS_BLOCK_WORDS
+    )
+    return header + _BODY.pack(*(getattr(block, n) for n in _WIRE_NAMES))
 
 
 def encode_xr_packet(sender_ssrc: int, blocks: list[VoipMetricsBlock]) -> bytes:
@@ -183,20 +157,18 @@ def _parse_xr_blocks(data: bytes, capture_ts: float) -> list[VoipMetricsBlock]:
         if off + span > n:
             raise Truncated("XR block extends past end of packet")
         if bt == VOIP_METRICS_BLOCK_TYPE and block_words == VOIP_METRICS_BLOCK_WORDS:
-            blocks.append(
-                _decode_voip_metrics(data[off + 4 : off + span], capture_ts)
-            )
+            body = _BODY.unpack(data[off + 4 : off + span])  # wire order
+            blocks.append(VoipMetricsBlock(*body, report_ts=capture_ts))
         off += span
     return blocks
 
 
-class XrBlocks(Sequence):
+class XrBlocks(Table):
     """VoIP Metrics blocks as columns, one row per block.
 
     One column per wire field, named as the VoipMetricsBlock fields and
     typed by their wire width (the levels signed), then ``report_ts``
-    (float64 seconds). Indexing builds a VoipMetricsBlock, and a table
-    equals any sequence holding the same blocks in order.
+    (float64 seconds). A row is a VoipMetricsBlock.
     """
 
     _COLUMNS = tuple(
@@ -204,46 +176,16 @@ class XrBlocks(Sequence):
     ) + (("report_ts", np.dtype(np.float64)),)
     __slots__ = tuple(name for name, _ in _COLUMNS)
 
-    def __init__(self, *columns):
-        """The wire-field columns in wire order, then ``report_ts``."""
-        if len(columns) != len(self._COLUMNS):
-            raise TypeError(f"XrBlocks takes {len(self._COLUMNS)} columns, "
-                            f"got {len(columns)}")
-        for (name, dtype), value in zip(self._COLUMNS, columns):
-            column = np.asarray(value, dtype=dtype)
-            column.setflags(write=False)
-            setattr(self, name, column)
-
     @classmethod
-    def from_blocks(cls, blocks) -> XrBlocks:
-        """The columns of a block sequence; an XrBlocks comes back as is."""
-        if isinstance(blocks, XrBlocks):
-            return blocks
-        blocks = list(blocks)
-        return cls(*([getattr(b, name) for b in blocks]
-                     for name, _ in cls._COLUMNS))
+    def _columns_of(cls, blocks) -> dict:
+        return {name: [getattr(b, name) for b in blocks]
+                for name, _ in cls._COLUMNS}
 
-    def __len__(self) -> int:
-        return len(self.report_ts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return XrBlocks(*(getattr(self, n)[i] for n, _ in self._COLUMNS))
-        i = range(len(self))[i]  # IndexError past either end
+    def _row(self, i: int) -> VoipMetricsBlock:
         return VoipMetricsBlock(
             *(int(getattr(self, n)[i]) for n in _WIRE_NAMES),
             report_ts=float(self.report_ts[i]),
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other)
-        )
-
-    def __repr__(self) -> str:
-        return f"XrBlocks({len(self)} blocks)"
 
 
 def _chains(u8: np.ndarray, at: np.ndarray, end: np.ndarray):

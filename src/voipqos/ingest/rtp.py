@@ -1,16 +1,16 @@
 """RTP headers decoded one by one or in columns, encoding, and the
-columnar RTP stream; the one module that knows the RTP wire layout."""
+RtpStream table of RtpPacket rows; the one module that knows the RTP
+wire layout."""
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import BadVersion, DomainError, TooShort
-from .capture import read_uint
+from .capture import Table, read_uint
 
 _FIXED_LEN = 12
 
@@ -41,13 +41,12 @@ class RtpPacket:
             raise DomainError("negative payload length or impossible header length")
 
 
-class RtpStream(Sequence):
+class RtpStream(Table):
     """RTP packets as columns, one row per packet.
 
     ``seq`` (uint16), ``rtp_ts`` and ``ssrc`` (uint32), ``payload_type``
     (uint8), ``capture_ts`` (float64 seconds), ``size`` (header plus
-    payload bytes) and ``header_len``. Indexing builds an RtpPacket, and
-    a stream equals any sequence holding the same packets in order.
+    payload bytes) and ``header_len``. A row is an RtpPacket.
     """
 
     _COLUMNS = (("seq", np.uint16), ("rtp_ts", np.uint32),
@@ -56,36 +55,14 @@ class RtpStream(Sequence):
                 ("header_len", np.int64))
     __slots__ = tuple(name for name, _ in _COLUMNS)
 
-    def __init__(self, seq, rtp_ts, ssrc, payload_type, capture_ts, size,
-                 header_len):
-        values = (seq, rtp_ts, ssrc, payload_type, capture_ts, size,
-                  header_len)
-        for (name, dtype), value in zip(self._COLUMNS, values):
-            column = np.asarray(value, dtype=dtype)
-            column.setflags(write=False)
-            setattr(self, name, column)
-
     @classmethod
-    def from_packets(cls, packets) -> RtpStream:
-        """The columns of a packet sequence; an RtpStream comes back as is."""
-        if isinstance(packets, RtpStream):
-            return packets
-        packets = list(packets)
-        return cls(
-            *([getattr(p, name) for p in packets]
-              for name in ("seq", "rtp_ts", "ssrc", "payload_type",
-                           "capture_ts")),
-            size=[p.header_len + p.payload_len for p in packets],
-            header_len=[p.header_len for p in packets],
-        )
+    def _columns_of(cls, packets) -> dict:
+        columns = {name: [getattr(p, name) for p in packets]
+                   for name, _ in cls._COLUMNS if name != "size"}
+        columns["size"] = [p.header_len + p.payload_len for p in packets]
+        return columns
 
-    def __len__(self) -> int:
-        return len(self.capture_ts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return RtpStream(*(getattr(self, n)[i] for n, _ in self._COLUMNS))
-        i = range(len(self))[i]  # IndexError past either end
+    def _row(self, i: int) -> RtpPacket:
         header_len = int(self.header_len[i])
         return RtpPacket(
             version=2,
@@ -97,16 +74,6 @@ class RtpStream(Sequence):
             capture_ts=float(self.capture_ts[i]),
             header_len=header_len,
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other)
-        )
-
-    def __repr__(self) -> str:
-        return f"RtpStream({len(self)} packets)"
 
 
 def parse_rtp(payload: bytes, capture_ts: float) -> RtpPacket:

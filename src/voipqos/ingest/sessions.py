@@ -10,11 +10,11 @@ header, CSRC list and extension included, is decoded in columns by
 ``rtp_header_columns``: no RTP packet is parsed on its own. One sort
 on (ssrc, 5-tuple, capture time) groups the streams, orders each by
 capture time and finds the repeated capture times. Each stream comes
-out as an RtpStream. The VoIP Metrics blocks of every RTCP payload are
-decoded in columns too, by ``xr_block_columns``; after binding, one
-sort on (session, report time) orders them into one XrBlocks table, of
-which each session gets a slice. Only SIP payloads are parsed one by
-one.
+out as an RtpStream, a column table (``capture.Table``) like the
+Capture. The VoIP Metrics blocks of every RTCP payload are decoded in
+columns too, by ``xr_block_columns``; after binding, one sort on
+(session, report time) orders them into one XrBlocks table, of which
+each session gets a slice. Only SIP payloads are parsed one by one.
 
 Binding precedence, each step through a lookup built once:
 - dialogs, in start order, claim the unbound streams on their SDP audio
@@ -81,8 +81,8 @@ class _Stream(NamedTuple):
     first_pt: int  # payload type of its first record in file order
 
 
-_NO_RTP = RtpStream.from_packets([])
-_NO_XR = XrBlocks.from_blocks([])
+_NO_RTP = RtpStream.from_rows([])
+_NO_XR = XrBlocks.from_rows([])
 
 
 def _stream_order(cap: Capture, rows: np.ndarray, ssrc: np.ndarray):
@@ -185,13 +185,14 @@ def _dialog_ends(dialog: list[SipMessage]) -> dict[str, tuple | None]:
 
 def assemble_sessions(records, payload_type_map: dict[int, str] | None = None
                       ) -> AssemblyResult:
-    """Group records (a Capture or PacketRecords) into call sessions.
+    """Group records into call sessions: a Capture, or PacketRecords,
+    which ``Capture.from_rows`` turns into one.
 
     ``payload_type_map`` names the codec of each RTP payload type
     (default: the static types). See the module docstring.
     """
     pt_map = load_codec_map() if payload_type_map is None else payload_type_map
-    cap = Capture.from_records(records)
+    cap = Capture.from_rows(records)
     u8 = np.frombuffer(cap.buf, dtype=np.uint8)
 
     # the first two payload bytes of every row that has them
@@ -321,8 +322,9 @@ def _bind_xr(sessions: list[CallSession], cap: Capture, rows: np.ndarray,
 
 
 def _session_start(s: CallSession) -> float:
-    firsts = (s.sip_dialog, s.rtp_fwd, s.rtp_rev)
-    return min((x[0].capture_ts for x in firsts if x), default=0.0)
+    firsts = [float(x.capture_ts[0]) for x in (s.rtp_fwd, s.rtp_rev) if len(x)]
+    firsts += [m.capture_ts for m in s.sip_dialog[:1]]
+    return min(firsts, default=0.0)
 
 
 def _sent_to(s: _Stream, end: tuple | None) -> bool:

@@ -33,7 +33,7 @@ from .ingest.rtcp_xr import UNAVAILABLE, VoipMetricsBlock, XrBlocks
 from .ingest.rtp import RtpPacket, RtpStream
 from .ingest.sip import SipMessage
 
-#: Fixed unit per metric name; MetricSeries construction enforces it.
+#: Fixed unit per metric name, and the names a MetricSeries may carry.
 UNIT_BY_NAME = {
     "jitter": "ms",
     "sigma_j": "ms",
@@ -60,18 +60,12 @@ class MetricSeries:
     """
 
     name: str
-    unit: str
     t: np.ndarray
     v: np.ndarray
 
     def __post_init__(self) -> None:
         if self.name not in UNIT_BY_NAME:
             raise DomainError(f"unknown metric name {self.name!r}")
-        if self.unit != UNIT_BY_NAME[self.name]:
-            raise DomainError(
-                f"metric {self.name!r} must carry unit "
-                f"{UNIT_BY_NAME[self.name]!r}, got {self.unit!r}"
-            )
         t = np.array(self.t, dtype=np.float64)
         v = np.array(self.v, dtype=np.float64)
         if t.ndim != 1 or t.shape != v.shape:
@@ -87,7 +81,12 @@ class MetricSeries:
 
     @classmethod
     def create(cls, name: str, times, values) -> "MetricSeries":
-        return cls(name=name, unit=UNIT_BY_NAME.get(name, ""), t=times, v=values)
+        return cls(name=name, t=times, v=values)
+
+    @property
+    def unit(self) -> str:
+        """The unit fixed for the series' name (UNIT_BY_NAME)."""
+        return UNIT_BY_NAME[self.name]
 
     def times(self) -> np.ndarray:
         return self.t
@@ -206,7 +205,7 @@ def jitter_series(
     """Per-packet jitter in ms; one sample per packet from the second on."""
     if not clock_rate > 0:
         raise DomainError(f"clock rate must be positive, got {clock_rate}")
-    stream = RtpStream.from_packets(stream)
+    stream = RtpStream.from_rows(stream)
     if len(stream) < 2:
         raise TooFewPackets(f"jitter needs >= 2 packets, got {len(stream)}")
     t_t = _unroll(stream.rtp_ts, 2**32).astype(float) / float(clock_rate)
@@ -280,7 +279,7 @@ def bandwidth_series(
         raise DomainError(f"window must be positive, got {window}")
     if overhead_bytes < 0:
         raise DomainError("overhead_bytes must be >= 0")
-    stream = RtpStream.from_packets(stream)
+    stream = RtpStream.from_rows(stream)
     t = stream.capture_ts
     size = (stream.size + overhead_bytes).astype(float)
     # window (t - window, t] holds packets lo..i; sizes are integers, so
@@ -293,7 +292,7 @@ def bandwidth_series(
 
 def loss_summary(stream: RtpStream | list[RtpPacket]) -> LossSummary:
     """Packet loss from the unrolled sequence-number span."""
-    stream = RtpStream.from_packets(stream)
+    stream = RtpStream.from_rows(stream)
     if not len(stream):
         raise TooFewPackets("loss needs at least one packet")
     seqs = np.sort(_unroll(stream.seq, 2**16))
@@ -312,7 +311,7 @@ def _xr_projection(
     report time (one compound reporting several streams) keep only the
     first; feed per-direction blocks to avoid that.
     """
-    xr = XrBlocks.from_blocks(xr)
+    xr = XrBlocks.from_rows(xr)
     order = np.argsort(xr.report_ts, kind="stable")
     times, values = xr.report_ts[order], getattr(xr, field)[order]
     present = values != missing

@@ -16,6 +16,7 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,8 @@ from voipqos.ingest import (
     encode_rtp,
     encode_xr_packet,
     parse_pcap,
+    parse_rtcp_xr,
+    parse_rtp,
     write_pcap,
 )
 from voipqos.metrics import unroll
@@ -181,9 +184,9 @@ def test_sessions_and_reports_equal_reference(data):
         # the object metrics still take the streams packet by packet
         old = dataclasses.replace(
             old,
-            rtp_fwd=RtpStream.from_packets(old.rtp_fwd),
-            rtp_rev=RtpStream.from_packets(old.rtp_rev),
-            xr_blocks=XrBlocks.from_blocks(old.xr_blocks),
+            rtp_fwd=RtpStream.from_rows(old.rtp_fwd),
+            rtp_rev=RtpStream.from_rows(old.rtp_rev),
+            xr_blocks=XrBlocks.from_rows(old.xr_blocks),
         )
         with mock.patch.multiple(analyze, **object_metrics):
             assert _report_bytes(old) == expected
@@ -196,13 +199,70 @@ def test_unroll_equals_reference(values, modulus):
     assert unroll(values, modulus) == ingest_reference.unroll(values, modulus)
 
 
-def test_capture_from_records_round_trips_and_concatenates():
+def test_capture_from_rows_round_trips_and_concatenates():
     recs = [builders.rtp_record(1.0, 1, 0), builders.xr_record(2.5),
             builders.sip_record(3.0, b"")]
-    one = Capture.from_records(recs[:2])
-    two = Capture.from_records(recs[2:])
-    assert one == recs[:2] and Capture.from_records(one) is one
+    one = Capture.from_rows(recs[:2])
+    two = Capture.from_rows(recs[2:])
     joined = Capture.concat([one, two])
     assert joined == recs and list(joined) == recs
-    assert joined[1:] == recs[1:] and joined[-1] == recs[-1]
-    assert joined.take([2, 0]) == [recs[2], recs[0]]
+    assert Capture.concat([one]) is one
+
+
+def _builder_rows(table):
+    """Four rows of ``table``'s row type, from the record builders."""
+    if table is Capture:
+        return [builders.rtp_record(1.0, 1, 0), builders.xr_record(2.5),
+                builders.sip_record(3.0, b"INVITE"),
+                builders.rtp_record(3.5, 2, 160, reverse=True)]
+    if table is RtpStream:
+        return [parse_rtp(r.payload, r.ts) for r in (
+            builders.rtp_record(1.0 + 0.02 * k, k, 160 * k, media=b"x" * k)
+            for k in range(4))]
+    return [block for ts in (1.0, 2.0, 3.0, 4.0) for block in parse_rtcp_xr(
+        builders.xr_record(ts, round_trip_delay=int(100 * ts)).payload, ts)]
+
+
+@pytest.mark.parametrize("table", (Capture, RtpStream, XrBlocks),
+                         ids=lambda t: t.__name__)
+def test_table_protocol(table):
+    rows = _builder_rows(table)
+    t = table.from_rows(rows)
+    assert type(t) is table and len(t) == len(rows)
+    assert table.from_rows(list(t)) == t and table.from_rows(t) is t
+
+    assert t[0] == rows[0] and t[-1] == rows[-1] and t[-4] == rows[0]
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            t[i]
+
+    part = t[1:3]
+    assert type(part) is table and part == rows[1:3] and t[::-2] == rows[::-2]
+    for name, _ in table._COLUMNS:
+        assert np.shares_memory(getattr(part, name), getattr(t, name))
+    for name in table._SHARED:
+        assert getattr(part, name) is getattr(t, name)
+    assert t.take([2, 0]) == [rows[2], rows[0]]
+    assert t.take([]) == []
+
+    assert t == rows and t == tuple(rows) and rows == t
+    assert t != rows[:-1] and t != rows[::-1] and t != []
+    for other in ("", b"", "abcd", b"abcd"):
+        assert t != other and not t == other
+    assert repr(t) == f"{table.__name__}(4 rows)"
+
+    for name, _ in table._COLUMNS:
+        column = getattr(t, name)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+    columns = table._columns_of(rows)
+    assert table(**columns) == rows
+    missing = dict(columns)
+    del missing[table._COLUMNS[-1][0]]
+    with pytest.raises(TypeError):
+        table(**missing)
+    with pytest.raises(TypeError):
+        table(**columns, extra=columns[table._COLUMNS[0][0]])
+    with pytest.raises(TypeError):
+        table(*[[]] * (len(columns) + 1))

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from voipqos.errors import (
     BadMagic,
     BadRecord,
     BadVersion,
+    DomainError,
     MissingHeader,
     NotSip,
     TooShort,
@@ -20,6 +22,7 @@ from voipqos.errors import (
     UnsupportedLinkType,
 )
 from voipqos.ingest import (
+    UNAVAILABLE,
     PacketRecord,
     VoipMetricsBlock,
     assemble_sessions,
@@ -262,6 +265,13 @@ def random_block_strategy():
     )
 
 
+# RFC 3611 section 4.7 wire type of each VoIP Metrics field, in wire order
+XR_WIRE_TYPES = dict(zip(
+    [f.name for f in dataclasses.fields(VoipMetricsBlock)][:-1],
+    ["u4"] + ["u1"] * 4 + ["u2"] * 4 + ["i1"] * 2 + ["u1"] * 8 + ["u2"] * 3,
+))
+
+
 class TestRtcpXr:
     def test_golden_round_trip_delay_bytes(self):
         block = VoipMetricsBlock(source_ssrc=0x11223344, round_trip_delay=150)
@@ -303,14 +313,27 @@ class TestRtcpXr:
         assert [b.source_ssrc for b in got] == [7]
 
     def test_field_validation(self):
-        from voipqos.errors import DomainError
-
         with pytest.raises(DomainError):
             VoipMetricsBlock(source_ssrc=1, r_factor=101)
         with pytest.raises(DomainError):
             VoipMetricsBlock(source_ssrc=1, signal_level=130)
         with pytest.raises(DomainError):
             VoipMetricsBlock(source_ssrc=1, round_trip_delay=-1)
+
+    @pytest.mark.parametrize("name", list(XR_WIRE_TYPES))
+    def test_wire_field_range(self, name):
+        """One past either end of a field's wire type is refused, naming
+        the field; both ends survive the wire (r_factor: 0 and 127)."""
+        info = np.iinfo(XR_WIRE_TYPES[name])
+        for v in (int(info.min) - 1, int(info.max) + 1):
+            with pytest.raises(DomainError, match=f"^{name}={v} "):
+                VoipMetricsBlock(**{"source_ssrc": 1, name: v})
+        top = UNAVAILABLE if name == "r_factor" else int(info.max)
+        for v in (int(info.min), top):
+            block = VoipMetricsBlock(**{"source_ssrc": 1, name: v})
+            wire = encode_xr_packet(2, [block])
+            assert wire[8:] == encode_voip_metrics(block)
+            assert parse_rtcp_xr(wire, 0.0) == [block]
 
 
 class TestSip:
