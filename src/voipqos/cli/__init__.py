@@ -22,10 +22,9 @@ import sys
 from pathlib import Path
 
 from ..errors import VoipQosError
-from ..evt import check_families
-from ..evt import fit_gev_mle, select_model  # noqa: F401 (unused; perfbench/tracer.py wraps them)
+from ..evt import check_families, fit_gev_mle, select_model
 from ..ingest.codecs import load_codec_map
-from .analyze import AnalysisConfig, _ranking_and_gev, analyze_capture
+from .analyze import AnalysisConfig, _gev_entry, analyze_capture
 from .report import merge_reports
 from .synth import load_scenario, synth_to_file
 
@@ -119,12 +118,18 @@ def _read_values(path: str):
 
 def _cmd_fit(args) -> int:
     values = _read_values(args.input)
-    ranking, gev = _ranking_and_gev(values, _parse_candidates(args.candidates))
+    families = _parse_candidates(args.candidates)
+    try:
+        gev = fit_gev_mle(values)
+    except (VoipQosError, ValueError) as exc:
+        gev = exc
+    # families positional: perfbench/tracer.py reads them as args[1]
+    ranking = select_model(values, families, gev=gev)
     report = {
         "target": args.target,
         "n": len(values),
-        "ranking": ranking,
-        "gev": gev,
+        "ranking": [f.to_json_dict() for f in ranking],
+        "gev": _gev_entry(gev),
     }
     return _emit(report, args.out, "fit report")
 

@@ -11,8 +11,9 @@ report's ``fits`` entries wait in a list passed to
 ``build_session_report``, and the report.json files are written once
 they are filled in. A fit comes out as ``fit_gev_batch`` gives it for
 the sample alone, so a report built alone, which fits its own samples,
-has the same bytes. With ``candidates``, each sample is ranked by
-``select_model`` at once, session by session.
+has the same bytes. With ``candidates``, ``select_model`` then ranks
+each sample, taking its GEV fit from that call: ranked or not, a sample
+is fitted once and its fit entry is the same.
 
 Each artifact is written once (report schema version 2): units and the
 sigma_j/RTT quantiles live in report.json, samples in the series CSVs,
@@ -35,13 +36,8 @@ from ..errors import (
     VoipQosError,
     ZeroVariance,
 )
-from ..evt import (
-    MIN_FIT_POINTS,
-    check_families,
-    fit_gev_batch,
-    fit_gev_mle,
-    select_model,
-)
+from ..evt import MIN_FIT_POINTS, check_families, fit_gev_batch, select_model
+from ..evt import fit_gev_mle  # noqa: F401 (unused; perfbench/tracer.py wraps it)
 from ..ingest.capture import Capture, parse_jsonl, parse_pcap
 from ..ingest.codecs import load_codec_map
 from ..ingest.sessions import CallSession, assemble_sessions
@@ -127,47 +123,30 @@ def _gev_entry(outcome) -> dict:
     return outcome.to_json_dict()
 
 
-def _ranking_and_gev(values: np.ndarray, families) -> tuple[list, dict]:
-    """``select_model``'s ranking of ``values`` as JSON, and the GEV entry.
-
-    The ranking carries its GEV fit, also one it could not rank; without
-    GEV among ``families``, ``fit_gev_mle`` fits the sample.
-    """
-    # families positional: perfbench/tracer.py reads them as args[1]
-    ranking = select_model(values, families)
-    gev = ranking.gev or ranking.excluded.get("GEV")
-    if gev is None:
-        try:
-            gev = fit_gev_mle(values)
-        except (VoipQosError, ValueError) as exc:
-            gev = exc
-    return [f.to_json_dict() for f in ranking], _gev_entry(gev)
-
-
-def _fit_entry(values: np.ndarray, ranked_families: tuple | None,
-               pending: list) -> dict:
-    """The report entry of the GEV fit of ``values``.
-
-    Without ``ranked_families`` the entry is empty, and ``(entry, values)``
-    waits in ``pending`` until :func:`_fill_fits` fits it.
-    """
+def _fit_entry(values: np.ndarray, pending: list) -> dict:
+    """The report entry of the GEV fit of ``values``: empty, while
+    ``(entry, values)`` waits in ``pending`` until :func:`_fill_fits`."""
     if len(values) < MIN_FIT_POINTS:
         return {"skipped": f"need >= {MIN_FIT_POINTS} values, have {len(values)}"}
-    if ranked_families is not None:
-        ranking, entry = _ranking_and_gev(values, ranked_families)
-        entry["ranking"] = ranking
-        return entry
     entry: dict = {}
     pending.append((entry, values))
     return entry
 
 
-def _fill_fits(pending: list) -> None:
+def _fill_fits(pending: list, families: tuple | None) -> None:
     """Fit every ``(entry, values)`` of ``pending`` in one
-    :func:`fit_gev_batch` call and fill the entries in."""
+    :func:`fit_gev_batch` call and fill the entries in.
+
+    With ``families``, each entry also gets the ``ranking`` that
+    :func:`select_model` makes of its sample with that GEV fit.
+    """
     outcomes = fit_gev_batch([values for _, values in pending])
-    for (entry, _), outcome in zip(pending, outcomes):
+    for (entry, values), outcome in zip(pending, outcomes):
         entry.update(_gev_entry(outcome))
+        if families is not None:
+            # families positional: perfbench/tracer.py reads them as args[1]
+            ranking = select_model(values, families, gev=outcome)
+            entry["ranking"] = [f.to_json_dict() for f in ranking]
 
 
 def _session_span(session: CallSession) -> tuple[float, float]:
@@ -187,10 +166,10 @@ def build_session_report(
 
     Returns (report dict, {relative filename: file text}); the report's
     export references are exactly the returned filenames. With
-    ``pending``, the GEV fits are left to the caller: each empty entry of
-    ``report["fits"]`` is appended with its sample as ``(entry, values)``.
-    Without it, the session's samples are fitted here, in one
-    :func:`fit_gev_batch` call.
+    ``pending``, the GEV fits and their rankings are left to the caller:
+    each empty entry of ``report["fits"]`` is appended with its sample as
+    ``(entry, values)``. Without it, :func:`_fill_fits` fits and ranks
+    the session's samples here.
     """
     files: dict[str, str] = {}
     metrics: dict[str, dict] = {}
@@ -287,9 +266,9 @@ def build_session_report(
     for target in ("jitter", "rtt"):
         source = series_by_name.get(target)
         values = source.values() if source is not None else np.empty(0)
-        fits[target] = _fit_entry(values, config.candidates, waiting)
+        fits[target] = _fit_entry(values, waiting)
     if pending is None:
-        _fill_fits(waiting)
+        _fill_fits(waiting, config.candidates)
 
     start, end = _session_span(session)
     report = {
@@ -358,7 +337,7 @@ def analyze_capture(config: AnalysisConfig) -> tuple[list, int, list]:
         for name, content in files.items():
             (session_dir / name).write_text(content)
         written.append((report, session_dir))
-    _fill_fits(pending)
+    _fill_fits(pending, config.candidates)
     for report, session_dir in written:
         (session_dir / "report.json").write_text(
             json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -566,22 +566,19 @@ def _ascend(f, derivs, theta, max_iter: int = 200, start_derivs=None):
     return theta, ll, iterations, converged, peaked
 
 
-def maximize(f, derivs, theta, max_iter: int = 200, start_derivs=None):
+def maximize(f, derivs, theta, max_iter: int = 200):
     """Safeguarded Newton ascent on ``f`` from a point where it is finite:
     :func:`_ascend` on one row.
 
     ``f(theta)`` is the objective (``-inf`` outside its domain) and
-    ``derivs(theta)`` its gradient and Hessian; ``start_derivs`` is
-    ``derivs(theta)`` at the start, if known. Returns ``(theta, f(theta),
-    iterations, converged)``. Unless ``start_derivs`` is given, the last
-    call of ``derivs`` is at the returned ``theta``, and its result is not
-    modified.
+    ``derivs(theta)`` its gradient and Hessian. Returns ``(theta,
+    f(theta), iterations, converged)``. The last call of ``derivs`` is at
+    the returned ``theta``, and its result is not modified.
     """
-    start = None if start_derivs is None else [d[None] for d in start_derivs]
     theta, ll, iterations, converged, _ = _ascend(
         lambda th, rows: np.array([f(th[0])]),
         lambda th, rows: [d[None] for d in derivs(th[0])],
-        np.asarray(theta, dtype=float)[None], max_iter, start)
+        np.asarray(theta, dtype=float)[None], max_iter)
     return theta[0], float(ll[0]), int(iterations[0]), bool(converged[0])
 
 
@@ -632,6 +629,9 @@ def _gev_outcome(theta, ll, iterations, converged, n, e_max, max_iter):
     return fit
 
 
+# the starts and the line searches reach points off the support, or
+# where a sum overflows; the -inf and nan they give are handled
+@np.errstate(all="ignore")
 def _fit_gev(seg: _Segments, max_iter: int):
     """Fit a GEV to each sorted sample of ``seg`` in one :func:`_ascend` run.
 

@@ -17,8 +17,9 @@ engine of :mod:`.fit`:
 
 Families whose fit fails on the given data (wrong support, no interior
 maximum, non-finite likelihood) are excluded from the ranking rather
-than aborting it; the ranking keeps the reason, and the GEV fit that was
-reached when GEV is excluded.
+than aborting it; the ranking keeps the reason. A GEV fit made elsewhere
+(one outcome of :func:`fit_gev_batch`) can be ranked in place of a new
+one.
 """
 
 from __future__ import annotations
@@ -215,10 +216,18 @@ def _require_converged(name: str, converged: bool) -> None:
         raise ValueError(f"{name} fit did not converge")
 
 
+def _gev_params(outcome):
+    """The parameters of a GEV fit outcome, and the fit; an error that
+    fitting raised is raised again (NotConverged excludes GEV, and
+    carries its fit)."""
+    if not isinstance(outcome, GevFit):
+        raise outcome
+    p = outcome.params
+    return {"xi": p.xi, "sigma": p.sigma, "mu": p.mu}, outcome
+
+
 def _fit_gev(z):
-    fit = fit_gev_mle(z)  # NotConverged excludes GEV, and carries its fit
-    p = fit.params
-    return {"xi": p.xi, "sigma": p.sigma, "mu": p.mu}, fit
+    return _gev_params(fit_gev_mle(z))
 
 
 def _standardize(z: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -482,25 +491,17 @@ class Ranking(list):
         super().__init__(fits)
         self.excluded = dict(excluded or {})
 
-    @property
-    def gev(self) -> GevFit | None:
-        """The GEV fit the ranking made, also when it could not rank it.
 
-        A GEV fit that did not converge is carried by the error that
-        excluded it; ``None`` when GEV was no candidate or no fit was
-        reached.
-        """
-        for fit in self:
-            if fit.family == "GEV":
-                return fit.gev
-        return getattr(self.excluded.get("GEV"), "fit", None)
-
-
-def select_model(data, families: Iterable[str] | None = None) -> Ranking:
+def select_model(data, families: Iterable[str] | None = None,
+                 gev=None) -> Ranking:
     """Rank the named families (default: all ten) on ``data`` by BIC.
 
-    Ties break toward fewer parameters, then lexicographic family name.
-    An empty family list yields an empty ranking.
+    ``gev`` is the outcome of fitting GEV to ``data``, as
+    :func:`fit_gev_batch` returns it: a :class:`GevFit`, or the error,
+    which excludes GEV (a NotConverged carries its fit). Without it,
+    :func:`fit_gev_mle` fits GEV here. Ties break toward fewer
+    parameters, then lexicographic family name. An empty family list
+    yields an empty ranking.
     """
     families = check_families(_FITTERS if families is None else families)
     z = np.asarray(data, dtype=float).ravel()
@@ -515,7 +516,10 @@ def select_model(data, families: Iterable[str] | None = None) -> Ranking:
         family = _FITTERS[name]
         try:
             with np.errstate(all="ignore"):
-                params, gev = family.fit(z)
+                if name == "GEV" and gev is not None:
+                    params, gev_fit = _gev_params(gev)
+                else:
+                    params, gev_fit = family.fit(z)
                 loglik = family.loglik(z, *params.values())
             if not math.isfinite(loglik):
                 raise ValueError("non-finite log-likelihood")
@@ -531,7 +535,7 @@ def select_model(data, families: Iterable[str] | None = None) -> Ranking:
                 loglik=loglik,
                 bic=family.k * math.log(n) - 2.0 * loglik,
                 n=n,
-                gev=gev,
+                gev=gev_fit,
             )
         )
     fits.sort(key=lambda f: (f.bic, f.k, f.family))

@@ -44,6 +44,8 @@ MAGIC_NS = 0xA1B23C4D  # nanosecond-resolution timestamps
 _SWAPPED, _SWAPPED_NS = 0xD4C3B2A1, 0x4D3CB2A1
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IPV4 = 101
+#: the IPv4 total length is 16 bits, and covers the IP and UDP headers
+_MAX_UDP_PAYLOAD = 0xFFFF - 20 - 8
 
 
 @dataclass(frozen=True)
@@ -236,16 +238,47 @@ def _build_frame(rec: PacketRecord) -> bytes:
     return eth + ip + udp
 
 
-def read_uint(u8: np.ndarray, pos: np.ndarray, width: int, big: bool = True):
-    """Unsigned ``width``-byte integers at byte positions ``pos`` of ``u8``.
+def gather(u8: np.ndarray, pos: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The ``dtype`` values at byte positions ``pos`` of ``u8``.
 
-    One gather through a view of ``u8`` as integers starting at every
+    One gather through a view of ``u8`` as raw records starting at every
     byte (stride 1), so each value is read in one pass over the buffer.
     """
+    raw = np.ndarray((max(len(u8) - dtype.itemsize + 1, 0),),
+                     f"V{dtype.itemsize}", buffer=u8, strides=(1,))
+    return raw[pos].view(dtype)
+
+
+def read_uint(u8: np.ndarray, pos: np.ndarray, width: int, big: bool = True):
+    """Unsigned ``width``-byte integers at byte positions ``pos`` of ``u8``."""
     dtype = np.dtype(f"{'>' if big else '<'}u{width}")
-    words = np.ndarray((max(len(u8) - width + 1, 0),), dtype, buffer=u8,
-                       strides=(1,))
-    return words[pos].astype(dtype.newbyteorder("="))
+    return gather(u8, pos, dtype).astype(dtype.newbyteorder("="))
+
+
+def struct_dtype(layout: struct.Struct, names) -> np.dtype:
+    """The record of the big-endian ``layout``, its fields ``names``."""
+    types = {"I": ">u4", "H": ">u2", "B": "u1", "b": "i1"}
+    return np.dtype([(name, types[code])
+                     for name, code in zip(names, layout.format[1:], strict=True)])
+
+
+def field_ranges(dtype: np.dtype) -> tuple:
+    """``(name, low, high, "unsigned N-bit")`` of each field of a record
+    ``dtype`` of integers."""
+    return tuple(
+        (name, int(info.min), int(info.max),
+         f"{'signed' if info.min else 'unsigned'} {info.bits}-bit")
+        for name in dtype.names
+        for info in [np.iinfo(dtype[name])]
+    )
+
+
+def check_ranges(ranges: tuple, values) -> None:
+    """DomainError naming the first of ``values`` outside its range, the
+    ranges as :func:`field_ranges` gives them."""
+    for (name, low, high, width), v in zip(ranges, values, strict=True):
+        if not low <= v <= high:
+            raise DomainError(f"{name}={v} outside {width} range")
 
 
 def _record_heads(data, endian: str) -> np.ndarray:
@@ -342,11 +375,20 @@ def parse_pcap(data) -> Capture:
 
 
 def write_pcap(records: list[PacketRecord]) -> bytes:
-    """Encode records as a little-endian classic capture file (Ethernet)."""
+    """Encode records as a little-endian classic capture file (Ethernet).
+
+    DomainError names the first record whose payload or time does not fit.
+    """
     out = [struct.pack("<IHHiIII", MAGIC, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET)]
-    for rec in records:
-        frame = _build_frame(rec)
+    for i, rec in enumerate(records):
+        if len(rec.payload) > _MAX_UDP_PAYLOAD:
+            raise DomainError(f"record {i}: {len(rec.payload)}-byte payload "
+                              f"exceeds IPv4's {_MAX_UDP_PAYLOAD}")
         sec, usec = _split_ts(rec.ts)
+        if sec > 0xFFFFFFFF:
+            raise DomainError(f"record {i}: time {rec.ts!r} s is past the "
+                              "32-bit seconds of a pcap record")
+        frame = _build_frame(rec)
         out.append(struct.pack("<IIII", sec, usec, len(frame), len(frame)))
         out.append(frame)
     return b"".join(out)

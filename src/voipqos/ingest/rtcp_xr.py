@@ -25,7 +25,8 @@ objects; it is the reference decoder. ``xr_block_columns`` decodes the
 blocks of many compound packets at once, with the same refusal rules,
 and ``XrBlocks`` is the ``capture.Table`` of VoipMetricsBlock rows.
 ``_BODY`` declares the body layout once: the numpy record, the column
-types and each field's range check derive from it.
+types and each field's range check derive from it. ``_HEAD`` declares
+the 4-byte header that RTCP packets and XR blocks share.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import BadVersion, DomainError, Truncated
-from .capture import Table, read_uint
+from .capture import Table, check_ranges, field_ranges, gather, struct_dtype
 
 XR_PACKET_TYPE = 207
 VOIP_METRICS_BLOCK_TYPE = 7
@@ -46,6 +47,10 @@ VOIP_METRICS_BLOCK_WORDS = 8
 UNAVAILABLE = 127
 
 _BODY = struct.Struct(">IBBBBHHHHbbBBBBBBBBHHH")
+#: byte 0 | byte 1 | 32-bit words after it: a packet's V and type in
+#: byte 0's top bits and byte 1, a block's type in byte 0
+_HEAD = struct.Struct(">BBH")
+_HEAD_DTYPE = struct_dtype(_HEAD, ("byte0", "byte1", "words"))
 
 
 @dataclass(frozen=True)
@@ -79,36 +84,19 @@ class VoipMetricsBlock:
             raise DomainError(
                 f"r_factor={self.r_factor} must be in 0..100 or 127 (unavailable)"
             )
-        for name, low, high, width in _WIRE_RANGES:
-            v = getattr(self, name)
-            if not low <= v <= high:
-                raise DomainError(f"{name}={v} outside {width} range")
+        check_ranges(_WIRE_RANGES, (getattr(self, n) for n in _WIRE_NAMES))
 
 
 # the block's wire fields, in _BODY order: every field but report_ts
 _WIRE_NAMES = tuple(f.name for f in fields(VoipMetricsBlock))[:-1]
-
-
 #: the block body as a numpy record, laid out as _BODY
-_BODY_DTYPE = np.dtype([
-    (name, {"I": ">u4", "H": ">u2", "B": "u1", "b": "i1"}[code])
-    for name, code in zip(_WIRE_NAMES, _BODY.format[1:])
-])
-
-# (name, low, high, "unsigned N-bit") of each wire field, from its dtype
-_WIRE_RANGES = tuple(
-    (name, int(info.min), int(info.max),
-     f"{'signed' if info.min else 'unsigned'} {info.bits}-bit")
-    for name in _WIRE_NAMES
-    for info in [np.iinfo(_BODY_DTYPE[name])]
-)
+_BODY_DTYPE = struct_dtype(_BODY, _WIRE_NAMES)
+_WIRE_RANGES = field_ranges(_BODY_DTYPE)
 
 
 def encode_voip_metrics(block: VoipMetricsBlock) -> bytes:
     """Encode one block: 4-byte block header + 32-byte body."""
-    header = struct.pack(
-        ">BBH", VOIP_METRICS_BLOCK_TYPE, 0, VOIP_METRICS_BLOCK_WORDS
-    )
+    header = _HEAD.pack(VOIP_METRICS_BLOCK_TYPE, 0, VOIP_METRICS_BLOCK_WORDS)
     return header + _BODY.pack(*(getattr(block, n) for n in _WIRE_NAMES))
 
 
@@ -118,7 +106,8 @@ def encode_xr_packet(sender_ssrc: int, blocks: list[VoipMetricsBlock]) -> bytes:
         raise DomainError("sender_ssrc outside 32-bit range")
     body = b"".join(encode_voip_metrics(b) for b in blocks)
     length_words = (8 + len(body)) // 4 - 1
-    return struct.pack(">BBHI", 0x80, XR_PACKET_TYPE, length_words, sender_ssrc) + body
+    return (_HEAD.pack(0x80, XR_PACKET_TYPE, length_words)
+            + struct.pack(">I", sender_ssrc) + body)
 
 
 def parse_rtcp_xr(payload: bytes, capture_ts: float) -> list[VoipMetricsBlock]:
@@ -133,7 +122,7 @@ def parse_rtcp_xr(payload: bytes, capture_ts: float) -> list[VoipMetricsBlock]:
     while off < n:
         if off + 4 > n:
             raise Truncated("RTCP packet header cut short")
-        b0, pt, length_words = struct.unpack(">BBH", payload[off : off + 4])
+        b0, pt, length_words = _HEAD.unpack_from(payload, off)
         if b0 >> 6 != 2:
             raise BadVersion(f"RTCP version must be 2, got {b0 >> 6}")
         pkt_len = (length_words + 1) * 4
@@ -152,7 +141,7 @@ def _parse_xr_blocks(data: bytes, capture_ts: float) -> list[VoipMetricsBlock]:
     while off < n:
         if off + 4 > n:
             raise Truncated("XR block header cut short")
-        bt, _reserved, block_words = struct.unpack(">BBH", data[off : off + 4])
+        bt, _reserved, block_words = _HEAD.unpack_from(data, off)
         span = 4 + block_words * 4
         if off + span > n:
             raise Truncated("XR block extends past end of packet")
@@ -189,24 +178,24 @@ class XrBlocks(Table):
 
 
 def _chains(u8: np.ndarray, at: np.ndarray, end: np.ndarray):
-    """Walk chains of 4-byte-headed items, one item of every chain a round.
+    """Walk chains of ``_HEAD``-headed items, one item of every chain a round.
 
-    Chain k runs from ``at[k]`` to ``end[k]``; an item spans 4 bytes plus
-    4 per unit of its header's low 16 bits, as RTCP packets and XR blocks
-    do. Returns (bad, chain, start, head): the chains with a header or an
+    Chain k runs from ``at[k]`` to ``end[k]``; an item spans its header
+    plus its ``words`` 32-bit words, as RTCP packets and XR blocks do.
+    Returns (bad, chain, start, head): the chains with a header or an
     item that overruns their end, and for every item that fits, its
-    chain, its start and its 32-bit header, in round order.
+    chain, its start and its header record, in round order.
     """
     bad = np.zeros(len(at), dtype=bool)
     chain = np.flatnonzero(at < end)
     at, end = at[chain], end[chain]
-    found = [(chain[:0], at[:0], np.zeros(0, dtype=np.uint32))]
+    found = [(chain[:0], at[:0], np.zeros(0, _HEAD_DTYPE))]
     while len(chain):
-        cut = at + 4 > end
+        cut = at + _HEAD.size > end
         bad[chain[cut]] = True
         chain, at, end = chain[~cut], at[~cut], end[~cut]
-        head = read_uint(u8, at, 4)
-        span = 4 + 4 * (head & 0xFFFF).astype(np.int64)
+        head = gather(u8, at, _HEAD_DTYPE)
+        span = _HEAD.size + 4 * head["words"].astype(np.int64)
         fits = at + span <= end
         bad[chain[~fits]] = True
         found.append((chain[fits], at[fits], head[fits]))
@@ -235,21 +224,19 @@ def xr_block_columns(u8: np.ndarray, pos: np.ndarray, length: np.ndarray):
     """
     pos = np.asarray(pos, dtype=np.int64)
     bad, row, at, head = _chains(u8, pos, pos + length)
-    bad[row[head >> 30 != 2]] = True
-    xr = (head >> 16 & 0xFF == XR_PACKET_TYPE) & (head & 0xFFFF >= 1)
+    bad[row[head["byte0"] >> 6 != 2]] = True
+    xr = (head["byte1"] == XR_PACKET_TYPE) & (head["words"] >= 1)
     row, at, head = row[xr], at[xr], head[xr]
     cut, packet, at, head = _chains(
-        u8, at + 8, at + 4 + 4 * (head & 0xFFFF).astype(np.int64)
+        u8, at + 8, at + _HEAD.size + 4 * head["words"].astype(np.int64)
     )
     bad[row[cut]] = True
-    voip = ((head >> 24 == VOIP_METRICS_BLOCK_TYPE)
-            & (head & 0xFFFF == VOIP_METRICS_BLOCK_WORDS))
-    row, at = row[packet[voip]], at[voip] + 4
+    voip = ((head["byte0"] == VOIP_METRICS_BLOCK_TYPE)
+            & (head["words"] == VOIP_METRICS_BLOCK_WORDS))
+    row, at = row[packet[voip]], at[voip] + _HEAD.size
     order = np.lexsort((at, row))
     row, at = row[order], at[order]
-    records = np.ndarray((max(len(u8) - _BODY_DTYPE.itemsize + 1, 0),),
-                         _BODY_DTYPE, buffer=u8, strides=(1,))
-    body = records[at]
+    body = gather(u8, at, _BODY_DTYPE)
     r = body["r_factor"]
     bad[row[(r > 100) & (r != UNAVAILABLE)]] = True
     ok = np.zeros(len(pos), dtype=bool)

@@ -1,6 +1,8 @@
 """RTP headers decoded one by one or in columns, encoding, and the
 RtpStream table of RtpPacket rows; the one module that knows the RTP
-wire layout."""
+wire layout, declared once in ``_HEADER`` and ``_EXT``: both decoders,
+the encoder, the column types and the range checks derive from them.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BadVersion, DomainError, TooShort
-from .capture import Table, read_uint
+from .capture import Table, check_ranges, field_ranges, gather, struct_dtype
 
-_FIXED_LEN = 12
+#: V P X CC | M PT | sequence number | timestamp | SSRC (RFC 3550 5.1)
+_HEADER = struct.Struct(">BBHII")
+_HEADER_DTYPE = struct_dtype(_HEADER, ("v_p_x_cc", "m_pt", "seq", "rtp_ts", "ssrc"))
+#: profile-defined | length in 32-bit words (RFC 3550 5.3.1)
+_EXT = struct.Struct(">HH")
+_EXT_DTYPE = struct_dtype(_EXT, ("profile", "words"))
+#: the range of each field a packet checks
+_RANGES = (("payload_type", 0, 0x7F, "unsigned 7-bit"),
+           *field_ranges(_HEADER_DTYPE[["seq", "rtp_ts", "ssrc"]]))
 
 
 @dataclass(frozen=True)
@@ -29,15 +39,9 @@ class RtpPacket:
     def __post_init__(self) -> None:
         if self.version != 2:
             raise BadVersion(f"RTP version must be 2, got {self.version}")
-        if not 0 <= self.payload_type <= 127:
-            raise DomainError(f"payload type {self.payload_type} outside 0..127")
-        if not 0 <= self.seq <= 0xFFFF:
-            raise DomainError(f"seq {self.seq} outside 16-bit range")
-        if not 0 <= self.rtp_ts <= 0xFFFFFFFF:
-            raise DomainError(f"rtp_ts {self.rtp_ts} outside 32-bit range")
-        if not 0 <= self.ssrc <= 0xFFFFFFFF:
-            raise DomainError(f"ssrc {self.ssrc} outside 32-bit range")
-        if self.payload_len < 0 or self.header_len < _FIXED_LEN:
+        check_ranges(_RANGES, (self.payload_type, self.seq, self.rtp_ts,
+                               self.ssrc))
+        if self.payload_len < 0 or self.header_len < _HEADER.size:
             raise DomainError("negative payload length or impossible header length")
 
 
@@ -49,8 +53,9 @@ class RtpStream(Table):
     payload bytes) and ``header_len``. A row is an RtpPacket.
     """
 
-    _COLUMNS = (("seq", np.uint16), ("rtp_ts", np.uint32),
-                ("ssrc", np.uint32), ("payload_type", np.uint8),
+    _COLUMNS = (*((name, _HEADER_DTYPE[name].newbyteorder("="))
+                  for name in ("seq", "rtp_ts", "ssrc")),
+                ("payload_type", _HEADER_DTYPE["m_pt"]),
                 ("capture_ts", np.float64), ("size", np.int64),
                 ("header_len", np.int64))
     __slots__ = tuple(name for name, _ in _COLUMNS)
@@ -83,31 +88,25 @@ def parse_rtp(payload: bytes, capture_ts: float) -> RtpPacket:
     X bit is set, the full header extension; ``payload_len`` is whatever
     remains after it.
     """
-    if len(payload) < _FIXED_LEN:
-        raise TooShort(f"RTP needs >= {_FIXED_LEN} bytes, got {len(payload)}")
-    b0 = payload[0]
-    version = b0 >> 6
+    if len(payload) < _HEADER.size:
+        raise TooShort(f"RTP needs >= {_HEADER.size} bytes, got {len(payload)}")
+    v_p_x_cc, m_pt, seq, rtp_ts, ssrc = _HEADER.unpack_from(payload)
+    version = v_p_x_cc >> 6
     if version != 2:
         raise BadVersion(f"RTP version must be 2, got {version}")
-    cc = b0 & 0x0F
-    has_ext = bool(b0 & 0x10)
-    pt = payload[1] & 0x7F
-    seq, rtp_ts, ssrc = struct.unpack(">HII", payload[2:12])
-    header_len = _FIXED_LEN + 4 * cc
+    header_len = _HEADER.size + 4 * (v_p_x_cc & 0x0F)
     if len(payload) < header_len:
         raise TooShort("CSRC list extends past end of packet")
-    if has_ext:
-        if len(payload) < header_len + 4:
+    if v_p_x_cc & 0x10:
+        if len(payload) < header_len + _EXT.size:
             raise TooShort("extension header cut short")
-        (_profile, ext_words) = struct.unpack(
-            ">HH", payload[header_len : header_len + 4]
-        )
-        header_len += 4 + 4 * ext_words
+        _profile, words = _EXT.unpack_from(payload, header_len)
+        header_len += _EXT.size + 4 * words
         if len(payload) < header_len:
             raise TooShort("extension body extends past end of packet")
     return RtpPacket(
         version=version,
-        payload_type=pt,
+        payload_type=m_pt & 0x7F,
         seq=seq,
         rtp_ts=rtp_ts,
         ssrc=ssrc,
@@ -121,39 +120,37 @@ def rtp_header_columns(u8: np.ndarray, pos: np.ndarray, length: np.ndarray):
     """Decode the RTP headers of version-2 payloads at ``pos`` in ``u8``.
 
     A payload decodes when its ``length`` holds the whole header, as in
-    ``parse_rtp``: 12 + 4 CC bytes, and 4 + 4 length-word bytes if X.
-    Returns (ok, seq, rtp_ts, ssrc, payload_type, header_len): the mask
-    of payloads that decode, and their fields.
+    ``parse_rtp``: the fixed header and 4 CC bytes, and the extension
+    header and its 4 length-word bytes if X. Returns (ok, seq, rtp_ts,
+    ssrc, payload_type, header_len): the mask of payloads that decode,
+    and their fields, typed as ``RtpStream``'s columns.
     """
-    idx = np.flatnonzero(length >= _FIXED_LEN)
+    idx = np.flatnonzero(length >= _HEADER.size)
     at, size = pos[idx], length[idx]
-    head = read_uint(u8, at, 8)  # V P X CC, M PT, seq, timestamp
-    ssrc = read_uint(u8, at + 8, 4)
-    header_len = _FIXED_LEN + 4 * (head >> 56 & 0x0F).astype(np.int64)
-    ext = (head >> 60 & 1) == 1
-    fits = size >= header_len + 4 * ext  # CSRC list, extension header
+    head = gather(u8, at, _HEADER_DTYPE)
+    first = head["v_p_x_cc"]
+    header_len = _HEADER.size + 4 * (first & 0x0F).astype(np.int64)
+    ext = (first & 0x10) != 0
+    fits = size >= header_len + _EXT.size * ext  # CSRC list, extension header
     ext &= fits
-    words = read_uint(u8, at[ext] + header_len[ext] + 2, 2)
-    header_len[ext] += 4 + 4 * words.astype(np.int64)
+    words = gather(u8, at[ext] + header_len[ext], _EXT_DTYPE)["words"]
+    header_len[ext] += _EXT.size + 4 * words.astype(np.int64)
     fits &= size >= header_len  # extension body
     ok = np.zeros(len(pos), dtype=bool)
     ok[idx[fits]] = True
-    head = head[fits]
-    # a cast to a narrower unsigned type keeps the low bits
-    return (ok, (head >> 32).astype(np.uint16), head.astype(np.uint32),
-            ssrc[fits], (head >> 48).astype(np.uint8) & 0x7F,
-            header_len[fits])
+    return (ok, *(head[name][fits].astype(dtype)
+                  for name, dtype in RtpStream._COLUMNS[:3]),
+            head["m_pt"][fits] & 0x7F, header_len[fits])
 
 
 def encode_rtp(
     payload_type: int, seq: int, rtp_ts: int, ssrc: int, media: bytes
 ) -> bytes:
-    """Build a minimal RTP packet (no CSRC, no extension, marker clear)."""
-    if not 0 <= payload_type <= 127:
-        raise DomainError(f"payload type {payload_type} outside 0..127")
-    return (
-        struct.pack(
-            ">BBHII", 0x80, payload_type, seq & 0xFFFF, rtp_ts & 0xFFFFFFFF, ssrc
-        )
-        + media
-    )
+    """Build a minimal RTP packet (no CSRC, no extension, marker clear).
+
+    ``seq`` and ``rtp_ts`` wrap to their 16 and 32 bits; DomainError for
+    a payload type or ``ssrc`` the header cannot carry.
+    """
+    fields = (payload_type, seq & 0xFFFF, rtp_ts & 0xFFFFFFFF, ssrc)
+    check_ranges(_RANGES, fields)
+    return _HEADER.pack(0x80, *fields) + media

@@ -12,8 +12,9 @@ pairs, equal capture times, and exact duplicates. XR arrives in RTCP
 compounds, valid or not, reporting known or unknown SSRCs. A second
 property feeds RTP headers with CSRC lists and extensions, cut anywhere,
 to check the columnar header decode against ``parse_rtp``, which the
-reference calls packet by packet. A third checks ``xr_block_columns``
-against ``parse_rtcp_xr`` payload by payload.
+reference calls packet by packet. Two more check ``rtp_header_columns``
+against ``parse_rtp`` and ``xr_block_columns`` against ``parse_rtcp_xr``
+payload by payload.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests import builders, sessions_reference
-from voipqos.errors import BadVersion, DomainError, Truncated
+from voipqos.errors import BadVersion, DomainError, TooShort, Truncated
 from voipqos.ingest import (
     PacketRecord,
     VoipMetricsBlock,
@@ -33,8 +34,10 @@ from voipqos.ingest import (
     format_sip_request,
     format_sip_response,
     parse_rtcp_xr,
+    parse_rtp,
 )
 from voipqos.ingest.rtcp_xr import XrBlocks, xr_block_columns
+from voipqos.ingest.rtp import RtpStream, rtp_header_columns
 
 ADDRS = ("10.0.0.1", "10.0.0.2")
 PORTS = (40000, 40001, 40002, 42000)
@@ -250,6 +253,63 @@ def test_mirrored_pairs_form_one_session_each():
     assert result.residue == []
 
 
+def _in_one_buffer(payloads: list[bytes]):
+    """``(u8, pos, length)`` of the payloads in one buffer, each after a
+    filler byte."""
+    buf = b"".join(b"\xff" + p for p in payloads)
+    length = np.array([len(p) for p in payloads], dtype=np.int64)
+    return np.frombuffer(buf, dtype=np.uint8), np.cumsum(length + 1) - length, length
+
+
+def _reference_header(payload: bytes) -> tuple | None:
+    try:
+        p = parse_rtp(payload, 0.0)
+    except TooShort:
+        return None
+    return p.seq, p.rtp_ts, p.ssrc, p.payload_type, p.header_len
+
+
+def _column_headers(payloads: list[bytes]) -> list[tuple | None]:
+    """Each payload's header fields through ``rtp_header_columns``; None
+    if refused."""
+    ok, *columns = rtp_header_columns(*_in_one_buffer(payloads))
+    names = [name for name, _ in RtpStream._COLUMNS[:4]] + ["header_len"]
+    assert [c.dtype for c in columns] == [dict(RtpStream._COLUMNS)[n]
+                                          for n in names]
+    assert all(len(c) == ok.sum() for c in columns)
+    rows = zip(*(c.tolist() for c in columns))
+    return [next(rows) if k else None for k in ok.tolist()]
+
+
+def _version2(payload: bytes) -> bytes:
+    """The payload with RTP version 2, as the classifier hands it over."""
+    return bytes([0x80 | payload[0] & 0x3F]) + payload[1:] if payload else b""
+
+
+@given(payloads=st.lists(st.binary(max_size=40).map(_version2), min_size=1,
+                         max_size=8))
+@settings(max_examples=500)
+def test_rtp_header_columns_equal_reference(payloads):
+    assert _column_headers(payloads) == [_reference_header(p) for p in payloads]
+
+
+def test_rtp_header_columns_every_cut_equals_reference():
+    csrc = encode_rtp(96, 0xFFFF, 2**32 - 1, 0xDEADBEEF, b"\x01" * 5)
+    csrc = bytes([0x82, 0xE0]) + csrc[2:12] + bytes(range(8)) + csrc[12:]
+    ext = encode_rtp(8, 7, 700, 0xABC, b"\x02" * 3)
+    ext = bytes([0x91]) + ext[1:12] + b"\x00\x00\x00\x09" \
+        + b"\xbe\xde\x00\x02" + bytes(8) + ext[12:]
+    empty_ext = b"\x90" + encode_rtp(0, 1, 2, 3, b"")[1:] + b"\x10\x00\x00\x00"
+    full_cc = b"\x8f" + encode_rtp(0, 1, 2, 3, b"\x04")[1:12] + bytes(60) + b"\x04"
+    packets = (csrc, ext, empty_ext, full_cc)
+    assert [_reference_header(p)[-1] for p in packets] == [20, 28, 16, 72]
+    payloads = [p[:cut] for p in packets for cut in range(len(p) + 1)]
+    want = [_reference_header(p) for p in payloads]
+    assert _column_headers(payloads) == want
+    # each alone, so no read may run past the end of the buffer
+    assert [_column_headers([p])[0] for p in payloads] == want
+
+
 def _reference_blocks(payload: bytes) -> list[VoipMetricsBlock]:
     try:
         return parse_rtcp_xr(payload, 0.0)
@@ -258,15 +318,8 @@ def _reference_blocks(payload: bytes) -> list[VoipMetricsBlock]:
 
 
 def _column_blocks(payloads: list[bytes]) -> list[list[VoipMetricsBlock]]:
-    """Each payload's blocks through ``xr_block_columns``; [] if refused.
-
-    The payloads sit in one buffer, each after a filler byte.
-    """
-    buf = b"".join(b"\xff" + p for p in payloads)
-    length = np.array([len(p) for p in payloads], dtype=np.int64)
-    pos = np.cumsum(length + 1) - length
-    ok, row, body = xr_block_columns(np.frombuffer(buf, dtype=np.uint8),
-                                     pos, length)
+    """Each payload's blocks through ``xr_block_columns``; [] if refused."""
+    ok, row, body = xr_block_columns(*_in_one_buffer(payloads))
     assert sorted(set(row.tolist())) == np.flatnonzero(ok).tolist()
     blocks = XrBlocks(*(body[name] for name in body.dtype.names),
                       np.zeros(len(row)))

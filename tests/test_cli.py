@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import voipqos
+import voipqos.cli as cli_module
 import voipqos.cli.analyze as analyze_module
 import voipqos.evt.fit as fit_module
 import voipqos.evt.select as select_module
@@ -39,6 +41,7 @@ from voipqos.ingest import (
     VoipMetricsBlock,
     encode_rtp,
     encode_xr_packet,
+    load_codec_map,
     parse_pcap,
     write_jsonl,
     write_pcap,
@@ -130,6 +133,20 @@ class TestSynth:
                          "--out", str(tmp_path / "x.pcap")])
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, says", [
+        ("payload_bytes", 70_000, "70012-byte payload exceeds IPv4's 65507"),
+        ("base_delay", 5e9, "past the 32-bit seconds"),
+    ], ids=["payload", "time"])
+    def test_unencodable_pcap_record_fails(self, tmp_path, capsys, field,
+                                           value, says):
+        scn = write_scenario(tmp_path, **{field: value})
+        out = tmp_path / "x.pcap"
+        assert entrypoint(["synth", "--scenario", str(scn),
+                           "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: record ") and says in err
+        assert not out.exists()
 
     def test_load_scenario_validates(self, tmp_path):
         with pytest.raises(BadSpec):
@@ -597,29 +614,71 @@ class TestAnalyze:
                                                      tmp_path):
         # build_session_report without pending fits its own samples
         path = calls_capture[0]
-        assert entrypoint(["analyze", "--input", str(path),
-                           "--out", str(tmp_path)]) == 0
-        config = AnalysisConfig(inputs=(str(path),))
         sessions, _ = analyze_module.assemble_sessions(
-            parse_pcap(path.read_bytes()), config.payload_type_map)
+            parse_pcap(path.read_bytes()), load_codec_map())
         assert len(sessions) == 5
-        for session in sessions:
-            report, files = analyze_module.build_session_report(session, config)
-            assert "xi" in report["fits"]["jitter"]
-            report["session"]["directory"] = session.session_id
-            written = tmp_path / session.session_id
-            assert (written / "report.json").read_text() == \
-                json.dumps(report, sort_keys=True, indent=2) + "\n"
-            for name, text in files.items():
-                assert (written / name).read_text() == text
+        for candidates in (None, ("GEV", "Normal")):
+            out = tmp_path / str(candidates)
+            flags = ["--candidates", ",".join(candidates)] if candidates else []
+            assert entrypoint(["analyze", "--input", str(path),
+                               "--out", str(out), *flags]) == 0
+            config = AnalysisConfig(inputs=(str(path),), candidates=candidates)
+            for session in sessions:
+                report, files = analyze_module.build_session_report(
+                    session, config)
+                assert "xi" in report["fits"]["jitter"]
+                assert ("ranking" in report["fits"]["jitter"]) == bool(candidates)
+                report["session"]["directory"] = session.session_id
+                written = out / session.session_id
+                assert (written / "report.json").read_text() == \
+                    json.dumps(report, sort_keys=True, indent=2) + "\n"
+                for name, text in files.items():
+                    assert (written / name).read_text() == text
+
+    def test_a_ranking_leaves_every_fit_as_it_is(self, calls_capture,
+                                                 tmp_path):
+        # ranked or not, each sample is fitted once, by fit_gev_batch, and
+        # the ranking's GEV entry is that fit
+        path = str(calls_capture[0])
+        assert entrypoint(["analyze", "--input", path,
+                           "--out", str(tmp_path / "plain")]) == 0
+        assert entrypoint(["analyze", "--input", path,
+                           "--out", str(tmp_path / "ranked"),
+                           "--candidates", "GEV,Normal"]) == 0
+        plain, ranked = _tree(tmp_path / "plain"), _tree(tmp_path / "ranked")
+        assert plain.keys() == ranked.keys()
+        gev_entries = 0
+        for name, data in plain.items():
+            if not name.endswith("report.json"):
+                assert ranked[name] == data, name
+                continue
+            report = json.loads(ranked[name])
+            for fit in report["fits"].values():
+                ranking = fit.pop("ranking")
+                assert [f["family"] for f in ranking] != []
+                for family in ranking:
+                    if family["family"] == "GEV":
+                        gev_entries += 1
+                        assert family["gev"] == fit
+            assert report == json.loads(data), name
+        assert gev_entries == 10
 
     def test_excluded_gev_is_fitted_once(self, monkeypatch):
+        batches = []
+        batch = analyze_module.fit_gev_batch
+
+        def counted(samples, *args, **kwargs):
+            batches.append([len(z) for z in samples])
+            return batch(samples, *args, **kwargs)
+
+        monkeypatch.setattr(analyze_module, "fit_gev_batch", counted)
         calls = _count_gev_fits(monkeypatch, analyze_module)
         # xi reaches -1 on this sample, so the ranking excludes GEV
         z = gev_sample(GevParams(-0.6, 1.0, 0.0), 40, seed=5)
         pending = []
-        entry = analyze_module._fit_entry(z, ("GEV", "Normal"), pending)
-        assert len(calls) == 1 and pending == []
+        entry = analyze_module._fit_entry(z, pending)
+        analyze_module._fill_fits(pending, ("GEV", "Normal"))
+        assert batches == [[40]] and calls == []
         assert [f["family"] for f in entry.pop("ranking")] == ["Normal"]
         assert entry == _unbounded_fit_entry(z)
 
@@ -653,13 +712,27 @@ class TestFit:
         z = gev_sample(GevParams(-0.6, 1.0, 0.0), 40, seed=5)
         path = tmp_path / "vals.txt"
         path.write_text("".join(f"{float(v)!r}\n" for v in z))
-        calls = _count_gev_fits(monkeypatch, analyze_module)
+        calls = _count_gev_fits(monkeypatch, cli_module)
         assert entrypoint(["fit", "--input", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert calls == [40]
         assert "GEV" not in {f["family"] for f in report["ranking"]}
         assert report["gev"] == json.loads(
             json.dumps(_unbounded_fit_entry(z)))
+
+    def test_extreme_values_warn_nothing(self, tmp_path):
+        # the GEV fits reach off-support and overflowing points, which
+        # they handle; no floating-point warning reaches stderr
+        rng = np.random.default_rng(0)
+        path = tmp_path / "vals.txt"
+        for values in (rng.normal(size=100) * 1e-300,
+                       rng.standard_cauchy(300) * 1e200):
+            path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert entrypoint(["fit", "--input", str(path),
+                                   "--out", str(tmp_path / "fit.json")]) == 0
+                fit_gev_batch([values])
 
     def test_gev_data_ranks_gev_first(self, tmp_path, capsys):
         p = GevParams(*JITTER_MODELS["G722"][:3])

@@ -192,6 +192,32 @@ def test_sessions_and_reports_equal_reference(data):
             assert _report_bytes(old) == expected
 
 
+@given(data=capture_bytes(),
+       edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                      min_size=1, max_size=8),
+       cut=st.none() | st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_mutated_capture_raises_only_package_errors(data, edits, cut):
+    # bytes overwritten anywhere past the global header, and the capture
+    # maybe cut short: each stage refuses it with a VoipQosError or goes on
+    buf = bytearray(data)
+    for at, value in edits:
+        buf[24 + at % (len(buf) - 24)] = value
+    if cut is not None:
+        del buf[cut % (len(buf) + 1):]
+    try:
+        sessions = assemble_sessions(parse_pcap(bytes(buf))).sessions
+    except VoipQosError:
+        return
+    for candidates in (None, ("GEV", "Normal")):
+        config = AnalysisConfig(inputs=("capture.pcap",), candidates=candidates)
+        for session in sessions:
+            try:
+                build_session_report(session, config)
+            except VoipQosError:
+                pass
+
+
 @given(values=st.lists(st.integers(0, 2**32 - 1), max_size=50),
        modulus=st.sampled_from((2**16, 2**32)))
 def test_unroll_equals_reference(values, modulus):

@@ -24,6 +24,7 @@ from voipqos.errors import (
 from voipqos.ingest import (
     UNAVAILABLE,
     PacketRecord,
+    RtpPacket,
     VoipMetricsBlock,
     assemble_sessions,
     encode_rtp,
@@ -160,6 +161,21 @@ class TestPcap:
         ]
         assert parse_pcap(write_pcap(records)) == records
 
+    def test_write_refuses_what_a_record_cannot_hold(self):
+        # the IPv4 total length (16 bits) covers 28 header bytes; the
+        # record's seconds are 32 bits, after rounding to microseconds
+        def record(ts, size):
+            return PacketRecord(ts, "10.0.0.1", "10.0.0.2", 1, 2, "udp",
+                                bytes(size))
+
+        edge = [record(2.0**32 - 1, 65507), record(2.0**32 - 2e-6, 0)]
+        assert [len(r.payload) for r in parse_pcap(write_pcap(edge))] == \
+            [65507, 0]
+        for bad, says in ((record(1.0, 65508), "65508-byte payload"),
+                          (record(2.0**32 - 0.4e-6, 0), "32-bit seconds")):
+            with pytest.raises(DomainError, match=f"^record 1: .*{says}"):
+                write_pcap([edge[0], bad])
+
 
 class TestJsonl:
     def test_round_trip(self):
@@ -234,6 +250,26 @@ class TestRtp:
         pkt = parse_rtp(head + csrc + ext + b"\x11" * 20, 0.0)
         assert pkt.header_len == 32
         assert pkt.payload_len == 20
+
+    @pytest.mark.parametrize("name, low, high", [
+        ("payload_type", 0, 127), ("seq", 0, 2**16 - 1),
+        ("rtp_ts", 0, 2**32 - 1), ("ssrc", 0, 2**32 - 1),
+    ])
+    def test_header_field_range(self, name, low, high):
+        """One past either end of a header field is refused, naming the
+        field, by RtpPacket and by encode_rtp (which wraps seq and
+        rtp_ts instead); both ends survive the wire."""
+        fields = dict(payload_type=8, seq=1, rtp_ts=2, ssrc=3)
+        for v in (low - 1, high + 1):
+            with pytest.raises(DomainError, match=f"^{name}={v} "):
+                RtpPacket(version=2, payload_len=0, capture_ts=0.0,
+                          header_len=12, **{**fields, name: v})
+            if name in ("payload_type", "ssrc"):
+                with pytest.raises(DomainError, match=f"^{name}={v} "):
+                    encode_rtp(media=b"", **{**fields, name: v})
+        for v in (low, high):
+            pkt = parse_rtp(encode_rtp(media=b"", **{**fields, name: v}), 0.0)
+            assert getattr(pkt, name) == v
 
     def test_encode_parse_identity(self):
         wire = encode_rtp(9, 4660, 1_000_000, 0xFEED, b"\x55" * 80)
