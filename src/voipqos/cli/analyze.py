@@ -15,9 +15,12 @@ has the same bytes. With ``candidates``, ``select_model`` then ranks
 each sample, taking its GEV fit from that call: ranked or not, a sample
 is fitted once and its fit entry is the same.
 
-Each artifact is written once (report schema version 2): units and the
-sigma_j/RTT quantiles live in report.json, samples in the series CSVs,
-which also rebuild the PCA scores that pca.json leaves out.
+Each value is written once (report schema version 3). A session
+directory holds report.json and one CSV per metric series, which
+``metrics[name].csv`` names. report.json holds the units, the
+sigma_j/RTT quantiles, the bandwidth-vs-sigma_j histogram and the PCA
+axes; the series CSVs hold the samples, which also rebuild the PCA
+scores.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from ..metrics import (
 )
 from ..stats import bivariate_hist, empirical_cdf, pca
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 #: p = 0, 0.05, ..., 1 for the sigma_j and RTT quantiles in report.json
 QUANTILE_PROBS = np.linspace(0.0, 1.0, 21)
 
@@ -164,15 +167,13 @@ def build_session_report(
 ) -> tuple[dict, dict]:
     """Compute every metric and export for one session.
 
-    Returns (report dict, {relative filename: file text}); the report's
-    export references are exactly the returned filenames. With
+    Returns (report dict, {CSV filename: file text}); the report's
+    ``metrics[name].csv`` are exactly the returned filenames. With
     ``pending``, the GEV fits and their rankings are left to the caller:
     each empty entry of ``report["fits"]`` is appended with its sample as
     ``(entry, values)``. Without it, :func:`_fill_fits` fits and ranks
     the session's samples here.
     """
-    files: dict[str, str] = {}
-    metrics: dict[str, dict] = {}
     series_by_name: dict[str, MetricSeries] = {}
 
     # media metrics run on the forward (caller -> callee) stream; when a
@@ -202,24 +203,15 @@ def build_session_report(
         )
 
     nonempty = [s for s in series_by_name.values() if len(s)]
-    for series in nonempty:
-        metrics[series.name] = _series_summary(series)
-    for name, text in series_csvs(nonempty).items():
-        files[f"{name}.csv"] = text
+    metrics = {series.name: _series_summary(series) for series in nonempty}
+    files = {f"{name}.csv": text for name, text in series_csvs(nonempty).items()}
 
-    exports: dict = {
-        "series_csv": {n: f"{n}.csv" for n in sorted(metrics)},
-        "bandwidth_sigma_hist": None,
-        "pca": None,
-    }
-
+    hist = projection = None
     if jitter is not None:
         bw = series_by_name["bandwidth"]
         # jitter's times are bandwidth's from the second packet on
         bw_at_jitter = bw.values()[1:]
-        hist = bivariate_hist(bw_at_jitter, sigma_j.values())
-        files["bandwidth_sigma_hist.csv"] = hist.to_csv()
-        exports["bandwidth_sigma_hist"] = "bandwidth_sigma_hist.csv"
+        hist = bivariate_hist(bw_at_jitter, sigma_j.values()).to_json_dict()
 
         columns = [
             ("jitter", jitter.values()),
@@ -232,18 +224,10 @@ def build_session_report(
             )
         matrix = np.column_stack([c[1] for c in columns])
         try:
-            result = pca(
-                matrix,
-                k=matrix.shape[1],
-                standardize=True,
-                variables=tuple(c[0] for c in columns),
-            )
             # the series CSVs rebuild the scores
-            files["pca.json"] = (
-                json.dumps(result.axes_json_dict(), sort_keys=True, indent=2)
-                + "\n"
-            )
-            exports["pca"] = "pca.json"
+            projection = pca(matrix, k=matrix.shape[1], standardize=True,
+                             variables=tuple(c[0] for c in columns)
+                             ).axes_json_dict()
         except (ZeroVariance, TooFewPoints):
             pass  # constant metric or too little data: no projection
 
@@ -290,7 +274,8 @@ def build_session_report(
         "loss": loss,
         "sip_delays": delays,
         "fits": fits,
-        "exports": exports,
+        "bandwidth_sigma_hist": hist,
+        "pca": projection,
     }
     return report, files
 

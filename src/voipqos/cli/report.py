@@ -1,9 +1,9 @@
 """Cross-session comparison behind the ``report`` subcommand.
 
-Takes per-session report.json files (or directories containing them)
-and builds one merged document: a compact row per session plus
-per-scenario aggregates, so two capture campaigns can be compared
-side by side the way fixed and mobile access were.
+Takes per-session report.json files of the current schema version (or
+directories containing them) and builds one merged document: a compact
+row per session plus per-scenario aggregates, so two capture campaigns
+can be compared side by side the way fixed and mobile access were.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ def _collect(paths) -> list[dict]:
     for p in paths:
         path = Path(p)
         if path.is_dir():
-            found = sorted(path.rglob("report.json"))
-            for rp in found:
-                reports.append((rp, json.loads(rp.read_text())))
+            for rp in sorted(path.rglob("report.json")):
+                if rp.is_file():  # a session directory may be named so
+                    reports.append((rp, json.loads(rp.read_text())))
         else:
             reports.append((path, json.loads(path.read_text())))
     out = []

@@ -162,6 +162,18 @@ def _gev_from_json(obj, what: str) -> GevParams | None:
         raise BadSpec(f"bad {what}: {exc}") from exc
 
 
+def _sip_from_json(obj) -> SipTimes | None:
+    if obj is None:
+        return None
+    need = {"invite", "ringing", "answer", "bye", "bye_ok"}
+    if not isinstance(obj, dict) or set(obj) != need:
+        raise BadSpec(f"sip must be an object of the event times {sorted(need)}")
+    try:
+        return SipTimes(**{k: float(v) for k, v in obj.items()})
+    except (TypeError, ValueError) as exc:
+        raise BadSpec(f"bad sip time: {exc}") from exc
+
+
 def load_scenario(source: str | Path | dict) -> ScenarioSpec:
     """Parse and validate a scenario file (or pre-parsed dict)."""
     if isinstance(source, (str, Path)):
@@ -186,15 +198,6 @@ def load_scenario(source: str | Path | dict) -> ScenarioSpec:
     for key in ("codec", "duration", "interval"):
         if key not in raw:
             raise BadSpec(f"scenario is missing required key {key!r}")
-    sip = None
-    if raw.get("sip") is not None:
-        s = raw["sip"]
-        if not isinstance(s, dict):
-            raise BadSpec("sip must be an object of event times")
-        need = {"invite", "ringing", "answer", "bye", "bye_ok"}
-        if set(s) != need:
-            raise BadSpec(f"sip must have exactly the keys {sorted(need)}")
-        sip = SipTimes(**{k: float(v) for k, v in s.items()})
     try:
         return ScenarioSpec(
             codec=str(raw["codec"]),
@@ -216,7 +219,7 @@ def load_scenario(source: str | Path | dict) -> ScenarioSpec:
             ),
             scenario_tag=str(raw.get("scenario_tag", "")),
             call_id=str(raw.get("call_id", "synth-1")),
-            sip=sip,
+            sip=_sip_from_json(raw.get("sip")),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, BadSpec):

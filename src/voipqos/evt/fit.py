@@ -42,6 +42,7 @@ from .gev import (
     GevParams,
     TailKind,
     _loglik_kernel,
+    _omega,
     classify,
 )
 
@@ -314,7 +315,7 @@ class _Segments:
         with np.errstate(all="ignore"):
             w = self.z - self.per_point(mu)
             w /= self.per_point(sigma)
-            om, on = _omega_points(self.per_point(xi), w)
+            om, on = _omega(self.per_point(xi), w)
             val = (-self.counts * np.log(sigma) - (1.0 + xi) * self.sum(om)
                    - self.sum(np.exp(-om)))
         ok = ((sigma > 0.0) & np.isfinite(theta).all(axis=1) & np.isfinite(val)
@@ -344,20 +345,6 @@ class _Sample(_Segments):
         if not (sigma > 0.0) or not np.all(np.isfinite(theta)):
             return np.array([-math.inf])
         return np.array([_loglik_kernel(xi, sigma, mu, self.z)])
-
-
-def _omega_points(xi, w: np.ndarray):
-    """``om = log1p(xi w) / xi`` and the on-support mask, per point.
-
-    The arithmetic of ``gev._omega`` with one shape, or one shape per
-    point: ``om = w`` where ``xi = 0``, and ``om`` is 0 off the support.
-    """
-    xw = xi * w
-    on = xw > -1.0
-    om = np.log1p(np.where(on, xw, 0.0))
-    om /= xi
-    np.copyto(om, w, where=xi == 0.0)
-    return om, on
 
 
 def _gev_derivs(theta: np.ndarray, seg):
@@ -423,7 +410,7 @@ def _ks_gev(theta: np.ndarray, seg: _Segments) -> np.ndarray:
     with np.errstate(all="ignore"):
         w = seg.z - seg.per_point(theta[:, 2])
         w /= seg.per_point(theta[:, 1])
-        om, on = _omega_points(xi, w)
+        om, on = _omega(xi, w)
         d = np.where(on, np.exp(-np.exp(-om)), np.where(xi < 0.0, 1.0, 0.0))
     lo = np.arange(seg.z.size, dtype=float) - seg.per_point(seg.offsets)
     n = seg.per_point(seg.counts.astype(float))

@@ -101,20 +101,26 @@ def _scalar_or_array(x, out: np.ndarray):
     return out
 
 
-def _omega(xi: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``om = log1p(xi w) / xi`` and the on-support mask ``1 + xi w > 0``.
+def _omega(xi, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``om = log1p(xi w) / xi`` and the on-support mask ``1 + xi w > 0``,
+    with one shape ``xi`` or one shape per point of ``w``.
 
     ``log1p`` keeps full precision as ``xi`` approaches 0, so ``om`` is
     smooth in ``xi``; only ``xi == 0`` itself takes the Gumbel form
     ``om = w``, which has no endpoint. Off-support entries of ``om`` are 0.
     The CDF is ``exp(-exp(-om))`` and the log density
-    ``-(1 + xi) om - exp(-om) - log(sigma)``.
+    ``-(1 + xi) om - exp(-om) - log(sigma)``. A scalar ``xi == 0``
+    returns before dividing, so it raises no 0/0 warning.
     """
-    if xi == 0.0:
+    if np.ndim(xi) == 0 and xi == 0.0:
         return w, np.ones(w.shape, dtype=bool)
     xw = xi * w
     on = xw > -1.0
-    return np.log1p(np.where(on, xw, 0.0)) / xi, on
+    om = np.log1p(np.where(on, xw, 0.0))
+    om /= xi
+    if np.ndim(xi):
+        np.copyto(om, w, where=xi == 0.0)
+    return om, on
 
 
 def gev_cdf(p: GevParams, x):

@@ -17,16 +17,18 @@ engine of :mod:`.fit`:
 
 Families whose fit fails on the given data (wrong support, no interior
 maximum, non-finite likelihood) are excluded from the ranking rather
-than aborting it; the ranking keeps the reason. A GEV fit made elsewhere
-(one outcome of :func:`fit_gev_batch`) can be ranked in place of a new
-one.
+than aborting it; the ranking keeps the reason. Every fitter returns
+its family's parameters, and a ranking entry holds only those, the
+log-likelihood and the BIC. A GEV fit made elsewhere (one outcome of
+:func:`fit_gev_batch`) can be ranked in place of a new one; its detailed
+fit stays with the caller.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -59,10 +61,9 @@ class FamilyFit:
     loglik: float
     bic: float
     n: int
-    gev: GevFit | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "family": self.family,
             "k": self.k,
             "params": dict(self.params),
@@ -70,9 +71,6 @@ class FamilyFit:
             "bic": self.bic,
             "n": self.n,
         }
-        if self.gev is not None:
-            out["gev"] = self.gev.to_json_dict()
-        return out
 
 
 # --- special functions -----------------------------------------------------
@@ -204,7 +202,7 @@ def _ll_gev(z, xi, sigma, mu):
     return _loglik_kernel(xi, sigma, mu, z)
 
 
-# --- fitters: (params in report order, GevFit or None) ---------------------
+# --- fitters: data -> params in report order -------------------------------
 
 def _require_positive(z: np.ndarray) -> None:
     if float(z.min()) <= 0.0:
@@ -217,13 +215,12 @@ def _require_converged(name: str, converged: bool) -> None:
 
 
 def _gev_params(outcome):
-    """The parameters of a GEV fit outcome, and the fit; an error that
-    fitting raised is raised again (NotConverged excludes GEV, and
-    carries its fit)."""
+    """The parameters of a GEV fit outcome; an error that fitting raised
+    is raised again (NotConverged excludes GEV)."""
     if not isinstance(outcome, GevFit):
         raise outcome
     p = outcome.params
-    return {"xi": p.xi, "sigma": p.sigma, "mu": p.mu}, outcome
+    return {"xi": p.xi, "sigma": p.sigma, "mu": p.mu}
 
 
 def _fit_gev(z):
@@ -267,7 +264,7 @@ def _fit_loc_scale(z, name, loglik, h_derivs, start):
 
     theta, _, _, converged = maximize(f, derivs, start)
     _require_converged(name, converged)
-    return {"loc": m + s * float(theta[0]), "scale": s * float(theta[1])}, None
+    return {"loc": m + s * float(theta[0]), "scale": s * float(theta[1])}
 
 
 def _gumbel_h(y):
@@ -327,7 +324,7 @@ def _fit_weibull(z):
     _require_converged("Weibull", converged)
     c = float(theta[0])
     scale = math.exp(top + math.log(float(np.mean(np.exp(c * lm)))) / c)
-    return {"shape": c, "scale": scale}, None
+    return {"shape": c, "scale": scale}
 
 
 def _fit_gamma(z):
@@ -355,7 +352,7 @@ def _fit_gamma(z):
     theta, _, _, converged = maximize(f, derivs, [a0])
     _require_converged("Gamma", converged)
     a = float(theta[0])
-    return {"a": a, "scale": mean / a}, None
+    return {"a": a, "scale": mean / a}
 
 
 def _fit_genpareto(z):
@@ -405,14 +402,14 @@ def _fit_genpareto(z):
             and abs(g[0] / hess[0, 0]) <= 1e-6 * max(1.0, abs(t))):
         raise ValueError("no interior likelihood maximum with c > -1")
     big_m = profile_scale(t)
-    return {"c": t * big_m, "loc": loc, "scale": big_m * unit}, None
+    return {"c": t * big_m, "loc": loc, "scale": big_m * unit}
 
 
 def _fit_normal(z):
     loc, scale = float(np.mean(z)), float(np.std(z))
     if scale == 0.0:
         raise ValueError("zero variance")
-    return {"loc": loc, "scale": scale}, None
+    return {"loc": loc, "scale": scale}
 
 
 def _fit_lognormal(z):
@@ -421,7 +418,7 @@ def _fit_lognormal(z):
     s, scale = float(np.std(lz)), float(np.exp(np.mean(lz)))
     if s == 0.0:
         raise ValueError("zero variance in log space")
-    return {"s": s, "scale": scale}, None
+    return {"s": s, "scale": scale}
 
 
 def _fit_exponential(z):
@@ -430,7 +427,7 @@ def _fit_exponential(z):
     scale = float(np.mean(z))
     if scale == 0.0:
         raise ValueError("all-zero data")
-    return {"scale": scale}, None
+    return {"scale": scale}
 
 
 def _fit_rayleigh(z):
@@ -439,12 +436,12 @@ def _fit_rayleigh(z):
     scale = math.sqrt(float(np.mean(z ** 2)) / 2.0)
     if scale == 0.0:
         raise ValueError("all-zero data")
-    return {"scale": scale}, None
+    return {"scale": scale}
 
 
 class _Family(NamedTuple):
     k: int  # free parameters counted by the Schwarz criterion
-    fit: Callable  # data -> (params in report order, GevFit or None)
+    fit: Callable  # data -> params in report order
     loglik: Callable  # (data, *params) -> log-likelihood, -inf off support
 
 
@@ -516,10 +513,8 @@ def select_model(data, families: Iterable[str] | None = None,
         family = _FITTERS[name]
         try:
             with np.errstate(all="ignore"):
-                if name == "GEV" and gev is not None:
-                    params, gev_fit = _gev_params(gev)
-                else:
-                    params, gev_fit = family.fit(z)
+                params = (_gev_params(gev) if name == "GEV" and gev is not None
+                          else family.fit(z))
                 loglik = family.loglik(z, *params.values())
             if not math.isfinite(loglik):
                 raise ValueError("non-finite log-likelihood")
@@ -535,7 +530,6 @@ def select_model(data, families: Iterable[str] | None = None,
                 loglik=loglik,
                 bic=family.k * math.log(n) - 2.0 * loglik,
                 n=n,
-                gev=gev_fit,
             )
         )
     fits.sort(key=lambda f: (f.bic, f.k, f.family))

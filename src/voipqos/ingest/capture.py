@@ -46,6 +46,9 @@ LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IPV4 = 101
 #: the IPv4 total length is 16 bits, and covers the IP and UDP headers
 _MAX_UDP_PAYLOAD = 0xFFFF - 20 - 8
+#: the longest frame ``write_pcap`` emits: Ethernet, IPv4 and UDP headers
+#: and the payload; its snaplen, since a record's length may not exceed it
+_MAX_FRAME = 14 + 20 + 8 + _MAX_UDP_PAYLOAD
 
 
 @dataclass(frozen=True)
@@ -379,7 +382,8 @@ def write_pcap(records: list[PacketRecord]) -> bytes:
 
     DomainError names the first record whose payload or time does not fit.
     """
-    out = [struct.pack("<IHHiIII", MAGIC, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET)]
+    out = [struct.pack("<IHHiIII", MAGIC, 2, 4, 0, 0, _MAX_FRAME,
+                       LINKTYPE_ETHERNET)]
     for i, rec in enumerate(records):
         if len(rec.payload) > _MAX_UDP_PAYLOAD:
             raise DomainError(f"record {i}: {len(rec.payload)}-byte payload "

@@ -2,7 +2,10 @@
 
 Plot-ready data only; nothing here renders. The PCA eigendecomposition
 is LAPACK's symmetric solver (``np.linalg.eigh``) on the covariance or
-correlation matrix.
+correlation matrix. ``BivariateHist.to_json_dict`` and
+``PcaResult.axes_json_dict`` are the ``bandwidth_sigma_hist`` and ``pca``
+entries of a session's report.json; neither writes a value that another
+one determines.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadK, DomainError, EmptyData, LengthMismatch, TooFewPoints, ZeroVariance
-from .metrics import csv_rows, float_cells
 
 
 def _finite_array(data, what: str) -> np.ndarray:
@@ -65,29 +67,24 @@ class BivariateHist:
     x_edges: np.ndarray
     y_edges: np.ndarray
     counts: np.ndarray  # shape (nx, ny), integer
-    density: np.ndarray  # counts / n, sums to 1
 
     def __post_init__(self) -> None:
-        for a in (self.x_edges, self.y_edges, self.counts, self.density):
+        for a in (self.x_edges, self.y_edges, self.counts):
             a.setflags(write=False)
 
-    def to_csv(self) -> str:
-        """One row per non-empty cell, in row-major (x, then y) order.
-
-        Edges and densities are written as ``float_cells`` formats them,
-        each distinct float once; ``count`` is an integer.
-        """
+    def to_json_dict(self) -> dict:
+        """The edges, then the non-empty cells in row-major (x, then y)
+        order as parallel lists: cell ``(i[c], j[c])`` spans
+        ``x_edges[i[c]:i[c] + 2]`` by ``y_edges[j[c]:j[c] + 2]`` and
+        holds ``count[c]`` points."""
         ii, jj = np.nonzero(self.counts)
-        xe, ye, density = float_cells(
-            self.x_edges, self.y_edges, self.density[ii, jj]
-        )
-        xe, ye = np.array(xe, dtype=object), np.array(ye, dtype=object)
-        return "x_lo,x_hi,y_lo,y_hi,count,density\n" + csv_rows(
-            xe[ii].tolist(), xe[ii + 1].tolist(),
-            ye[jj].tolist(), ye[jj + 1].tolist(),
-            map(str, self.counts[ii, jj].tolist()),
-            density,
-        )
+        return {
+            "x_edges": self.x_edges.tolist(),
+            "y_edges": self.y_edges.tolist(),
+            "i": ii.tolist(),
+            "j": jj.tolist(),
+            "count": self.counts[ii, jj].tolist(),
+        }
 
 
 def _axis_edges(arr: np.ndarray, bins: int) -> np.ndarray:
@@ -115,13 +112,8 @@ def bivariate_hist(x, y, nx: int = 30, ny: int = 30) -> BivariateHist:
     x_edges = _axis_edges(xa, nx)
     y_edges = _axis_edges(ya, ny)
     counts, _, _ = np.histogram2d(xa, ya, bins=[x_edges, y_edges])
-    counts = counts.astype(int)
-    return BivariateHist(
-        x_edges=x_edges,
-        y_edges=y_edges,
-        counts=counts,
-        density=counts / len(xa),
-    )
+    return BivariateHist(x_edges=x_edges, y_edges=y_edges,
+                         counts=counts.astype(int))
 
 
 @dataclass(frozen=True)
@@ -183,21 +175,20 @@ def boxplot_stats(data, label: str = "", unit: str = "") -> BoxplotStats:
 class PcaResult:
     components: np.ndarray  # shape (k, m), orthonormal rows
     explained: np.ndarray  # k eigenvalues, non-increasing
-    loadings: np.ndarray  # shape (m, k), per-variable coordinates
     scores: np.ndarray  # shape (n, k), projected observations
     variables: tuple = field(default=())
 
     def __post_init__(self) -> None:
-        for a in (self.components, self.explained, self.loadings, self.scores):
+        for a in (self.components, self.explained, self.scores):
             a.setflags(write=False)
 
     def axes_json_dict(self) -> dict:
-        """The projection's axes: everything but the per-observation scores."""
+        """The projection's axes: everything but the per-observation
+        scores. A variable's loadings are its column of ``components``."""
         return {
             "variables": list(self.variables),
             "components": self.components.tolist(),
             "explained": self.explained.tolist(),
-            "loadings": self.loadings.tolist(),
         }
 
     def to_json_dict(self) -> dict:
@@ -248,7 +239,6 @@ def pca(observations, k: int, standardize: bool = True,
     return PcaResult(
         components=components,
         explained=vals[order].copy(),
-        loadings=components.T.copy(),
         scores=z @ components.T,
         variables=tuple(variables),
     )

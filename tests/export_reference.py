@@ -1,4 +1,4 @@
-"""The CSV writers that ``series_csvs`` replaced, kept as test references.
+"""The writers of earlier export layouts, kept as test references.
 
 Verbatim copies of ``MetricSeries.to_csv`` and ``BivariateHist.to_csv``
 from before every CSV went through the session-level writer, which
@@ -6,9 +6,16 @@ formats a shared time axis once, each distinct value once per block and
 the rows a block at a time. The tests compare the package's text with
 theirs. Only the function names are new: each takes the object its
 method was bound to.
+
+``pca_to_json`` is the pca.json writer of report schema version 2:
+``PcaResult.axes_json_dict`` of that version, encoded as ``analyze``
+encoded it. With ``hist_to_csv`` it rebuilds the two files that version
+3 moved into report.json.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -32,3 +39,14 @@ def hist_to_csv(self) -> str:
         for i, j, c, d in cells
     ]
     return "\n".join(lines) + "\n"
+
+
+def pca_to_json(self) -> str:
+    """The projection's axes: everything but the per-observation scores."""
+    axes = {
+        "variables": list(self.variables),
+        "components": self.components.tolist(),
+        "explained": self.explained.tolist(),
+        "loadings": self.loadings.tolist(),
+    }
+    return json.dumps(axes, sort_keys=True, indent=2) + "\n"

@@ -25,6 +25,7 @@ from voipqos.cli import (
     AnalysisConfig,
     entrypoint,
     load_scenario,
+    merge_reports,
     synth_to_file,
 )
 from voipqos.errors import BadSpec, DomainError, NotConverged, VoipQosError
@@ -148,6 +149,22 @@ class TestSynth:
         assert err.startswith("error: record ") and says in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("invite, says", [
+        ("soon", "could not convert string to float: 'soon'"),
+        (None, "not 'NoneType'"),
+    ], ids=["text", "null"])
+    def test_unconvertible_sip_time_fails(self, tmp_path, capsys, invite,
+                                          says):
+        sip = {"invite": invite, "ringing": 1.0, "answer": 2.0,
+               "bye": 30.0, "bye_ok": 30.5}
+        scn = write_scenario(tmp_path, sip=sip)
+        out = tmp_path / "x.pcap"
+        assert entrypoint(["synth", "--scenario", str(scn),
+                           "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad sip time: ") and says in err
+        assert not out.exists()
+
     def test_load_scenario_validates(self, tmp_path):
         with pytest.raises(BadSpec):
             load_scenario(base_scenario(duration=-1.0))
@@ -256,10 +273,10 @@ class TestAnalyze:
         assert report["session"]["codec"] == "G711-A"
         assert report["session"]["scenario"] == "lab"
         assert report["loss"]["expected"] == 500
-        # every advertised export exists on disk
+        # the session directory holds report.json and each metric's CSV
         session_dir = report_path.parent
-        for name in report["exports"]["series_csv"].values():
-            assert (session_dir / name).exists()
+        assert {p.name for p in session_dir.iterdir()} == {"report.json"} | {
+            m["csv"] for m in report["metrics"].values()}
         out = capsys.readouterr().out
         assert "1 session report(s)" in out
 
@@ -285,15 +302,14 @@ class TestAnalyze:
         entrypoint(["analyze", "--input", str(capture),
                     "--out", str(tmp_path / "out")])
         for csv in (tmp_path / "out" / "call-1").glob("*.csv"):
-            if csv.name == "bandwidth_sigma_hist.csv":
-                continue
             assert csv.read_text().splitlines()[0] == "t,value", csv.name
 
     def test_csv_cells_are_plain_numbers(self, capture, tmp_path):
         assert entrypoint(["analyze", "--input", str(capture),
                            "--out", str(tmp_path / "out")]) == 0
         csvs = sorted((tmp_path / "out" / "call-1").glob("*.csv"))
-        assert "bandwidth_sigma_hist.csv" in [c.name for c in csvs]
+        assert {"jitter.csv", "sigma_j.csv", "bandwidth.csv"} <= {
+            c.name for c in csvs}
         for csv in csvs:
             header, *rows = csv.read_text().splitlines()
             columns = header.split(",")
@@ -638,7 +654,7 @@ class TestAnalyze:
     def test_a_ranking_leaves_every_fit_as_it_is(self, calls_capture,
                                                  tmp_path):
         # ranked or not, each sample is fitted once, by fit_gev_batch, and
-        # the ranking's GEV entry is that fit
+        # the ranking's GEV entry holds that fit's parameters and scores
         path = str(calls_capture[0])
         assert entrypoint(["analyze", "--input", path,
                            "--out", str(tmp_path / "plain")]) == 0
@@ -659,7 +675,15 @@ class TestAnalyze:
                 for family in ranking:
                     if family["family"] == "GEV":
                         gev_entries += 1
-                        assert family["gev"] == fit
+                        # the ranking sums the log-likelihood contiguously,
+                        # the batched fit per segment: the last bits differ
+                        assert family.pop("loglik") == pytest.approx(
+                            fit["loglik"], rel=1e-12)
+                        assert family.pop("bic") == pytest.approx(
+                            fit["bic"], rel=1e-12)
+                        assert family == {
+                            "family": "GEV", "k": 3, "n": fit["n"],
+                            "params": {k: fit[k] for k in ("xi", "sigma", "mu")}}
             assert report == json.loads(data), name
         assert gev_entries == 10
 
@@ -749,6 +773,19 @@ class TestFit:
         assert result["ranking"][0]["family"] == "GEV"
         assert result["gev"]["xi"] < 0  # bounded-tail jitter model
         assert result["gev"]["xi"] == pytest.approx(p.xi, abs=0.05)
+
+    def test_fit_json_holds_one_gev_fit(self, tmp_path, capsys):
+        vals = gev_sample(GevParams(0.2, 12.0, 124.0), 500, seed=6)
+        path = tmp_path / "vals.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in vals))
+        assert entrypoint(["fit", "--input", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["ranking"]) == 10
+        for entry in report["ranking"]:
+            assert set(entry) == {"family", "k", "params", "loglik", "bic", "n"}
+        (gev,) = [f for f in report["ranking"] if f["family"] == "GEV"]
+        assert gev["params"] == {k: report["gev"][k] for k in ("xi", "sigma", "mu")}
+        assert "e_max" in report["gev"] and "iterations" in report["gev"]
 
     def test_rtt_data_has_heavy_tail(self, tmp_path):
         p = GevParams(*RTT_MODELS["G729"][:3])
@@ -877,6 +914,40 @@ class TestReport:
                            str(old.parent)]) == 1
         err = capsys.readouterr().err
         assert str(old) in err and "schema version None" in err
+
+    def test_v2_report_rejected(self, out_dir, tmp_path, capsys):
+        # a report as export v2 wrote it: an exports index beside pca.json
+        # and the histogram CSV
+        v2 = json.loads(next(out_dir.rglob("report.json")).read_text())
+        del v2["bandwidth_sigma_hist"], v2["pca"]
+        v2["schema_version"] = 2
+        v2["exports"] = {"series_csv": {}, "bandwidth_sigma_hist": None,
+                         "pca": None}
+        old = tmp_path / "old" / "report.json"
+        old.parent.mkdir()
+        old.write_text(json.dumps(v2))
+        with pytest.raises(VoipQosError,
+                           match="schema version 2, expected 3"):
+            merge_reports([out_dir, old])
+        assert entrypoint(["report", "--input", str(out_dir),
+                           str(old.parent)]) == 1
+        err = capsys.readouterr().err
+        assert str(old) in err and "schema version 2" in err
+
+    def test_session_directory_named_report_json(self, tmp_path, capsys):
+        # the Call-ID report.json names the session directory report.json
+        scn = write_scenario(tmp_path, call_id="report.json")
+        cap = tmp_path / "cap.pcap"
+        out = tmp_path / "out"
+        assert entrypoint(["synth", "--scenario", str(scn),
+                           "--out", str(cap)]) == 0
+        assert entrypoint(["analyze", "--input", str(cap),
+                           "--out", str(out)]) == 0
+        assert (out / "report.json" / "report.json").is_file()
+        capsys.readouterr()
+        assert entrypoint(["report", "--input", str(out)]) == 0
+        merged = json.loads(capsys.readouterr().out)
+        assert [row["id"] for row in merged["sessions"]] == ["report.json"]
 
     def test_non_report_json_fails(self, tmp_path, capsys):
         bad = tmp_path / "report.json"

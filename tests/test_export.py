@@ -1,17 +1,19 @@
-"""Export layout (report schema version 2): each artifact is one file.
+"""Export layout (report schema version 3): each value is written once.
 
-The session directory holds report.json, the series CSVs, the sparse
-bandwidth-vs-sigma_j histogram and pca.json. Nothing it dropped is lost:
-these tests rebuild the dense histogram, the sigma_j/RTT quantiles and
-the PCA scores from what is written, and compare them with the library
-functions run on the decoded session. The CSV text itself is compared
-with the writers it replaced (tests/export_reference.py) and with the
-digests of the golden scenario's files.
+The session directory holds report.json and the series CSVs; report.json
+holds the sparse bandwidth-vs-sigma_j histogram and the PCA axes. Nothing
+dropped is lost: these tests rebuild the dense histogram, the sigma_j/RTT
+quantiles and the PCA scores from what is written, and compare them with
+the library functions run on the decoded session. They also rebuild the
+histogram CSV and pca.json of version 2 with that version's writers
+(tests/export_reference.py). The CSV text itself is compared with the
+writers it replaced and with the digests of the golden scenario's files.
 """
 
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import jsonschema
@@ -93,14 +95,32 @@ def at_jitter_times(series, jitter_t: np.ndarray) -> np.ndarray:
     return np.interp(jitter_t, t, v)
 
 
+def v2_hist_csv(hist: dict, n: int) -> str:
+    """Version 2's bandwidth_sigma_hist.csv, from a version-3 histogram
+    entry and the number ``n`` of jitter samples: each cell's edges come
+    from the edge lists, and its density is ``count / n``."""
+    x_edges, y_edges = np.array(hist["x_edges"]), np.array(hist["y_edges"])
+    counts = np.zeros((x_edges.size - 1, y_edges.size - 1), dtype=int)
+    counts[hist["i"], hist["j"]] = hist["count"]
+    return export_reference.hist_to_csv(SimpleNamespace(
+        x_edges=x_edges, y_edges=y_edges, counts=counts, density=counts / n))
+
+
+def v2_pca_json(projection: dict) -> str:
+    """Version 2's pca.json, from a version-3 PCA entry: the loadings are
+    the components transposed."""
+    components = np.array(projection["components"])
+    return export_reference.pca_to_json(SimpleNamespace(
+        variables=projection["variables"], components=components,
+        explained=np.array(projection["explained"]), loadings=components.T))
+
+
 class TestLayout:
     def test_one_file_per_artifact(self, run):
         session_dir, report, _ = run
-        exports = report["exports"]
-        assert exports["bandwidth_sigma_hist"] == "bandwidth_sigma_hist.csv"
-        assert exports["pca"] == "pca.json"
-        want = {"report.json", "pca.json", "bandwidth_sigma_hist.csv"}
-        want |= set(exports["series_csv"].values())
+        assert report["bandwidth_sigma_hist"] is not None
+        assert report["pca"] is not None
+        want = {"report.json"} | {m["csv"] for m in report["metrics"].values()}
         assert {p.name for p in session_dir.iterdir()} == want
 
     def test_units_live_in_the_report(self, run):
@@ -111,42 +131,61 @@ class TestLayout:
 
 class TestInformationKept:
     def test_sparse_hist_rebuilds_dense_counts(self, run):
-        session_dir, report, series = run
+        _, report, series = run
         jitter_t = series["jitter"].times()
         bw = series["bandwidth"]
         hist = bivariate_hist(
             np.interp(jitter_t, bw.times(), bw.values()),
             series["sigma_j"].values(),
         )
-        text = (session_dir / report["exports"]["bandwidth_sigma_hist"]).read_text()
-        header, *rows = text.splitlines()
-        assert header == "x_lo,x_hi,y_lo,y_hi,count,density"
-        xe, ye = hist.x_edges.tolist(), hist.y_edges.tolist()
+        written = report["bandwidth_sigma_hist"]
+        assert written["x_edges"] == hist.x_edges.tolist()
+        assert written["y_edges"] == hist.y_edges.tolist()
+        cells = list(zip(written["i"], written["j"]))
+        assert cells == sorted(set(cells))  # row-major, each cell once
         dense = np.zeros_like(hist.counts)
-        for row in rows:
-            x_lo, x_hi, y_lo, y_hi, count, density = row.split(",")
-            i, j = xe.index(float(x_lo)), ye.index(float(y_lo))
-            assert (float(x_hi), float(y_hi)) == (xe[i + 1], ye[j + 1])
-            assert int(count) > 0 and dense[i, j] == 0
-            assert float(density) == int(count) / len(jitter_t)
-            dense[i, j] = int(count)
+        for (i, j), count in zip(cells, written["count"], strict=True):
+            assert count > 0
+            dense[i, j] = count
         assert np.array_equal(dense, hist.counts)
+        assert sum(written["count"]) == report["metrics"]["jitter"]["count"]
+
+    def test_v2_files_rebuild_from_the_report(self, run):
+        # every value of version 2's bandwidth_sigma_hist.csv and pca.json
+        # is in report.json with the same text, or recomputes exactly
+        _, report, series = run
+        text = v2_hist_csv(report["bandwidth_sigma_hist"],
+                           report["metrics"]["jitter"]["count"])
+        assert hashlib.sha256(text.encode()).hexdigest() == V2_HIST_CSV_SHA256
+
+        t = series["jitter"].times()
+        expected = pca(np.column_stack(
+            [series["jitter"].values(), series["sigma_j"].values()]
+            + [np.interp(t, series[n].times(), series[n].values())
+               for n in ("bandwidth", "rtt")]
+        ), k=4, variables=("jitter", "sigma_j", "bandwidth", "rtt"))
+        # the version-2 PcaResult kept its loadings as components.T.copy()
+        want = export_reference.pca_to_json(SimpleNamespace(
+            variables=expected.variables, components=expected.components,
+            explained=expected.explained,
+            loadings=expected.components.T.copy()))
+        assert v2_pca_json(report["pca"]) == want
 
     @pytest.mark.parametrize("name", ["sigma_j", "rtt"])
     def test_quantiles_are_inverted_cdf_of_the_csv(self, run, name):
         session_dir, report, _ = run
-        _, v = read_series(session_dir / report["exports"]["series_csv"][name])
+        _, v = read_series(session_dir / report["metrics"][name]["csv"])
         want = np.quantile(v, GRID, method="inverted_cdf")
         assert report["metrics"][name]["quantiles"] == want.tolist()
 
     def test_pca_scores_rebuild_from_the_csvs(self, run):
         session_dir, report, series = run
-        projection = json.loads((session_dir / report["exports"]["pca"]).read_text())
-        assert "scores" not in projection
+        projection = report["pca"]
+        assert set(projection) == {"variables", "components", "explained"}
         variables = projection["variables"]
         assert variables == ["jitter", "sigma_j", "bandwidth", "rtt"]
 
-        csv = {name: read_series(session_dir / report["exports"]["series_csv"][name])
+        csv = {name: read_series(session_dir / report["metrics"][name]["csv"])
                for name in variables}
         jitter_t = csv["jitter"][0]
         obs = np.column_stack([csv["jitter"][1], csv["sigma_j"][1]]
@@ -171,26 +210,59 @@ class TestSchema:
 
     def test_accepts_the_written_report(self, run):
         _, report, _ = run
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         jsonschema.Draft202012Validator(SCHEMA).validate(report)
 
     def test_rejects_a_v1_report(self, run):
         _, report, _ = run
         v1 = json.loads(json.dumps(report))
         del v1["schema_version"]
-        v1["exports"]["cdf"] = {"sigma_j": "sigma_j_cdf.json"}
-        v1["exports"]["bandwidth_sigma_hist"] = {
-            "json": "bandwidth_sigma_hist.json",
-            "csv": "bandwidth_sigma_hist.csv",
+        v1["exports"] = {
+            "cdf": {"sigma_j": "sigma_j_cdf.json"},
+            "bandwidth_sigma_hist": {
+                "json": "bandwidth_sigma_hist.json",
+                "csv": "bandwidth_sigma_hist.csv",
+            },
         }
         validator = jsonschema.Draft202012Validator(SCHEMA)
         assert not validator.is_valid(v1)
-        v2_with_cdf = json.loads(json.dumps(report))
-        v2_with_cdf["exports"]["cdf"] = {}
-        assert not validator.is_valid(v2_with_cdf)
-        v2_with_cdf["exports"].pop("cdf")
-        v2_with_cdf["schema_version"] = 1
-        assert not validator.is_valid(v2_with_cdf)
+        v3_with_cdf = json.loads(json.dumps(report))
+        v3_with_cdf["cdf"] = {}
+        assert not validator.is_valid(v3_with_cdf)
+        v3_with_cdf.pop("cdf")
+        v3_with_cdf["schema_version"] = 1
+        assert not validator.is_valid(v3_with_cdf)
+
+    def test_rejects_a_v2_report(self, run):
+        _, report, _ = run
+        validator = jsonschema.Draft202012Validator(SCHEMA)
+        v2 = json.loads(json.dumps(report))
+        v2["schema_version"] = 2
+        assert not validator.is_valid(v2)
+        # version 2's layout: an exports index, no histogram or PCA entry
+        del v2["bandwidth_sigma_hist"], v2["pca"]
+        v2["exports"] = {
+            "series_csv": {name: m["csv"] for name, m in report["metrics"].items()},
+            "bandwidth_sigma_hist": "bandwidth_sigma_hist.csv",
+            "pca": "pca.json",
+        }
+        assert not validator.is_valid(v2)
+        v2["schema_version"] = 3
+        assert not validator.is_valid(v2)
+
+    def test_rejects_a_ranking_entry_with_its_gev_fit(self, run):
+        _, report, _ = run
+        validator = jsonschema.Draft202012Validator(SCHEMA)
+        ranked = json.loads(json.dumps(report))
+        fit = ranked["fits"]["jitter"]
+        gev = dict(fit)
+        entry = {"family": "GEV", "k": 3, "n": fit["n"],
+                 "params": {k: fit[k] for k in ("xi", "sigma", "mu")},
+                 "loglik": fit["loglik"], "bic": fit["bic"]}
+        fit["ranking"] = [entry]
+        assert validator.is_valid(ranked)
+        entry["gev"] = gev
+        assert not validator.is_valid(ranked)
 
 
 class TestEmpiricalQuantile:
@@ -211,13 +283,11 @@ class TestEmpiricalQuantile:
 
 # sha256 of each CSV that synth + analyze write for SCENARIO with the
 # arguments of acceptance criterion 10, recorded before the CSVs went
-# through series_csvs; pca.json is left out because LAPACK builds may
+# through series_csvs; pca.json was left out because LAPACK builds may
 # differ in its last bits
 GOLDEN_CSV_SHA256 = {
     "bandwidth.csv":
         "7e9757214c9c6e2d01a495edf17b3574ac052efc76afd47af856724986a80ac0",
-    "bandwidth_sigma_hist.csv":
-        "604e30d5a1541e315aafb596b09794dd94dc83ab9c382498da9b55929d23d61a",
     "jitter.csv":
         "ad50f11ef3735ede0c5cb3c8e8f2b64a5dae293925643383889e94d947d36ae7",
     "r_factor.csv":
@@ -231,6 +301,11 @@ GOLDEN_CSV_SHA256 = {
     "signal_level.csv":
         "bbfcff515f443e8b4278f52b0cdc86c9d725b42acc24c9a8ea2f8c22884cadb0",
 }
+
+# the same digest of bandwidth_sigma_hist.csv, which report schema
+# version 2 wrote and version 3 folded into report.json
+V2_HIST_CSV_SHA256 = (
+    "604e30d5a1541e315aafb596b09794dd94dc83ab9c382498da9b55929d23d61a")
 
 # signed zeros, subnormals, extremes and integral floats, drawn often
 # enough that one column holds several of them
@@ -279,6 +354,13 @@ def _session_series(draw):
 _series = MetricSeries.create
 
 
+def _old_hist_csv(hist: BivariateHist, n: int) -> str:
+    """The old writer's text of ``hist`` with its old density field."""
+    return export_reference.hist_to_csv(SimpleNamespace(
+        x_edges=hist.x_edges, y_edges=hist.y_edges, counts=hist.counts,
+        density=hist.counts / n))
+
+
 class TestCsvText:
     @given(_session_series())
     @example([
@@ -300,23 +382,25 @@ class TestCsvText:
 
     @given(
         nx=st.integers(1, 4), ny=st.integers(1, 4),
-        data=st.data(),
+        n=st.integers(1, 10**6), data=st.data(),
     )
-    def test_hist_csv_equals_the_old_writer(self, nx, ny, data):
+    def test_hist_csv_equals_the_old_writer(self, nx, ny, n, data):
+        # the old CSV rebuilds from the JSON text of the histogram
         hist = BivariateHist(
             x_edges=np.array(data.draw(_column(nx + 1))),
             y_edges=np.array(data.draw(_column(ny + 1))),
             counts=np.array(data.draw(st.lists(
                 st.integers(0, 3), min_size=nx * ny, max_size=nx * ny,
             ))).reshape(nx, ny),
-            density=np.array(data.draw(_column(nx * ny))).reshape(nx, ny),
         )
-        assert hist.to_csv() == export_reference.hist_to_csv(hist)
+        written = json.loads(json.dumps(hist.to_json_dict()))
+        assert v2_hist_csv(written, n) == _old_hist_csv(hist, n)
 
     def test_binned_hist_csv_equals_the_old_writer(self):
         rng = np.random.default_rng(3)
         hist = bivariate_hist(rng.normal(size=500), rng.gamma(2.0, size=500))
-        assert hist.to_csv() == export_reference.hist_to_csv(hist)
+        written = json.loads(json.dumps(hist.to_json_dict()))
+        assert v2_hist_csv(written, 500) == _old_hist_csv(hist, 500)
 
     def test_series_names_must_be_distinct(self):
         a = _series("rtt", [1.0], [2.0])

@@ -169,8 +169,12 @@ class TestPcap:
                                 bytes(size))
 
         edge = [record(2.0**32 - 1, 65507), record(2.0**32 - 2e-6, 0)]
-        assert [len(r.payload) for r in parse_pcap(write_pcap(edge))] == \
-            [65507, 0]
+        data = write_pcap(edge)
+        assert [len(r.payload) for r in parse_pcap(data)] == [65507, 0]
+        # the classic format requires incl_len <= snaplen
+        (snaplen,) = struct.unpack_from("<I", data, 16)
+        (incl_len,) = struct.unpack_from("<I", data, 24 + 8)
+        assert incl_len == 14 + 20 + 8 + 65507 <= snaplen
         for bad, says in ((record(1.0, 65508), "65508-byte payload"),
                           (record(2.0**32 - 0.4e-6, 0), "32-bit seconds")):
             with pytest.raises(DomainError, match=f"^record 1: .*{says}"):

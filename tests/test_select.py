@@ -20,7 +20,7 @@ class TestRanking:
         z = gev_sample(GevParams(xi=0.3, sigma=2.0, mu=10.0), 5000, seed=1)
         fits = select_model(z)
         assert fits[0].family == "GEV"
-        assert fits[0].gev is not None
+        assert list(fits[0].params) == ["xi", "sigma", "mu"]
         # BIC column is sorted.
         bics = [f.bic for f in fits]
         assert bics == sorted(bics)

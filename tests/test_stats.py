@@ -79,14 +79,17 @@ class TestBivariateHist:
         h = bivariate_hist([3.0] * 7, [4.0] * 7, nx=5, ny=5)
         assert h.counts.shape == (1, 1)
         assert h.counts[0, 0] == 7
-        assert h.density[0, 0] == 1.0
         assert h.x_edges.tolist() == [2.5, 3.5]
         assert h.y_edges.tolist() == [3.5, 4.5]
+        assert h.to_json_dict() == {"x_edges": [2.5, 3.5], "y_edges": [3.5, 4.5],
+                                    "i": [0], "j": [0], "count": [7]}
 
     def test_square_corners(self):
         h = bivariate_hist([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], nx=2, ny=2)
         assert h.counts.tolist() == [[1, 1], [1, 1]]
-        assert np.all(h.density == 0.25)
+        cells = h.to_json_dict()
+        assert (cells["i"], cells["j"], cells["count"]) == (
+            [0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 1])
 
     def test_single_bin_catches_everything(self):
         h = bivariate_hist([1.0, 2.0, 9.0], [0.0, 5.0, 5.0], nx=1, ny=1)
@@ -112,7 +115,7 @@ class TestBivariateHist:
         ys = [p[1] for p in pairs]
         h = bivariate_hist(xs, ys, nx=6, ny=4)
         assert int(h.counts.sum()) == len(pairs)
-        assert float(h.density.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(h.to_json_dict()["count"]) == len(pairs)
         order = list(range(len(pairs)))
         rnd.shuffle(order)
         h2 = bivariate_hist([xs[i] for i in order], [ys[i] for i in order], nx=6, ny=4)
@@ -126,11 +129,12 @@ class TestBivariateHist:
         with pytest.raises(DomainError):
             bivariate_hist([1.0], [1.0], nx=0, ny=2)
 
-    def test_csv_grid(self):
+    def test_json_grid(self):
         h = bivariate_hist([0.0, 1.0], [0.0, 1.0], nx=2, ny=1)
-        lines = h.to_csv().strip().split("\n")
-        assert lines[0] == "x_lo,x_hi,y_lo,y_hi,count,density"
-        assert len(lines) == 1 + 2 * 1
+        assert h.to_json_dict() == {
+            "x_edges": [0.0, 0.5, 1.0], "y_edges": [0.0, 1.0],
+            "i": [0, 1], "j": [0, 0], "count": [1, 1],
+        }
 
 
 class TestBoxplot:
@@ -281,15 +285,18 @@ class TestPca:
             for row in out.components:
                 assert row[int(np.argmax(np.abs(row)))] > 0.0
 
-    def test_loadings_are_component_columns(self):
+    def test_json_holds_components_not_loadings(self):
         rng = np.random.default_rng(8)
         obs = rng.normal(size=(25, 4))
         out = pca(obs, k=2, standardize=True, variables=("a", "b", "c", "d"))
-        assert out.loadings.shape == (4, 2)
-        assert np.array_equal(out.loadings, out.components.T)
+        assert out.components.shape == (2, 4)
         d = out.to_json_dict()
         assert d["variables"] == ["a", "b", "c", "d"]
         assert len(d["scores"]) == 25
+        # a variable's loadings are its column of the components
+        assert out.axes_json_dict() == {
+            "variables": d["variables"], "components": out.components.tolist(),
+            "explained": out.explained.tolist()}
 
     def test_rejects_bad_input(self):
         obs = np.arange(12.0).reshape(6, 2)
