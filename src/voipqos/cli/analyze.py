@@ -15,12 +15,14 @@ has the same bytes. With ``candidates``, ``select_model`` then ranks
 each sample, taking its GEV fit from that call: ranked or not, a sample
 is fitted once and its fit entry is the same.
 
-Each value is written once (report schema version 3). A session
-directory holds report.json and one CSV per metric series, which
-``metrics[name].csv`` names. report.json holds the units, the
-sigma_j/RTT quantiles, the bandwidth-vs-sigma_j histogram and the PCA
-axes; the series CSVs hold the samples, which also rebuild the PCA
-scores.
+Each value is written once (report schema version 4). A session
+directory holds report.json and one CSV per time axis, with a column per
+metric series on it: ``bandwidth.csv`` (bandwidth, jitter, sigma_j) and
+``rtt.csv`` (rtt and the other XR series) for a call with RTP and RTCP XR.
+``metrics[name].csv`` names the file of each series, and the header
+names its column. report.json holds the units, the sigma_j/RTT
+quantiles, the bandwidth-vs-sigma_j histogram and the PCA axes; the
+CSVs hold the samples, which also rebuild the PCA scores.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from ..metrics import (
 )
 from ..stats import bivariate_hist, empirical_cdf, pca
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 #: p = 0, 0.05, ..., 1 for the sigma_j and RTT quantiles in report.json
 QUANTILE_PROBS = np.linspace(0.0, 1.0, 21)
 
@@ -101,7 +103,8 @@ def read_records(path: str | Path, fmt: str = "auto") -> Capture:
     return parse_jsonl(p.read_text())
 
 
-def _series_summary(series: MetricSeries) -> dict:
+def _series_summary(series: MetricSeries, csv: str) -> dict:
+    """The report entry of ``series``, whose column is in the file ``csv``."""
     v = series.values()
     summary = {
         "unit": series.unit,
@@ -110,7 +113,7 @@ def _series_summary(series: MetricSeries) -> dict:
         "std": float(np.std(v, ddof=1)) if len(v) >= 2 else 0.0,
         "min": float(np.min(v)),
         "max": float(np.max(v)),
-        "csv": f"{series.name}.csv",
+        "csv": csv,
     }
     if series.name in ("sigma_j", "rtt"):  # the CDF figures' metrics
         summary["quantiles"] = empirical_cdf(v).quantile(QUANTILE_PROBS).tolist()
@@ -168,7 +171,7 @@ def build_session_report(
     """Compute every metric and export for one session.
 
     Returns (report dict, {CSV filename: file text}); the report's
-    ``metrics[name].csv`` are exactly the returned filenames. With
+    ``metrics[name].csv`` name exactly the returned files. With
     ``pending``, the GEV fits and their rankings are left to the caller:
     each empty entry of ``report["fits"]`` is appended with its sample as
     ``(entry, values)``. Without it, :func:`_fill_fits` fits and ranks
@@ -203,8 +206,8 @@ def build_session_report(
         )
 
     nonempty = [s for s in series_by_name.values() if len(s)]
-    metrics = {series.name: _series_summary(series) for series in nonempty}
-    files = {f"{name}.csv": text for name, text in series_csvs(nonempty).items()}
+    files, file_of = series_csvs(nonempty)
+    metrics = {s.name: _series_summary(s, file_of[s.name]) for s in nonempty}
 
     hist = projection = None
     if jitter is not None:
@@ -224,7 +227,7 @@ def build_session_report(
             )
         matrix = np.column_stack([c[1] for c in columns])
         try:
-            # the series CSVs rebuild the scores
+            # the CSVs rebuild the scores
             projection = pca(matrix, k=matrix.shape[1], standardize=True,
                              variables=tuple(c[0] for c in columns)
                              ).axes_json_dict()

@@ -496,9 +496,10 @@ def select_model(data, families: Iterable[str] | None = None,
     ``gev`` is the outcome of fitting GEV to ``data``, as
     :func:`fit_gev_batch` returns it: a :class:`GevFit`, or the error,
     which excludes GEV (a NotConverged carries its fit). Without it,
-    :func:`fit_gev_mle` fits GEV here. Ties break toward fewer
-    parameters, then lexicographic family name. An empty family list
-    yields an empty ranking.
+    :func:`fit_gev_mle` fits GEV here. The GEV entry takes the fit's own
+    ``loglik``, so its ``loglik`` and ``bic`` equal the fit's. Ties break
+    toward fewer parameters, then lexicographic family name. An empty
+    family list yields an empty ranking.
     """
     families = check_families(_FITTERS if families is None else families)
     z = np.asarray(data, dtype=float).ravel()
@@ -513,9 +514,13 @@ def select_model(data, families: Iterable[str] | None = None,
         family = _FITTERS[name]
         try:
             with np.errstate(all="ignore"):
-                params = (_gev_params(gev) if name == "GEV" and gev is not None
-                          else family.fit(z))
-                loglik = family.loglik(z, *params.values())
+                if name == "GEV":  # a GevFit carries its own loglik
+                    outcome = fit_gev_mle(z) if gev is None else gev
+                    params = _gev_params(outcome)
+                    loglik = outcome.loglik
+                else:
+                    params = family.fit(z)
+                    loglik = family.loglik(z, *params.values())
             if not math.isfinite(loglik):
                 raise ValueError("non-finite log-likelihood")
         except _EXCLUDING as exc:

@@ -17,9 +17,9 @@ in the difference, so no synchronization is needed. No exponential
 smoothing is applied: each sample is |D| itself, not the running 1/16
 estimator of RFC 3550.
 
-Series leave as CSV text through ``series_csvs``, which formats what a
-session's series share once: their common time axes and their repeated
-values.
+Series leave as CSV text through ``series_csvs``: one file per time
+axis, with a column per series on it, so each axis and each repeated
+value is formatted once.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ from .ingest.rtcp_xr import UNAVAILABLE, VoipMetricsBlock, XrBlocks
 from .ingest.rtp import RtpPacket, RtpStream
 from .ingest.sip import SipMessage
 
-#: Fixed unit per metric name, and the names a MetricSeries may carry.
+#: Fixed unit per metric name, and the names a MetricSeries may carry,
+#: in the order ``series_csvs`` places the series in files.
 UNIT_BY_NAME = {
+    "bandwidth": "kbps",
     "jitter": "ms",
     "sigma_j": "ms",
-    "bandwidth": "kbps",
     "rtt": "ms",
     "r_factor": "score",
     "signal_level": "dBm",
@@ -97,11 +98,6 @@ class MetricSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    def to_csv(self) -> str:
-        """``t,value`` rows, as ``series_csvs`` writes them; the unit is
-        fixed per name (UNIT_BY_NAME)."""
-        return series_csvs([self])[self.name]
-
 
 #: Rows per block in series_csvs: only one block's cell and row strings
 #: are alive at a time.
@@ -130,45 +126,56 @@ def csv_rows(*columns) -> str:
     return "\n".join(lines)
 
 
-def series_csvs(series) -> dict[str, str]:
-    """``t,value`` CSV text per series name, in the order given.
+def series_csvs(series) -> tuple[dict[str, str], dict[str, str]]:
+    """The CSV files of a session's series: ``({file name: text},
+    {series name: its file name})``.
 
-    Each cell is the float's shortest round-trip ``repr``. A series whose
-    times equal a suffix of a longer series' times shares that axis, and
-    the axis is formatted once for all of them. Rows are built one block
-    of CSV_BLOCK_ROWS axis rows at a time; one ``float_cells`` call
-    formats the block's values of every series on the axis.
+    Series are placed in the order of UNIT_BY_NAME. A series joins the
+    first earlier file when its times equal a suffix of that file's
+    axis, compared bit for bit; otherwise it starts ``<name>.csv``, whose
+    axis is its times. A file's header is ``t`` and its series' names;
+    a series' cells are empty on the rows before its first time. Each
+    cell is the float's shortest round-trip ``repr``. Rows are built one
+    block of CSV_BLOCK_ROWS axis rows at a time; one ``float_cells``
+    call formats the block's values of every series in the file. An
+    empty series has no row to place and is refused.
     """
-    series = list(series)
-    chunks = {s.name: ["t,value\n"] for s in series}
-    if len(chunks) != len(series):
+    series = sorted(series, key=lambda s: list(UNIT_BY_NAME).index(s.name))
+    names = [s.name for s in series]
+    if len(set(names)) != len(names):
         raise DomainError("series names must be distinct")
+    if not all(map(len, series)):
+        raise EmptyData("an empty series has no rows to write")
     # (axis times, [(series, offset)]): series.t == axis[offset:]
     axes: list[tuple[np.ndarray, list]] = []
-    for s in sorted(series, key=len, reverse=True):
+    for s in series:
         bits = s.t.view(np.int64)
         for axis, members in axes:
             offset = len(axis) - len(s)
-            if np.array_equal(axis[offset:].view(np.int64), bits):
+            if offset >= 0 and np.array_equal(axis[offset:].view(np.int64), bits):
                 members.append((s, offset))
                 break
         else:
             axes.append((s.t, [(s, 0)]))
+    files, file_of = {}, {}
     for axis, members in axes:
+        file_name = f"{members[0][0].name}.csv"
+        chunks = [",".join(["t"] + [s.name for s, _ in members]) + "\n"]
         for start in range(0, len(axis), CSV_BLOCK_ROWS):
             stop = start + CSV_BLOCK_ROWS
             # strictly increasing times are distinct: nothing to reuse
             times = list(map(repr, axis[start:stop].tolist()))
-            # (series, axis row of its first row in this block, offset);
-            # the axis's own series (offset 0) is always among them
-            rows = [(s, max(start, offset), offset)
-                    for s, offset in members if offset < stop]
             values = float_cells(*(
-                s.v[lo - offset:stop - offset] for s, lo, offset in rows
+                s.v[max(start - offset, 0):max(stop - offset, 0)]
+                for s, offset in members
             ))
-            for (s, lo, _), cells in zip(rows, values):
-                chunks[s.name].append(csv_rows(times[lo - start:], cells))
-    return {name: "".join(parts) for name, parts in chunks.items()}
+            # a series' rows are a suffix of the axis: pad the rows before
+            columns = [[""] * (len(times) - len(cells)) + cells
+                       for cells in values]
+            chunks.append(csv_rows(times, *columns))
+        files[file_name] = "".join(chunks)
+        file_of.update((s.name, file_name) for s, _ in members)
+    return files, file_of
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from voipqos.ingest import (
 from voipqos.metrics import MetricSeries
 
 from . import builders
+from .export_reference import csv_columns, read_column
 from .gev_models import JITTER_MODELS, RTT_MODELS
 
 SCHEMA = json.loads(
@@ -299,25 +300,32 @@ class TestAnalyze:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_csv_header(self, capture, tmp_path):
+        # t, then the series on that axis; report.json names each
+        # series' file
         entrypoint(["analyze", "--input", str(capture),
                     "--out", str(tmp_path / "out")])
-        for csv in (tmp_path / "out" / "call-1").glob("*.csv"):
-            assert csv.read_text().splitlines()[0] == "t,value", csv.name
+        session_dir = tmp_path / "out" / "call-1"
+        report = json.loads((session_dir / "report.json").read_text())
+        headers = {csv.name: csv.read_text().splitlines()[0]
+                   for csv in session_dir.glob("*.csv")}
+        assert headers["bandwidth.csv"] == "t,bandwidth,jitter,sigma_j"
+        columns = {name: header.split(",") for name, header in headers.items()}
+        for name, summary in report["metrics"].items():
+            assert columns[summary["csv"]][0] == "t"
+            assert name in columns[summary["csv"]][1:]
 
     def test_csv_cells_are_plain_numbers(self, capture, tmp_path):
         assert entrypoint(["analyze", "--input", str(capture),
                            "--out", str(tmp_path / "out")]) == 0
-        csvs = sorted((tmp_path / "out" / "call-1").glob("*.csv"))
-        assert {"jitter.csv", "sigma_j.csv", "bandwidth.csv"} <= {
-            c.name for c in csvs}
-        for csv in csvs:
-            header, *rows = csv.read_text().splitlines()
-            columns = header.split(",")
-            assert rows, csv.name
-            for row in rows:
-                for column, cell in zip(columns, row.split(","), strict=True):
-                    if column != "unit":
-                        float(cell)  # raises on e.g. "np.float64(1.5)"
+        columns = {csv.name: csv_columns(csv.read_text())
+                   for csv in (tmp_path / "out" / "call-1").glob("*.csv")}
+        assert set(columns["bandwidth.csv"]) == {"bandwidth", "jitter",
+                                                 "sigma_j"}
+        for name, csv in columns.items():
+            for t, v in csv.values():
+                assert v, name
+                for cell in t + v:
+                    float(cell)  # raises on e.g. "np.float64(1.5)"
 
     def test_candidates_add_ranking(self, capture, tmp_path):
         entrypoint(["analyze", "--input", str(capture),
@@ -602,10 +610,10 @@ class TestAnalyze:
             want = float(np.mean(np.asarray(rtt, dtype=float)))
             assert report["metrics"]["rtt"]["mean"] == want
             for name, summary in report["metrics"].items():
-                t, v = np.loadtxt(tmp_path / call_id / summary["csv"],
-                                  delimiter=",", skiprows=1, ndmin=2).T
+                t, v = read_column(tmp_path / call_id / summary["csv"], name)
                 series = MetricSeries.create(name, t, v)
-                assert summary == analyze_module._series_summary(series), name
+                assert summary == analyze_module._series_summary(
+                    series, summary["csv"]), name
 
     def test_fits_do_not_depend_on_the_block(self, calls_capture, tmp_path,
                                              monkeypatch):
@@ -620,8 +628,8 @@ class TestAnalyze:
         assert _tree(tmp_path / "one") == _tree(tmp_path / "each")
         report = json.loads(
             (tmp_path / "one" / "call-2" / "report.json").read_text())
-        _, v = np.loadtxt(tmp_path / "one" / "call-2" / "jitter.csv",
-                          delimiter=",", skiprows=1).T
+        _, v = read_column(tmp_path / "one" / "call-2"
+                           / report["metrics"]["jitter"]["csv"], "jitter")
         (fit,) = fit_gev_batch([v])
         assert report["fits"]["jitter"] == json.loads(
             json.dumps(fit.to_json_dict()))
@@ -675,15 +683,11 @@ class TestAnalyze:
                 for family in ranking:
                     if family["family"] == "GEV":
                         gev_entries += 1
-                        # the ranking sums the log-likelihood contiguously,
-                        # the batched fit per segment: the last bits differ
-                        assert family.pop("loglik") == pytest.approx(
-                            fit["loglik"], rel=1e-12)
-                        assert family.pop("bic") == pytest.approx(
-                            fit["bic"], rel=1e-12)
+                        # the fit's own loglik and bic, bit for bit
                         assert family == {
                             "family": "GEV", "k": 3, "n": fit["n"],
-                            "params": {k: fit[k] for k in ("xi", "sigma", "mu")}}
+                            "params": {k: fit[k] for k in ("xi", "sigma", "mu")},
+                            "loglik": fit["loglik"], "bic": fit["bic"]}
             assert report == json.loads(data), name
         assert gev_entries == 10
 
@@ -775,7 +779,8 @@ class TestFit:
         assert result["gev"]["xi"] == pytest.approx(p.xi, abs=0.05)
 
     def test_fit_json_holds_one_gev_fit(self, tmp_path, capsys):
-        vals = gev_sample(GevParams(0.2, 12.0, 124.0), 500, seed=6)
+        # on this sample a loglik summed anew differs in its last bits
+        vals = gev_sample(GevParams(0.2, 12.0, 124.0), 500, seed=12)
         path = tmp_path / "vals.txt"
         path.write_text("".join(f"{float(v)!r}\n" for v in vals))
         assert entrypoint(["fit", "--input", str(path)]) == 0
@@ -785,6 +790,9 @@ class TestFit:
             assert set(entry) == {"family", "k", "params", "loglik", "bic", "n"}
         (gev,) = [f for f in report["ranking"] if f["family"] == "GEV"]
         assert gev["params"] == {k: report["gev"][k] for k in ("xi", "sigma", "mu")}
+        # the fit's own loglik and bic, bit for bit
+        assert (gev["loglik"], gev["bic"]) == (report["gev"]["loglik"],
+                                               report["gev"]["bic"])
         assert "e_max" in report["gev"] and "iterations" in report["gev"]
 
     def test_rtt_data_has_heavy_tail(self, tmp_path):
@@ -927,12 +935,29 @@ class TestReport:
         old.parent.mkdir()
         old.write_text(json.dumps(v2))
         with pytest.raises(VoipQosError,
-                           match="schema version 2, expected 3"):
+                           match="schema version 2, expected 4"):
             merge_reports([out_dir, old])
         assert entrypoint(["report", "--input", str(out_dir),
                            str(old.parent)]) == 1
         err = capsys.readouterr().err
         assert str(old) in err and "schema version 2" in err
+
+    def test_v3_report_rejected(self, out_dir, tmp_path, capsys):
+        # a report as export v3 wrote it: the same fields, and a t,value
+        # CSV per series
+        v3 = json.loads(next(out_dir.rglob("report.json")).read_text())
+        v3["schema_version"] = 3
+        for name, summary in v3["metrics"].items():
+            summary["csv"] = f"{name}.csv"
+        old = tmp_path / "old" / "report.json"
+        old.parent.mkdir()
+        old.write_text(json.dumps(v3))
+        with pytest.raises(VoipQosError,
+                           match="schema version 3, expected 4"):
+            merge_reports([out_dir, old])
+        assert entrypoint(["report", "--input", str(out_dir),
+                           str(old.parent)]) == 1
+        assert str(old) in capsys.readouterr().err
 
     def test_session_directory_named_report_json(self, tmp_path, capsys):
         # the Call-ID report.json names the session directory report.json

@@ -1,13 +1,15 @@
-"""Export layout (report schema version 3): each value is written once.
+"""Export layout (report schema version 4): each value is written once.
 
-The session directory holds report.json and the series CSVs; report.json
-holds the sparse bandwidth-vs-sigma_j histogram and the PCA axes. Nothing
-dropped is lost: these tests rebuild the dense histogram, the sigma_j/RTT
-quantiles and the PCA scores from what is written, and compare them with
-the library functions run on the decoded session. They also rebuild the
-histogram CSV and pca.json of version 2 with that version's writers
-(tests/export_reference.py). The CSV text itself is compared with the
-writers it replaced and with the digests of the golden scenario's files.
+The session directory holds report.json and one CSV per time axis, with
+a column per series on it; report.json holds the sparse
+bandwidth-vs-sigma_j histogram and the PCA axes. Nothing dropped is
+lost: these tests rebuild the dense histogram, the sigma_j/RTT quantiles
+and the PCA scores from what is written, and compare them with the
+library functions run on the decoded session. They also rebuild the
+histogram CSV and pca.json of version 2 with that version's writers, and
+the per-series CSVs of version 3 from the per-axis ones
+(tests/export_reference.py). That CSV text is compared with the writer
+it replaced and with the digests of the golden scenario's files.
 """
 
 import hashlib
@@ -25,8 +27,8 @@ from hypothesis import strategies as st
 from tests import export_reference
 from voipqos import metrics
 from voipqos.cli import entrypoint
-from voipqos.errors import DomainError
-from voipqos.ingest import assemble_sessions, parse_pcap
+from voipqos.errors import DomainError, EmptyData
+from voipqos.ingest import assemble_sessions, parse_pcap, write_pcap
 from voipqos.metrics import (
     UNIT_BY_NAME,
     MetricSeries,
@@ -37,6 +39,8 @@ from voipqos.metrics import (
     series_csvs,
 )
 from voipqos.stats import BivariateHist, bivariate_hist, empirical_cdf, pca
+
+from . import builders
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "voipqos" / "schemas"
@@ -83,16 +87,31 @@ def run(tmp_path_factory):
     return session_dir, report, series
 
 
-def read_series(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    header, *rows = path.read_text().splitlines()
-    assert header == "t,value"
-    t, v = zip(*(map(float, row.split(",")) for row in rows))
-    return np.array(t), np.array(v)
+def read_column(session_dir: Path, report: dict, name: str):
+    """Sample times and values of series ``name``, from the CSV that
+    ``report`` names for it."""
+    return export_reference.read_column(
+        session_dir / report["metrics"][name]["csv"], name)
 
 
-def at_jitter_times(series, jitter_t: np.ndarray) -> np.ndarray:
-    t, v = series
-    return np.interp(jitter_t, t, v)
+def xr_call_dir(tmp_path: Path, rtts: list[int]) -> Path:
+    """The session directory that ``analyze`` writes for a 3-s call with
+    RTP both ways and an XR report every 0.5 s of round-trip delay
+    ``rtts[k]`` (0: not measured)."""
+    records = builders.basic_dialog(invite_ts=0.0, ringing_ts=0.1,
+                                    answer_ts=0.2, bye_ts=4.0, bye_ok_ts=4.1)
+    for i in range(150):
+        ts = 0.5 + 0.02 * i
+        records.append(builders.rtp_record(ts, i, 160 * i))
+        records.append(builders.rtp_record(ts + 0.003, i, 160 * i,
+                                           ssrc=0x3333, reverse=True))
+    records += [builders.xr_record(0.55 + 0.5 * k, round_trip_delay=rtt)
+                for k, rtt in enumerate(rtts)]
+    cap = tmp_path / "call.pcap"
+    cap.write_bytes(write_pcap(sorted(records, key=lambda r: r.ts)))
+    assert entrypoint(["analyze", "--input", str(cap),
+                       "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out" / "call-1"
 
 
 def v2_hist_csv(hist: dict, n: int) -> str:
@@ -117,11 +136,50 @@ def v2_pca_json(projection: dict) -> str:
 
 class TestLayout:
     def test_one_file_per_artifact(self, run):
+        # report.json, and one CSV per time axis
         session_dir, report, _ = run
         assert report["bandwidth_sigma_hist"] is not None
         assert report["pca"] is not None
-        want = {"report.json"} | {m["csv"] for m in report["metrics"].values()}
-        assert {p.name for p in session_dir.iterdir()} == want
+        assert {p.name for p in session_dir.iterdir()} == {
+            "report.json", "bandwidth.csv", "rtt.csv"}
+        header = {p.name: p.read_text().split("\n", 1)[0]
+                  for p in session_dir.glob("*.csv")}
+        assert header == {"bandwidth.csv": "t,bandwidth,jitter,sigma_j",
+                          "rtt.csv": "t,rtt,r_factor,signal_level,sigma_sl"}
+        for name, entry in report["metrics"].items():
+            assert name in header[entry["csv"]].split(",")[1:]
+
+    def test_jitter_cells_start_on_the_second_row(self, run):
+        session_dir, _, series = run
+        rows = (session_dir / "bandwidth.csv").read_text().splitlines()
+        bw = series["bandwidth"]
+        assert rows[1] == f"{float(bw.times()[0])!r},{float(bw.values()[0])!r},,"
+        assert "" not in rows[2].split(",")
+
+    def test_a_bidirectional_xr_session_writes_two_csvs(self, tmp_path):
+        session_dir = xr_call_dir(tmp_path, [150 + k for k in range(6)])
+        report = json.loads((session_dir / "report.json").read_text())
+        assert report["session"]["rtp_rev"] == 150
+        assert {p.name for p in session_dir.iterdir()} == {
+            "report.json", "bandwidth.csv", "rtt.csv"}
+        assert {m["csv"] for m in report["metrics"].values()} == {
+            "bandwidth.csv", "rtt.csv"}
+
+    def test_unmeasured_first_rtt_keeps_rtt_csv(self, tmp_path):
+        # r_factor has one report more than rtt, so it is no suffix of
+        # rtt's axis: rtt.csv keeps rtt in column 1, r_factor.csv starts
+        session_dir = xr_call_dir(tmp_path, [0] + [150 + k for k in range(5)])
+        report = json.loads((session_dir / "report.json").read_text())
+        rtt_rows = (session_dir / "rtt.csv").read_text().splitlines()
+        assert rtt_rows[0] == "t,rtt"
+        assert [row.split(",")[1] for row in rtt_rows[1:]] == [
+            f"{150 + k!r}.0" for k in range(5)]
+        assert report["metrics"]["rtt"]["csv"] == "rtt.csv"
+        assert {name: report["metrics"][name]["csv"] for name in
+                ("r_factor", "signal_level", "sigma_sl")} == dict.fromkeys(
+            ("r_factor", "signal_level", "sigma_sl"), "r_factor.csv")
+        assert {p.name for p in session_dir.iterdir()} == {
+            "report.json", "bandwidth.csv", "rtt.csv", "r_factor.csv"}
 
     def test_units_live_in_the_report(self, run):
         _, report, series = run
@@ -173,8 +231,9 @@ class TestInformationKept:
 
     @pytest.mark.parametrize("name", ["sigma_j", "rtt"])
     def test_quantiles_are_inverted_cdf_of_the_csv(self, run, name):
+        # the sorted non-empty cells of the series' column are its CDF
         session_dir, report, _ = run
-        _, v = read_series(session_dir / report["metrics"][name]["csv"])
+        _, v = read_column(session_dir, report, name)
         want = np.quantile(v, GRID, method="inverted_cdf")
         assert report["metrics"][name]["quantiles"] == want.tolist()
 
@@ -185,12 +244,15 @@ class TestInformationKept:
         variables = projection["variables"]
         assert variables == ["jitter", "sigma_j", "bandwidth", "rtt"]
 
-        csv = {name: read_series(session_dir / report["metrics"][name]["csv"])
+        csv = {name: read_column(session_dir, report, name)
                for name in variables}
         jitter_t = csv["jitter"][0]
-        obs = np.column_stack([csv["jitter"][1], csv["sigma_j"][1]]
-                              + [at_jitter_times(csv[n], jitter_t)
-                                 for n in variables[2:]])
+        # bandwidth at the rows where jitter is non-empty: its last ones
+        bw_t, bw = csv["bandwidth"]
+        assert bw_t[-len(jitter_t):].tolist() == jitter_t.tolist()
+        obs = np.column_stack([csv["jitter"][1], csv["sigma_j"][1],
+                               bw[-len(jitter_t):],
+                               np.interp(jitter_t, *csv["rtt"])])
         z = (obs - obs.mean(axis=0)) / obs.std(axis=0, ddof=1)
         rebuilt = z @ np.array(projection["components"]).T
 
@@ -210,7 +272,7 @@ class TestSchema:
 
     def test_accepts_the_written_report(self, run):
         _, report, _ = run
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         jsonschema.Draft202012Validator(SCHEMA).validate(report)
 
     def test_rejects_a_v1_report(self, run):
@@ -250,6 +312,15 @@ class TestSchema:
         v2["schema_version"] = 3
         assert not validator.is_valid(v2)
 
+    def test_rejects_a_v3_report(self, run):
+        # version 3 wrote the same fields, with one CSV per series
+        _, report, _ = run
+        v3 = json.loads(json.dumps(report))
+        v3["schema_version"] = 3
+        for name, entry in v3["metrics"].items():
+            entry["csv"] = f"{name}.csv"
+        assert not jsonschema.Draft202012Validator(SCHEMA).is_valid(v3)
+
     def test_rejects_a_ranking_entry_with_its_gev_fit(self, run):
         _, report, _ = run
         validator = jsonschema.Draft202012Validator(SCHEMA)
@@ -283,8 +354,9 @@ class TestEmpiricalQuantile:
 
 # sha256 of each CSV that synth + analyze write for SCENARIO with the
 # arguments of acceptance criterion 10, recorded before the CSVs went
-# through series_csvs; pca.json was left out because LAPACK builds may
-# differ in its last bits
+# through series_csvs, when each series had a ``t,value`` file of its
+# own; pca.json was left out because LAPACK builds may differ in its
+# last bits
 GOLDEN_CSV_SHA256 = {
     "bandwidth.csv":
         "7e9757214c9c6e2d01a495edf17b3574ac052efc76afd47af856724986a80ac0",
@@ -354,6 +426,23 @@ def _session_series(draw):
 _series = MetricSeries.create
 
 
+def _files_by_rule(series) -> dict[str, str]:
+    """``{series name: file name}`` by the layout rule: in the order of
+    UNIT_BY_NAME, a series joins the first earlier file whose axis ends
+    with its times, bit for bit, or starts ``<name>.csv``."""
+    owners, file_of = [], {}
+    for s in sorted(series, key=lambda s: list(UNIT_BY_NAME).index(s.name)):
+        bits = s.t.view(np.int64).tolist()
+        owner = next((o for o in owners if len(s) <= len(o) and
+                      o.t.view(np.int64).tolist()[len(o) - len(s):] == bits),
+                     None)
+        if owner is None:
+            owners.append(s)
+            owner = s
+        file_of[s.name] = f"{owner.name}.csv"
+    return file_of
+
+
 def _old_hist_csv(hist: BivariateHist, n: int) -> str:
     """The old writer's text of ``hist`` with its old density field."""
     return export_reference.hist_to_csv(SimpleNamespace(
@@ -374,11 +463,22 @@ class TestCsvText:
     @example([_series("rtt", [-0.0, 1.0], [1.0, 2.0]),
               _series("r_factor", [0.0, 1.0], [3.0, 4.0])])
     def test_series_csvs_equal_the_old_writer(self, series):
-        want = [(s.name, export_reference.series_to_csv(s)) for s in series]
+        # an empty series is refused; the others' columns rebuild the
+        # old writer's t,value text of each
+        written = [s for s in series if len(s)]
+        want = {s.name: export_reference.series_to_csv(s) for s in written}
         for block in (3, metrics.CSV_BLOCK_ROWS):
             with mock.patch.object(metrics, "CSV_BLOCK_ROWS", block):
-                assert list(series_csvs(series).items()) == want
-                assert [(s.name, s.to_csv()) for s in series] == want
+                if len(written) < len(series):
+                    with pytest.raises(EmptyData):
+                        series_csvs(series)
+                files, file_of = series_csvs(written)
+                assert export_reference.v3_series_csvs(files) == want
+                assert file_of == _files_by_rule(written)
+                assert set(files) == set(file_of.values())
+                for name, file_name in file_of.items():
+                    header = files[file_name].split("\n", 1)[0]
+                    assert name in header.split(",")
 
     @given(
         nx=st.integers(1, 4), ny=st.integers(1, 4),
@@ -407,6 +507,28 @@ class TestCsvText:
         with pytest.raises(DomainError):
             series_csvs([a, a])
 
+    def test_empty_series_is_refused(self):
+        # an empty axis suffix would join any file; refusing it keeps
+        # every column non-empty
+        with pytest.raises(EmptyData):
+            series_csvs([_series("rtt", [1.0], [2.0]),
+                         _series("r_factor", [], [])])
+        assert series_csvs([]) == ({}, {})
+
+    def test_file_order_is_fixed(self):
+        # a shorter r_factor joins rtt.csv; a longer one starts its own
+        rtt = _series("rtt", [1.0, 2.0, 3.0], [120.0, 130.0, 125.0])
+        short = _series("r_factor", [2.0, 3.0], [90.0, 91.0])
+        files, file_of = series_csvs([short, rtt])
+        assert files == {"rtt.csv": "t,rtt,r_factor\n1.0,120.0,\n"
+                                    "2.0,130.0,90.0\n3.0,125.0,91.0\n"}
+        assert file_of == {"rtt": "rtt.csv", "r_factor": "rtt.csv"}
+        long = _series("r_factor", [0.0, 1.0, 2.0, 3.0], [1.0] * 4)
+        files, file_of = series_csvs([long, rtt])
+        assert list(files) == ["rtt.csv", "r_factor.csv"]
+        assert files["r_factor.csv"].startswith("t,r_factor\n0.0,1.0\n")
+        assert file_of == {"rtt": "rtt.csv", "r_factor": "r_factor.csv"}
+
     def test_csv_bytes_match_golden_digests(self, tmp_path):
         scn = tmp_path / "scenario.json"
         scn.write_text(json.dumps(SCENARIO))
@@ -417,8 +539,9 @@ class TestCsvText:
                            "--out", str(tmp_path / "out"),
                            "--scenario", "golden", "--seed", "5"]) == 0
         session_dir = tmp_path / "out" / "golden-1"
+        files = {p.name: p.read_text() for p in session_dir.glob("*.csv")}
         got = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in session_dir.glob("*.csv")
+            f"{name}.csv": hashlib.sha256(text.encode()).hexdigest()
+            for name, text in export_reference.v3_series_csvs(files).items()
         }
         assert got == GOLDEN_CSV_SHA256

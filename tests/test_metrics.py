@@ -23,6 +23,7 @@ from voipqos.metrics import (
     moving_std,
     r_factor,
     rtt_series,
+    series_csvs,
     sip_delays,
     unroll,
     xr_metric_series,
@@ -598,12 +599,14 @@ class TestMetricSeries:
 
     def test_csv_shape(self):
         series = MetricSeries.create("jitter", [0.5, 1.0], [1.25, 2.0])
-        assert series.to_csv() == "t,value\n0.5,1.25\n1.0,2.0\n"
+        assert series_csvs([series]) == (
+            {"jitter.csv": "t,jitter\n0.5,1.25\n1.0,2.0\n"},
+            {"jitter": "jitter.csv"})
 
     def test_csv_values_round_trip(self):
         series = MetricSeries.create("jitter", [1 / 3], [2 / 7])
-        line = series.to_csv().splitlines()[1]
-        t, v = line.split(",")
+        files, _ = series_csvs([series])
+        t, v = files["jitter.csv"].splitlines()[1].split(",")
         assert float(t) == 1 / 3 and float(v) == 2 / 7
 
     def test_array_accessors(self):
