@@ -1,10 +1,11 @@
 """Schwarz-criterion model selection among ten candidate families.
 
 Each family is fitted by its own exact maximum-likelihood estimator and
-the candidates are ranked ascending by BIC = k ln(n) - 2 loglik.
-Log-likelihoods are plain numpy sums. Normal, LogNormal, Exponential
-and Rayleigh have closed-form estimators; the others run the Newton
-engine of :mod:`.fit`:
+the candidates are ranked ascending by BIC = k ln(n) - 2 loglik, where
+loglik is the maximum that family's fit reached on the data. Normal,
+LogNormal, Exponential and Rayleigh have closed-form estimators and
+likelihoods at their maximum; the others run the Newton engine of
+:mod:`.fit`, whose objective at the maximum is mapped back to the data:
 
 - GEV: :func:`fit_gev_mle`;
 - Gumbel and Logistic: Newton on (loc, scale) of the standardized data;
@@ -17,11 +18,11 @@ engine of :mod:`.fit`:
 
 Families whose fit fails on the given data (wrong support, no interior
 maximum, non-finite likelihood) are excluded from the ranking rather
-than aborting it; the ranking keeps the reason. Every fitter returns
-its family's parameters, and a ranking entry holds only those, the
-log-likelihood and the BIC. A GEV fit made elsewhere (one outcome of
-:func:`fit_gev_batch`) can be ranked in place of a new one; its detailed
-fit stays with the caller.
+than aborting it; the ranking keeps the reason. Data with a non-finite
+value are refused whole. Every fitter returns its family's parameters
+and log-likelihood, and a ranking entry holds only those and the BIC.
+A GEV fit made elsewhere (one outcome of :func:`fit_gev_batch`) can be
+ranked in place of a new one; its detailed fit stays with the caller.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .fit import (
     maximize,
     omega_derivs,
 )
-from .gev import _loglik_kernel
 
 log = logging.getLogger(__name__)
 
@@ -129,7 +129,7 @@ def trigamma(x: float) -> float:
     return 1.0 / x + 0.5 * inv2 + inv2 / x * _horner(_TRIGAMMA_ASYM, inv2) + shift
 
 
-# --- log-likelihoods: sums of log densities, -inf off support --------------
+# --- Newton objectives of the standardized data, -inf where not finite ---
 
 def _finite_sum(terms) -> float:
     val = float(np.sum(terms))
@@ -146,63 +146,7 @@ def _ll_logistic(z, loc, scale):
     return _finite_sum(y - 2.0 * np.log1p(np.exp(y))) - z.size * math.log(scale)
 
 
-def _ll_normal(z, loc, scale):
-    y = (z - loc) / scale
-    return _finite_sum(-0.5 * y * y) - z.size * (_HALF_LOG_2PI + math.log(scale))
-
-
-def _ll_lognormal(z, s, scale):
-    ly = np.log(z / scale)
-    return (_finite_sum(-ly - 0.5 * (ly / s) ** 2)
-            - z.size * (_HALF_LOG_2PI + math.log(s) + math.log(scale)))
-
-
-def _ll_exponential(z, scale):
-    if float(z.min()) < 0.0:
-        return -math.inf
-    return _finite_sum(-z) / scale - z.size * math.log(scale)
-
-
-def _ll_rayleigh(z, scale):
-    if float(z.min()) < 0.0:
-        return -math.inf
-    r = z / scale
-    return _finite_sum(np.log(r) - 0.5 * r * r) - z.size * math.log(scale)
-
-
-def _ll_weibull(z, shape, scale):
-    if float(z.min()) < 0.0:
-        return -math.inf
-    ly = np.log(z / scale)
-    return (_finite_sum((shape - 1.0) * ly - np.exp(shape * ly))
-            + z.size * (math.log(shape) - math.log(scale)))
-
-
-def _ll_gamma(z, a, scale):
-    if float(z.min()) < 0.0:
-        return -math.inf
-    y = z / scale
-    return (_finite_sum((a - 1.0) * np.log(y) - y)
-            - z.size * (math.lgamma(a) + math.log(scale)))
-
-
-def _ll_genpareto(z, c, loc, scale):
-    y = (z - loc) / scale
-    if float(y.min()) < 0.0:
-        return -math.inf
-    if c == 0.0:
-        return _finite_sum(-y) - z.size * math.log(scale)
-    if float(np.min(c * y)) <= -1.0:
-        return -math.inf
-    om = np.log1p(c * y) / c
-    return _finite_sum(-(1.0 + c) * om) - z.size * math.log(scale)
-
-
-def _ll_gev(z, xi, sigma, mu):
-    return _loglik_kernel(xi, sigma, mu, z)
-
-
-# --- fitters: data -> params in report order -------------------------------
+# --- fitters: data -> (params in report order, log-likelihood) ------------
 
 def _require_positive(z: np.ndarray) -> None:
     if float(z.min()) <= 0.0:
@@ -223,10 +167,6 @@ def _gev_params(outcome):
     return {"xi": p.xi, "sigma": p.sigma, "mu": p.mu}
 
 
-def _fit_gev(z):
-    return _gev_params(fit_gev_mle(z))
-
-
 def _standardize(z: np.ndarray) -> tuple[float, float, np.ndarray]:
     """``(m, s, (z - m) / s)`` with the mean ``m`` and deviation ``s``.
 
@@ -244,7 +184,8 @@ def _standardize(z: np.ndarray) -> tuple[float, float, np.ndarray]:
 
 
 def _fit_loc_scale(z, name, loglik, h_derivs, start):
-    """Newton on (loc, scale) of the standardized data, then map back.
+    """Newton on (loc, scale) of the standardized data, then map back;
+    the log-likelihood loses ``n log s`` with the scale ``s``.
 
     ``h_derivs(y)`` gives the first two derivatives of the standard log
     density at ``y``.
@@ -262,9 +203,10 @@ def _fit_loc_scale(z, name, loglik, h_derivs, start):
         y = (x - loc) / scale
         return loc_scale_derivs(x.size, scale, y, *h_derivs(y))
 
-    theta, _, _, converged = maximize(f, derivs, start)
+    theta, ll, _, converged = maximize(f, derivs, start)
     _require_converged(name, converged)
-    return {"loc": m + s * float(theta[0]), "scale": s * float(theta[1])}
+    return ({"loc": m + s * float(theta[0]), "scale": s * float(theta[1])},
+            ll - x.size * math.log(s))
 
 
 def _gumbel_h(y):
@@ -290,7 +232,9 @@ def _fit_logistic(z):
 
 def _fit_weibull(z):
     """Profile in the shape c: scale^c = mean(z^c), and
-    l(c) = n log c - n log mean(z^c) + (c - 1) sum(log z) - n."""
+    l(c) = n log c - n log mean(z^c) + (c - 1) sum(log z) - n.
+
+    Newton runs on l(c) + n (top + 1) with top = max(log z)."""
     _require_positive(z)
     lz = np.log(z)
     top = float(lz.max())
@@ -319,20 +263,22 @@ def _fit_weibull(z):
                 np.array([[-n / (c * c) - n * var]]))
 
     # the log of a Weibull variate has standard deviation pi / (c sqrt 6)
-    theta, _, _, converged = maximize(
+    theta, ll, _, converged = maximize(
         f, derivs, [math.pi / (math.sqrt(6.0) * spread)])
     _require_converged("Weibull", converged)
     c = float(theta[0])
     scale = math.exp(top + math.log(float(np.mean(np.exp(c * lm)))) / c)
-    return {"shape": c, "scale": scale}
+    return {"shape": c, "scale": scale}, ll - n * (top + 1.0)
 
 
 def _fit_gamma(z):
     """Profile in the shape a: scale = mean / a, and the score is
-    n (log a - psi(a) - s) with s = log mean(z) - mean(log z)."""
+    n (log a - psi(a) - s) with s = log mean(z) - mean(log z).
+
+    Newton runs on l(a) / n + mean(log z)."""
     _require_positive(z)
-    mean = float(np.mean(z))
-    s = math.log(mean) - float(np.mean(np.log(z)))
+    mean, mean_log = float(np.mean(z)), float(np.mean(np.log(z)))
+    s = math.log(mean) - mean_log
     if not s > 0.0:
         raise ValueError("zero variance")
 
@@ -349,16 +295,17 @@ def _fit_gamma(z):
 
     # Minka's closed-form approximation of the root
     a0 = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    theta, _, _, converged = maximize(f, derivs, [a0])
+    theta, ll, _, converged = maximize(f, derivs, [a0])
     _require_converged("Gamma", converged)
     a = float(theta[0])
-    return {"a": a, "scale": mean / a}
+    return {"a": a, "scale": mean / a}, z.size * (ll - mean_log)
 
 
 def _fit_genpareto(z):
     """Location at min(z); on u = (z - loc) / mean, the profile in
     theta = c / scale is l(theta) = -n (1 + c + log M) with
-    M = mean(log1p(theta u) / theta) = scale and c = theta M."""
+    M = mean(log1p(theta u) / theta) = scale and c = theta M. On z, the
+    log-likelihood loses n log(mean)."""
     loc = float(z.min())
     y = z - loc
     unit = float(np.mean(y))
@@ -395,30 +342,34 @@ def _fit_genpareto(z):
     grid = np.concatenate([-(1.0 - np.logspace(-0.05, -6.0, 13)), [0.0],
                            np.logspace(-2.0, 6.0, 17)]) / umax
     start = grid[int(np.argmax([f([t]) for t in grid]))]
-    theta, _, _, converged = maximize(f, derivs, [start])
+    theta, ll, _, converged = maximize(f, derivs, [start])
     g, hess = last  # maximize last called derivs at theta
     t = float(theta[0])
     if not (converged and hess[0, 0] < 0.0
             and abs(g[0] / hess[0, 0]) <= 1e-6 * max(1.0, abs(t))):
         raise ValueError("no interior likelihood maximum with c > -1")
     big_m = profile_scale(t)
-    return {"c": t * big_m, "loc": loc, "scale": big_m * unit}
+    return ({"c": t * big_m, "loc": loc, "scale": big_m * unit},
+            ll - n * math.log(unit))
 
 
 def _fit_normal(z):
     loc, scale = float(np.mean(z)), float(np.std(z))
     if scale == 0.0:
         raise ValueError("zero variance")
-    return {"loc": loc, "scale": scale}
+    return ({"loc": loc, "scale": scale},
+            -z.size * (0.5 + _HALF_LOG_2PI + math.log(scale)))
 
 
 def _fit_lognormal(z):
     _require_positive(z)
     lz = np.log(z)
-    s, scale = float(np.std(lz)), float(np.exp(np.mean(lz)))
+    mean_log = float(np.mean(lz))
+    s, scale = float(np.std(lz)), float(np.exp(mean_log))
     if s == 0.0:
         raise ValueError("zero variance in log space")
-    return {"s": s, "scale": scale}
+    return ({"s": s, "scale": scale},
+            -z.size * (0.5 + _HALF_LOG_2PI + math.log(s) + mean_log))
 
 
 def _fit_exponential(z):
@@ -427,7 +378,7 @@ def _fit_exponential(z):
     scale = float(np.mean(z))
     if scale == 0.0:
         raise ValueError("all-zero data")
-    return {"scale": scale}
+    return {"scale": scale}, -z.size * (1.0 + math.log(scale))
 
 
 def _fit_rayleigh(z):
@@ -436,26 +387,26 @@ def _fit_rayleigh(z):
     scale = math.sqrt(float(np.mean(z ** 2)) / 2.0)
     if scale == 0.0:
         raise ValueError("all-zero data")
-    return {"scale": scale}
+    return ({"scale": scale},
+            float(np.sum(np.log(z))) - z.size * (2.0 * math.log(scale) + 1.0))
 
 
 class _Family(NamedTuple):
     k: int  # free parameters counted by the Schwarz criterion
-    fit: Callable  # data -> params in report order
-    loglik: Callable  # (data, *params) -> log-likelihood, -inf off support
+    fit: Callable | None  # data -> (params in report order, log-likelihood)
 
 
 _FITTERS = {
-    "GEV": _Family(3, _fit_gev, _ll_gev),
-    "Gumbel": _Family(2, _fit_gumbel, _ll_gumbel),
-    "Weibull": _Family(2, _fit_weibull, _ll_weibull),
-    "Normal": _Family(2, _fit_normal, _ll_normal),
-    "LogNormal": _Family(2, _fit_lognormal, _ll_lognormal),
-    "Exponential": _Family(1, _fit_exponential, _ll_exponential),
-    "Gamma": _Family(2, _fit_gamma, _ll_gamma),
-    "Logistic": _Family(2, _fit_logistic, _ll_logistic),
-    "GeneralizedPareto": _Family(3, _fit_genpareto, _ll_genpareto),
-    "Rayleigh": _Family(1, _fit_rayleigh, _ll_rayleigh),
+    "GEV": _Family(3, None),  # ranked from a GevFit in select_model
+    "Gumbel": _Family(2, _fit_gumbel),
+    "Weibull": _Family(2, _fit_weibull),
+    "Normal": _Family(2, _fit_normal),
+    "LogNormal": _Family(2, _fit_lognormal),
+    "Exponential": _Family(1, _fit_exponential),
+    "Gamma": _Family(2, _fit_gamma),
+    "Logistic": _Family(2, _fit_logistic),
+    "GeneralizedPareto": _Family(3, _fit_genpareto),
+    "Rayleigh": _Family(1, _fit_rayleigh),
 }
 
 #: what a fitter raises when its family does not fit the data
@@ -468,13 +419,17 @@ def default_candidates() -> tuple[str, ...]:
 
 
 def check_families(names: Iterable[str]) -> tuple[str, ...]:
-    """``names`` as a tuple; DomainError if any family is unknown."""
+    """``names`` as a tuple; DomainError if a family is unknown or named
+    twice."""
     names = tuple(names)
     unknown = set(names) - _FITTERS.keys()
     if unknown:
         raise DomainError(
             f"unknown families {sorted(unknown)}; choose from {sorted(_FITTERS)}"
         )
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise DomainError(f"families named more than once: {repeated}")
     return names
 
 
@@ -497,9 +452,11 @@ def select_model(data, families: Iterable[str] | None = None,
     :func:`fit_gev_batch` returns it: a :class:`GevFit`, or the error,
     which excludes GEV (a NotConverged carries its fit). Without it,
     :func:`fit_gev_mle` fits GEV here. The GEV entry takes the fit's own
-    ``loglik``, so its ``loglik`` and ``bic`` equal the fit's. Ties break
-    toward fewer parameters, then lexicographic family name. An empty
-    family list yields an empty ranking.
+    ``loglik``, so its ``loglik`` and ``bic`` equal the fit's; every other
+    entry takes the maximum its own fit reached. Ties break toward fewer
+    parameters, then lexicographic family name. An empty family list
+    yields an empty ranking. Data with a non-finite value raise
+    DomainError.
     """
     families = check_families(_FITTERS if families is None else families)
     z = np.asarray(data, dtype=float).ravel()
@@ -507,6 +464,8 @@ def select_model(data, families: Iterable[str] | None = None,
         raise TooFewPoints(
             f"model selection needs at least {MIN_FIT_POINTS} points, got {z.size}"
         )
+    if not np.all(np.isfinite(z)):
+        raise DomainError("data contain non-finite values")
     n = int(z.size)
     fits: list[FamilyFit] = []
     excluded: dict = {}
@@ -519,8 +478,7 @@ def select_model(data, families: Iterable[str] | None = None,
                     params = _gev_params(outcome)
                     loglik = outcome.loglik
                 else:
-                    params = family.fit(z)
-                    loglik = family.loglik(z, *params.values())
+                    params, loglik = family.fit(z)
             if not math.isfinite(loglik):
                 raise ValueError("non-finite log-likelihood")
         except _EXCLUDING as exc:

@@ -351,6 +351,10 @@ class TestAnalyze:
         with pytest.raises(VoipQosError, match="Zipf"):
             AnalysisConfig(inputs=("x.pcap",), candidates=("GEV", "Zipf"))
 
+    def test_repeated_candidate_rejected_by_config(self):
+        with pytest.raises(DomainError, match=r"more than once: \['GEV'\]"):
+            AnalysisConfig(inputs=("x.pcap",), candidates=("GEV", "Normal", "GEV"))
+
     def test_one_check_names_unknown_families(self, capture, tmp_path,
                                               capsys):
         with pytest.raises(DomainError) as want:
@@ -824,6 +828,26 @@ class TestFit:
         parsed = json.loads(capsys.readouterr().out)
         assert {f["family"] for f in parsed["ranking"]} == \
             {"Normal", "Exponential"}
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_fails(self, tmp_path, capsys, bad):
+        vals = gev_sample(GevParams(0.0, 1.0, 10.0), 50, seed=4)
+        path = tmp_path / "vals.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in vals) + bad + "\n")
+        out = tmp_path / "fit.json"
+        assert entrypoint(["fit", "--input", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: data contain non-finite values\n"
+        assert not out.exists()
+
+    def test_repeated_candidate_fails(self, tmp_path, capsys):
+        vals = gev_sample(GevParams(0.0, 1.0, 10.0), 50, seed=5)
+        path = tmp_path / "vals.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in vals))
+        assert entrypoint(["fit", "--input", str(path),
+                           "--candidates", "Normal,Normal,GEV"]) == 1
+        assert capsys.readouterr().err == \
+            "error: families named more than once: ['Normal']\n"
 
     def test_unparsable_line_names_line_number(self, tmp_path, capsys):
         path = tmp_path / "vals.txt"

@@ -378,7 +378,8 @@ def test_maximize_last_calls_derivs_at_the_returned_point(exit_, f, derivs,
        seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_select_families_fit_as_with_the_reference_loop(xi, sigma, mu, n, seed):
-    # model_select's bytes depend on these fits being the same
+    # model_select's bytes depend on these fits, params and loglik, being
+    # the same
     z = gev_sample(GevParams(xi, sigma, mu), n, seed=seed)
     z = z[z > 0.0] if np.sum(z > 0.0) >= MIN_FIT_POINTS else np.abs(z) + 1.0
     families = ("Gumbel", "Logistic", "Weibull", "Gamma", "GeneralizedPareto")
@@ -387,7 +388,8 @@ def test_select_families_fit_as_with_the_reference_loop(xi, sigma, mu, n, seed):
         out = []
         for family in families:
             try:
-                out.append(select._FITTERS[family].fit(z))
+                params, loglik = select._FITTERS[family].fit(z)
+                out.append((params, loglik))
             except ValueError as exc:
                 out.append(str(exc))
         return out

@@ -1,9 +1,11 @@
 """The numpy likelihood engine against scipy, which only the tests import.
 
-Log-likelihoods must equal scipy.stats logpdf sums, the digamma and
-trigamma helpers scipy.special, the analytic GEV derivatives central
-differences of the log-likelihood, and every iterative fitter must reach
-at least the likelihood of scipy's own ``fit``.
+Each ranked log-likelihood, the maximum its family's fit reached, must
+equal the scipy.stats logpdf sum at the ranked parameters; the digamma
+and trigamma helpers must equal scipy.special, the analytic GEV
+derivatives central differences of the log-likelihood, and every
+iterative fitter must reach at least the likelihood of scipy's own
+``fit``.
 """
 
 import math
@@ -14,14 +16,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
 import voipqos
-from voipqos import GevParams, gev_sample, select_model
+from voipqos import GevParams, default_candidates, gev_sample, select_model
 from voipqos.evt import MIN_FIT_POINTS
+from tests.gev_models import JITTER_MODELS, RTT_MODELS
 from voipqos.evt.fit import _gev_derivs
 from voipqos.evt.gev import _loglik_kernel
 from voipqos.evt.select import _FITTERS, digamma, trigamma
@@ -66,32 +69,64 @@ def scipy_terms(family, params, z):
 
 
 class TestLoglikParity:
-    @pytest.mark.parametrize("family", sorted(_FITTERS))
+    @pytest.mark.parametrize("family", default_candidates())
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_equals_scipy_logpdf_sum(self, family, data):
+        # the ranked loglik, at the ranked params
         params = data.draw(PARAMS[family])
-        n = data.draw(st.integers(1, 400))
+        n = data.draw(st.integers(MIN_FIT_POINTS, 400))
         seed = data.draw(st.integers(0, 2**32 - 1))
         dist, args = SCIPY[family]
-        z = np.atleast_1d(dist.rvs(*args(*params), size=n, random_state=seed))
-        terms = scipy_terms(family, params, z)
+        z = dist.rvs(*args(*params), size=n, random_state=seed)
+        ranking = select_model(z, [family])
+        if family in ("GEV", "GeneralizedPareto"):
+            # excluded without a maximum at xi > -1 (c > -1), as tested apart
+            assume(ranking)
+        (entry,) = ranking
+        terms = scipy_terms(family, list(entry.params.values()), z)
         assert np.all(np.isfinite(terms))
-        got = _FITTERS[family].loglik(z, *params)
         # relative to the summed magnitudes: the total itself may cancel
-        assert abs(got - float(np.sum(terms))) <= 1e-10 * float(np.sum(np.abs(terms)))
+        assert (abs(entry.loglik - float(np.sum(terms)))
+                <= 1e-10 * float(np.sum(np.abs(terms))))
 
-    @pytest.mark.parametrize("family,params,z", [
-        ("GeneralizedPareto", (-0.5, 0.0, 1.0), [0.5, 2.5]),
-        ("GeneralizedPareto", (0.2, 1.0, 1.0), [0.5, 2.0]),
-        ("GEV", (-0.5, 1.0, 0.0), [0.0, 5.0]),
-        ("Weibull", (1.5, 2.0), [-1.0, 1.0]),
-        ("Exponential", (2.0,), [-1.0, 1.0]),
-    ])
-    def test_off_support_is_minus_inf(self, family, params, z):
-        z = np.asarray(z, dtype=float)
-        assert np.isneginf(np.sum(scipy_terms(family, params, z)))
-        assert _FITTERS[family].loglik(z, *params) == -math.inf
+    @pytest.mark.parametrize("z", [
+        # the model_select workload's samples: 3e4 draws of a G711-A row
+        gev_sample(GevParams(*JITTER_MODELS["G711-A"][:3]), 30_000, seed=7),
+        gev_sample(GevParams(*RTT_MODELS["G711-A"][:3]), 30_000, seed=8),
+        stats.gamma(2.5, 0.0, 3.0).rvs(size=2000, random_state=1),
+        stats.weibull_min(1.7, 0.0, 5.0).rvs(size=2000, random_state=2),
+        stats.lognorm(0.8, 0.0, 20.0).rvs(size=2000, random_state=3),
+        stats.genpareto(0.2, 1.0, 2.0).rvs(size=2000, random_state=4),
+        stats.logistic(-4.0, 0.7).rvs(size=2000, random_state=5),
+        stats.rayleigh(0.0, 3.0).rvs(size=2000, random_state=6),
+    ], ids=["gev-jitter", "gev-rtt", "gamma", "weibull", "lognormal",
+            "genpareto", "logistic", "rayleigh"])
+    def test_ranked_loglik_within_1e_12_of_the_data_sum(self, z):
+        # each fit's maximum, mapped back from a standardized or profiled
+        # scale, stands for the log-likelihood summed on the data
+        ranking = select_model(z)
+        assert len(ranking) == (5 if z.min() < 0.0 else 10)
+        for entry in ranking:
+            terms = scipy_terms(entry.family, list(entry.params.values()), z)
+            want = math.fsum(terms)
+            assert abs(entry.loglik - want) <= 1e-12 * abs(want), entry.family
+
+    @pytest.mark.parametrize("family,bad,reason", [
+        ("Weibull", -1.0, "family needs strictly positive data"),
+        ("LogNormal", 0.0, "family needs strictly positive data"),
+        ("Gamma", 0.0, "family needs strictly positive data"),
+        ("Exponential", -1.0, "family needs non-negative data"),
+        ("Rayleigh", -1.0, "family needs non-negative data"),
+        # on the support's closed end the density is 0
+        ("Rayleigh", 0.0, "non-finite log-likelihood"),
+    ], ids=["Weibull-negative", "LogNormal-zero", "Gamma-zero",
+            "Exponential-negative", "Rayleigh-negative", "Rayleigh-zero"])
+    def test_off_support_data_exclude_the_family(self, family, bad, reason):
+        z = np.append(np.linspace(1.0, 4.0, 40), bad)
+        ranking = select_model(z, [family, "Normal"])
+        assert [f.family for f in ranking] == ["Normal"]
+        assert str(ranking.excluded[family]) == reason
 
 
 class TestSpecialFunctions:
@@ -162,8 +197,10 @@ class TestGevDerivatives:
 
 
 def fit_ours(family, z):
-    params = list(_FITTERS[family].fit(z).values())
-    return params, _FITTERS[family].loglik(z, *params)
+    ranking = select_model(z, [family])
+    assert family not in ranking.excluded, ranking.excluded
+    (entry,) = ranking
+    return list(entry.params.values()), entry.loglik
 
 
 def fit_scipy(family, z):
@@ -208,7 +245,7 @@ class TestFitters:
 
     def test_genpareto_location_is_sample_minimum(self):
         z = stats.genpareto(0.2, 3.0, 1.5).rvs(size=500, random_state=4)
-        params = _FITTERS["GeneralizedPareto"].fit(z)
+        params, _ = _FITTERS["GeneralizedPareto"].fit(z)
         assert params["loc"] == float(z.min())
         assert params["c"] > -1.0
 
@@ -229,7 +266,7 @@ class TestSelectModelRobust:
         fits = select_model(np.asarray(values))
         keys = [(f.bic, f.k, f.family) for f in fits]
         assert keys == sorted(keys)
-        assert {f.family for f in fits} <= set(_FITTERS)
+        assert {f.family for f in fits} <= set(default_candidates())
         assert len({f.family for f in fits}) == len(fits)
         for f in fits:
             assert math.isfinite(f.loglik) and math.isfinite(f.bic)

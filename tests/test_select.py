@@ -86,6 +86,17 @@ class TestExclusions:
         with pytest.raises(TooFewPoints):
             select_model(np.arange(10, dtype=float))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_rejected(self, bad):
+        # refused whole, not excluded family by family
+        z = np.append(np.arange(1.0, 41.0), bad)
+        with pytest.raises(DomainError, match="non-finite"):
+            select_model(z)
+
+    def test_repeated_family_rejected(self):
+        with pytest.raises(DomainError, match=r"more than once: \['Normal'\]"):
+            select_model(np.arange(1.0, 41.0), ["Normal", "Normal", "GEV"])
+
     def test_unknown_family_rejected_at_construction(self):
         # names are checked before the data size
         with pytest.raises(DomainError, match="'Cauchy'"):
