@@ -2,13 +2,14 @@
 
 :func:`_ascend` is the one Newton loop of the package. It steps many
 objectives at once, one per row of theta, and each row takes the step
-its own derivatives allow: a Newton step where its negated Hessian is
-positive-definite, damped by halving until the objective does not
-decrease, so the iterates are monotone; otherwise a ridge-shifted solve,
-whose large-shift limit is steepest ascent, with a doubling line search
-so off-scale starts can still travel; and a scaled-ascent step when
-either fails at every scale. :func:`maximize`, the loop on one row, fits
-every family of :mod:`.select`.
+its own derivatives allow: it solves ``(-H + lam I) step = g``. A Newton
+step is the ridge step with zero shift (Nocedal & Wright 2006, 3.4),
+taken where the smallest eigenvalue of ``-H`` is positive, and damped by
+halving until the objective does not decrease, so the iterates are
+monotone. Elsewhere the shift, whose large-shift limit is steepest
+ascent, comes with a doubling line search so off-scale starts can still
+travel; a scaled-ascent step follows when either fails at every scale.
+:func:`maximize`, the loop on one row, fits every family of :mod:`.select`.
 
 The GEV likelihood is maximized over theta = (xi, sigma, mu) with the
 analytic derivatives of Prescott & Walden (1980) and Hosking (1985,
@@ -350,7 +351,7 @@ class _Sample(_Segments):
 def _gev_derivs(theta: np.ndarray, seg):
     """Analytic gradients ``(k, 3)`` and Hessians ``(k, 3, 3)`` of the GEV
     log-likelihood of each sample of the :class:`_Segments` ``seg`` at its
-    row of ``theta``; of one sample ``seg`` at ``theta`` of shape ``(3,)``.
+    row of ``theta``.
 
     With ``w = (z - mu) / sigma`` and ``om`` as in :func:`omega_derivs`,
     each point contributes ``g = -(1 + xi) om - exp(-om)`` plus the
@@ -358,9 +359,6 @@ def _gev_derivs(theta: np.ndarray, seg):
     The per-point derivatives are only ever summed, by ``seg.sum``, alone
     or as the product of two arrays; the arrays are reused in place.
     """
-    if not isinstance(seg, _Segments):
-        g, hess = _gev_derivs(np.reshape(theta, (1, 3)), _Sample(seg))
-        return g[0], hess[0]
     xi = seg.per_point(theta[:, 0])
     sigma = theta[:, 1]
     w = seg.z - seg.per_point(theta[:, 2])
@@ -421,15 +419,20 @@ def _ks_gev(theta: np.ndarray, seg: _Segments) -> np.ndarray:
     return np.maximum.reduceat(gap, seg.offsets)
 
 
-def _positive_definite(a: np.ndarray) -> np.ndarray:
-    """Whether each matrix of the stack ``a`` is positive-definite."""
-    try:
-        np.linalg.cholesky(a)  # raises if any matrix is not
-        return np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_positive_definite(m[None]) for m in a])
+def _shifted(hess: np.ndarray):
+    """Each row's step matrix ``-H + lam I``, whether it is Newton, and
+    whether ``H`` is finite. A Newton row has a finite ``H`` whose ``-H``
+    has its smallest eigenvalue ``ev_0`` above 0, and ``lam = 0``; every
+    other row takes ``lam = 1.5 |ev_0| + 1e-6 max(1, |ev_max|)``, with a
+    non-finite ``H`` taken as ``-I``."""
+    finite = np.isfinite(hess).all(axis=(1, 2))
+    eye = np.eye(hess.shape[-1])
+    neg_hess = np.where(finite[:, None, None], -hess, eye)
+    ev = np.linalg.eigvalsh(neg_hess)
+    newton = finite & (ev[:, 0] > 0.0)
+    lam = np.where(newton, 0.0, np.abs(ev[:, 0]) * 1.5
+                   + 1e-6 * np.fmax(1.0, np.abs(ev[:, -1])))
+    return neg_hess + lam[:, None, None] * eye, newton, finite
 
 
 def _line_search(f, theta, ll, rows, direction, expand, limit: float):
@@ -479,13 +482,16 @@ def _ascend(f, derivs, theta, max_iter: int = 200, start_derivs=None):
     and ``derivs(th, rows)`` their gradients ``(m, p)`` and Hessians
     ``(m, p, p)``; ``start_derivs`` is ``derivs`` at the starts, if known.
 
-    A row steps as the module docstring says, its Newton steps solved and
-    line-searched together with the other rows'. It converges when every
-    step component is below :data:`_STEP_TOL` relative to
-    ``max(1, |theta_i|)``, when twice the gain a Newton step predicts is
-    below the resolution of its objective (``_RESOLUTION`` relative), or
-    when no step improves it at any scale down to ``2^-29``. Its
-    arithmetic is its own, so it ends where it would end alone.
+    A row steps as the module docstring says. Each iteration takes the
+    eigenvalues of every row's ``-H`` in one stacked ``eigvalsh``, which
+    decides its shift (:func:`_shifted`), solves every row's step in one
+    stacked ``solve``, and line-searches the rows together. A row
+    converges when every step component is below :data:`_STEP_TOL`
+    relative to ``max(1, |theta_i|)``, when twice the gain a Newton step
+    predicts is below the resolution of its objective (``_RESOLUTION``
+    relative), or when no step improves it at any scale down to
+    ``2^-29``. Its arithmetic is its own, so it ends where it would end
+    alone.
 
     Returns ``(theta, f(theta), iterations, converged, peaked)``;
     ``peaked`` marks the rows that stopped at a Newton step, where the
@@ -494,31 +500,18 @@ def _ascend(f, derivs, theta, max_iter: int = 200, start_derivs=None):
     row is at its returned point, and its result is not modified.
     """
     theta = np.array(theta, dtype=float)
-    k, p = theta.shape
+    k = len(theta)
     rows = np.arange(k)
     ll = f(theta, rows)
     g, hess = derivs(theta, rows) if start_derivs is None else start_derivs
     iterations = np.full(k, max_iter)
     converged = np.zeros(k, dtype=bool)
     peaked = np.zeros(k, dtype=bool)
-    eye = np.eye(p)
     for it in range(1, max_iter + 1):
         at, ll_at = theta[rows], ll[rows]
         g = np.where(np.isfinite(g), g, 0.0)
-        usable = np.isfinite(hess).all(axis=(1, 2))
-        neg_hess = np.where(usable[:, None, None], -hess, eye)
-        newton = usable & _positive_definite(neg_hess)
-        # the other rows solve with the identity here, then take their own
-        step = np.linalg.solve(np.where(newton[:, None, None], neg_hess, eye),
-                               g[..., None])[..., 0]
-        for i in (~newton).nonzero()[0]:
-            # ridge-shifted, whose large-shift limit is steepest ascent
-            try:
-                ev = np.linalg.eigvalsh(neg_hess[i])
-                lam = abs(ev[0]) * 1.5 + 1e-6 * max(1.0, abs(ev[-1]))
-                step[i] = np.linalg.solve(neg_hess[i] + lam * eye, g[i])
-            except np.linalg.LinAlgError:
-                step[i] = g[i]
+        shifted, newton, _ = _shifted(hess)
+        step = np.linalg.solve(shifted, g[..., None])[..., 0]
         floor = np.maximum(np.abs(at), 1.0)
         stop = (np.abs(step) / floor).max(axis=1) < _STEP_TOL
         # a predicted gain below what f resolves, which no line search
@@ -534,7 +527,7 @@ def _ascend(f, derivs, theta, max_iter: int = 200, start_derivs=None):
             # the step failed outright: scaled ascent, unless the
             # gradient is exactly stationary
             d = g[go[lost]] * floor[go[lost]]
-            norm = np.array([np.linalg.norm(v) for v in d])
+            norm = np.linalg.norm(d, axis=1)
             tilt = norm != 0.0
             lost, j = lost[tilt], go[lost[tilt]]
             d = d[tilt] / norm[tilt, None] * floor[j] * 1e-3
@@ -651,7 +644,9 @@ def _fit_gev(seg: _Segments, max_iter: int):
     theta = widen(np.array([_moment_init(z) if t is None else t for z, t
                             in zip(samples, map(_pwm_init, samples))]), rows)
     g, hess = derivs(theta, rows)
-    redo = (~_positive_definite(-hess)).nonzero()[0]
+    # the loop's Newton rule; a start whose Hessian is not finite is kept
+    _, newton, finite = _shifted(hess)
+    redo = (finite & ~newton).nonzero()[0]
     if redo.size:
         cand = widen(np.array([_quantile_init(samples[r]) for r in redo]), redo)
         ok = np.isfinite(f(cand, redo))
@@ -738,11 +733,12 @@ def fit_gev_mle(data, max_iter: int = 200) -> GevFit:
     Wallis & Wood (1985), or from Gumbel moment estimates (scale
     ``s sqrt(6)/pi``, location ``mean - 0.5772 scale``, shape 0.1) when
     that estimate is unusable, its scale doubled until the likelihood is
-    finite. When the negated Hessian at the start is not positive-definite
-    (the symptom of tail-dominated sample moments) the start is rebuilt
-    from Gumbel quantile matching instead. :func:`_ascend` then runs for
-    at most ``max_iter`` steps, the sums taken by contiguous ``np.sum``
-    and ``einsum``.
+    finite. When the Hessian at the start is finite and its negation not
+    positive-definite (the symptom of tail-dominated sample moments), so
+    that :func:`_ascend` would take no Newton step there, the start is
+    rebuilt from Gumbel quantile matching instead. :func:`_ascend` then
+    runs for at most ``max_iter`` steps, the sums taken by contiguous
+    ``np.sum`` and ``einsum``.
 
     Raises :class:`NotConverged` (carrying the best fit reached) when the
     iteration budget runs out, or when the fit ends at ``xi <= -1``: there

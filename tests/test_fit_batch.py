@@ -219,6 +219,37 @@ def test_invalid_samples_get_their_errors_and_leave_the_rest():
     assert fit_gev_batch([]) == []
 
 
+def test_a_start_with_a_non_finite_hessian_keeps_its_start(monkeypatch):
+    # the samples of tests/test_cli.py's test_extreme_values_warn_nothing:
+    # the Hessian at each start overflows, so the start rule, which is
+    # the loop's Newton rule, keeps the PWM or moment start
+    rng = np.random.default_rng(0)
+    tiny = rng.normal(size=100) * 1e-300
+    huge = rng.standard_cauchy(300) * 1e200
+    rebuilt, starts = [], []
+    quantile_init, shifted = fit_module._quantile_init, fit_module._shifted
+
+    def spy_quantile_init(z):
+        rebuilt.append(z.size)
+        return quantile_init(z)
+
+    def spy_shifted(hess):
+        starts.append(bool(np.isfinite(hess).all()))
+        return shifted(hess)
+
+    monkeypatch.setattr(fit_module, "_quantile_init", spy_quantile_init)
+    monkeypatch.setattr(fit_module, "_shifted", spy_shifted)
+    for z, error in ((tiny, NotConverged), (huge, DomainError)):
+        starts.clear()
+        with pytest.raises(error):
+            fit_gev_mle(z)
+        assert starts[0] is False  # the start rule's call
+    tiny_out, huge_out = fit_gev_batch([tiny, huge])
+    assert isinstance(tiny_out, NotConverged)
+    assert isinstance(huge_out, DomainError)
+    assert rebuilt == []
+
+
 @given(xi=st.sampled_from((0.0, 5e-7, -5e-7, 2e-6)) | st.floats(-1.5, 1.5),
        sigma=st.floats(0.1, 10.0), mu=st.floats(-10.0, 10.0),
        n=st.integers(1, 300), seed=st.integers(0, 2**31 - 1))

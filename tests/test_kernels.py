@@ -15,7 +15,7 @@ from tests import kernels_reference as ref
 from voipqos.cli import _read_values
 from voipqos.errors import VoipQosError
 from voipqos.evt import GevParams, gev_sample
-from voipqos.evt.fit import _gev_derivs, omega_derivs
+from voipqos.evt.fit import _gev_derivs, _Sample, omega_derivs
 from voipqos.metrics import MetricSeries, moving_std
 
 XI = st.one_of(
@@ -45,7 +45,7 @@ class TestGevDerivatives:
             for new, old in pairs:
                 _close(new, old)
         theta = np.array([xi, sigma, mu])
-        g, hess = _gev_derivs(theta, z)
+        (g,), (hess,) = _gev_derivs(theta[None], _Sample(z))
         ref_g, ref_hess = ref._gev_derivs(theta, z)
         _close(g, ref_g)
         _close(hess, ref_hess)
@@ -59,7 +59,7 @@ class TestGevDerivatives:
             outs = omega_derivs(xi, w)
             for out in outs:
                 assert not np.shares_memory(out, w)
-            _gev_derivs(np.array([xi, 1.0, 0.0]), w)
+            _gev_derivs(np.array([[xi, 1.0, 0.0]]), _Sample(w))
             assert np.array_equal(w, keep)
 
 

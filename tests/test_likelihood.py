@@ -25,7 +25,7 @@ import voipqos
 from voipqos import GevParams, default_candidates, gev_sample, select_model
 from voipqos.evt import MIN_FIT_POINTS
 from tests.gev_models import JITTER_MODELS, RTT_MODELS
-from voipqos.evt.fit import _gev_derivs
+from voipqos.evt.fit import _gev_derivs, _Sample
 from voipqos.evt.gev import _loglik_kernel
 from voipqos.evt.select import _FITTERS, digamma, trigamma
 
@@ -167,7 +167,7 @@ class TestGevDerivatives:
         theta = np.array([xi, 2.5, 9.5])
         while not math.isfinite(self.f(theta, z)):
             theta[1] *= 2.0  # widen until every point is on support
-        g, hess = _gev_derivs(theta, z)
+        (g,), (hess,) = _gev_derivs(theta[None], _Sample(z))
         h = 1e-4
         fd_g = np.empty(3)
         fd_h = np.empty((3, 3))
@@ -189,9 +189,9 @@ class TestGevDerivatives:
 
     def test_continuous_through_zero(self):
         z = self.Z
-        ref_g, ref_h = _gev_derivs(np.array([0.0, 2.5, 9.5]), z)
+        (ref_g,), (ref_h,) = _gev_derivs(np.array([[0.0, 2.5, 9.5]]), _Sample(z))
         for xi in (1e-12, -1e-12, 1e-9, -1e-9):
-            g, hess = _gev_derivs(np.array([xi, 2.5, 9.5]), z)
+            (g,), (hess,) = _gev_derivs(np.array([[xi, 2.5, 9.5]]), _Sample(z))
             assert np.max(np.abs(g - ref_g)) <= 1e-6 * np.max(np.abs(ref_g))
             assert np.max(np.abs(hess - ref_h)) <= 1e-6 * np.max(np.abs(ref_h))
 
