@@ -25,8 +25,8 @@ hashed, and pinned by value: strings, integers, booleans and keys
 exactly, floats within :data:`TOL`.
 
 A change that moves a digest on purpose rewrites the manifest with
-``python -m tests.test_pinned_output`` and names each moved file, and
-why, in CHANGES.md.
+``PYTHONPATH=src python -m tests.test_pinned_output`` and names each
+moved file, and why, in CHANGES.md.
 """
 
 from __future__ import annotations
