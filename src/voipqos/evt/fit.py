@@ -38,13 +38,13 @@ from ..errors import (
     VoipQosError,
 )
 from .gev import (
-    XI_EPS,
     FitRegime,
     GevParams,
     TailKind,
     _loglik_kernel,
     _omega,
     classify,
+    gev_cdf,
 )
 
 #: Fitting refuses fewer points than this as statistically meaningless.
@@ -237,14 +237,8 @@ def omega_derivs(xi, w: np.ndarray):
     om2 += r
     om2 /= -xi
     if xs.size:
-        # both series by Horner's rule, in place on the subset
-        p1 = np.full_like(xs, _OM1_COEF[0])
-        p2 = np.full_like(xs, _OM2_COEF[0])
-        for c1, c2 in zip(_OM1_COEF[1:], _OM2_COEF[1:]):
-            p1 *= xs
-            p1 += c1
-            p2 *= xs
-            p2 += c2
+        p1 = np.polyval(_OM1_COEF, xs)
+        p2 = np.polyval(_OM2_COEF, xs)
         ws = w[small]
         p1 *= ws
         p1 *= ws
@@ -338,9 +332,6 @@ class _Sample(_Segments):
     def sum(self, a: np.ndarray, b: np.ndarray | None = None) -> float:
         return float(np.sum(a)) if b is None else dot(a, b)
 
-    def take(self, rows: np.ndarray) -> "_Sample":
-        return self
-
     def loglik(self, theta: np.ndarray) -> np.ndarray:
         xi, sigma, mu = theta[0]
         if not (sigma > 0.0) or not np.all(np.isfinite(theta)):
@@ -394,29 +385,6 @@ def _gev_derivs(theta: np.ndarray, seg):
                                         h_xisigma, h_sigmasigma, h_musigma,
                                         h_ximu, h_musigma, h_mumu), axis=-1)
     return grad, hess.reshape(-1, 3, 3)
-
-
-def _ks_gev(theta: np.ndarray, seg: _Segments) -> np.ndarray:
-    """Each sorted sample's KS distance to the GEV at its row of ``theta``.
-
-    Per point the arithmetic of :func:`_ks_sorted` with ``gev_cdf``, so
-    the distances equal theirs: shapes with ``|xi| <`` :data:`XI_EPS`
-    evaluate the Gumbel limit, and off-support points take their side's
-    limit.
-    """
-    xi = seg.per_point(np.where(np.abs(theta[:, 0]) < XI_EPS, 0.0, theta[:, 0]))
-    with np.errstate(all="ignore"):
-        w = seg.z - seg.per_point(theta[:, 2])
-        w /= seg.per_point(theta[:, 1])
-        om, on = _omega(xi, w)
-        d = np.where(on, np.exp(-np.exp(-om)), np.where(xi < 0.0, 1.0, 0.0))
-    lo = np.arange(seg.z.size, dtype=float) - seg.per_point(seg.offsets)
-    n = seg.per_point(seg.counts.astype(float))
-    hi = lo + 1.0
-    hi /= n
-    lo /= n
-    gap = np.maximum(np.abs(hi - d), np.abs(lo - d))
-    return np.maximum.reduceat(gap, seg.offsets)
 
 
 def _shifted(hess: np.ndarray):
@@ -579,21 +547,24 @@ def _sorted_sample(data) -> np.ndarray:
 _FIT_ERRORS = (VoipQosError, ValueError)
 
 
-def _gev_outcome(theta, ll, iterations, converged, n, e_max, max_iter):
-    """The fit at ``theta``, or the :class:`NotConverged` carrying it."""
+def _gev_outcome(theta, ll, iterations, converged, z, max_iter):
+    """The fit at ``theta`` of the sorted sample ``z``, or the
+    :class:`NotConverged` carrying it. Its ``e_max`` is :func:`ks_distance`
+    between ``z`` and the fitted ``gev_cdf``."""
     params = GevParams(xi=float(theta[0]), sigma=float(theta[1]), mu=float(theta[2]))
+    n = z.size
     bounded = params.xi > -1.0
     tail, regime = classify(params)
     fit = GevFit(
         params=params,
         loglik=float(ll),
         bic=3.0 * math.log(n) - 2.0 * float(ll),
-        e_max=float(e_max),
+        e_max=_ks_sorted(z, lambda x: gev_cdf(params, x)),
         tail=tail,
         regime=regime,
         iterations=int(iterations),
         converged=bool(converged) and bounded,
-        n=int(n),
+        n=n,
     )
     if not bounded:
         return NotConverged(
@@ -615,10 +586,9 @@ def _gev_outcome(theta, ll, iterations, converged, n, e_max, max_iter):
 def _fit_gev(seg: _Segments, max_iter: int):
     """Fit a GEV to each sorted sample of ``seg`` in one :func:`_ascend` run.
 
-    Returns one outcome per sample (its :class:`GevFit`, the
-    :class:`NotConverged` carrying the fit reached, or the ``ValueError``
-    that building the fit raised) and :func:`_ascend`'s ``peaked``. The
-    start rule is :func:`fit_gev_mle`'s, for every sample.
+    Returns one outcome per sample (:func:`_gev_outcome`, or the
+    ``ValueError`` that building the fit raised) and :func:`_ascend`'s
+    ``peaked``. The start rule is :func:`fit_gev_mle`'s, for every sample.
     """
     samples = [seg.z[o:o + n] for o, n in zip(seg.offsets, seg.counts)]
 
@@ -656,12 +626,11 @@ def _fit_gev(seg: _Segments, max_iter: int):
             g[redo], hess[redo] = derivs(cand, redo)
     theta, ll, iterations, converged, peaked = _ascend(
         f, derivs, theta, max_iter, (g, hess))
-    e_max = _ks_gev(theta, seg)
     out: list = []
     for r in rows:
         try:
             out.append(_gev_outcome(theta[r], ll[r], iterations[r], converged[r],
-                                    seg.counts[r], e_max[r], max_iter))
+                                    samples[r], max_iter))
         except _FIT_ERRORS as exc:
             out.append(exc)
     return out, peaked

@@ -95,13 +95,6 @@ _TRIGAMMA_ASYM = (7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)
 _ASYM_FROM = 10.0
 
 
-def _horner(coef, x: float) -> float:
-    acc = 0.0
-    for c in coef:
-        acc = acc * x + c
-    return acc
-
-
 def digamma(x: float) -> float:
     """psi(x) for x > 0: recurrence up to 10, then the asymptotic series.
 
@@ -110,13 +103,13 @@ def digamma(x: float) -> float:
     """
     h = (x - _PSI_ROOT_HI) - _PSI_ROOT_LO
     if abs(h) < 0.2:
-        return h * _horner(_PSI_ROOT_COEF, h)
+        return h * np.polyval(_PSI_ROOT_COEF, h)
     shift = 0.0
     while x < _ASYM_FROM:
         shift += 1.0 / x
         x += 1.0
     inv2 = 1.0 / (x * x)
-    return math.log(x) - 0.5 / x + inv2 * _horner(_PSI_ASYM, inv2) - shift
+    return math.log(x) - 0.5 / x + inv2 * np.polyval(_PSI_ASYM, inv2) - shift
 
 
 def trigamma(x: float) -> float:
@@ -126,7 +119,7 @@ def trigamma(x: float) -> float:
         shift += 1.0 / (x * x)
         x += 1.0
     inv2 = 1.0 / (x * x)
-    return 1.0 / x + 0.5 * inv2 + inv2 / x * _horner(_TRIGAMMA_ASYM, inv2) + shift
+    return 1.0 / x + 0.5 * inv2 + inv2 / x * np.polyval(_TRIGAMMA_ASYM, inv2) + shift
 
 
 # --- Newton objectives of the standardized data, -inf where not finite ---

@@ -12,6 +12,7 @@ is not a converged maximum at ``xi > -1``, is fitted by ``fit_gev_mle``.
 batch, and every outcome must match it: the same status and notes, a
 log-likelihood never lower by more than 1e-12 relative, and parameters
 within 1e-8 of ``max(1, |theta|)``. ``fit_gev_mle`` matches it exactly.
+Every fit's ``e_max`` is ``ks_distance`` to its own CDF.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from voipqos.evt import (
     fit_gev_mle,
     gev_cdf,
     gev_sample,
+    ks_distance,
 )
 from voipqos.evt import fit as fit_module
 from voipqos.evt import select
@@ -66,6 +68,7 @@ def _assert_matches_reference(got, z) -> None:
     elif not isinstance(want, GevFit):
         assert str(got) == str(want)
         return
+    assert got.e_max == ks_distance(z, lambda x: gev_cdf(got.params, x))
     assert got.converged == want.converged
     assert got.notes() == want.notes()
     assert (got.tail, got.regime, got.n) == (want.tail, want.regime, want.n)
@@ -248,22 +251,6 @@ def test_a_start_with_a_non_finite_hessian_keeps_its_start(monkeypatch):
     assert isinstance(tiny_out, NotConverged)
     assert isinstance(huge_out, DomainError)
     assert rebuilt == []
-
-
-@given(xi=st.sampled_from((0.0, 5e-7, -5e-7, 2e-6)) | st.floats(-1.5, 1.5),
-       sigma=st.floats(0.1, 10.0), mu=st.floats(-10.0, 10.0),
-       n=st.integers(1, 300), seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=100)
-def test_segment_ks_distances_equal_the_scalar_ones(xi, sigma, mu, n, seed):
-    # data from another model, so points fall off the support too
-    rng = np.random.default_rng(seed)
-    z = np.sort(rng.normal(mu, 3.0 * sigma, n))
-    other = np.sort(rng.normal(0.0, 1.0, 7))
-    theta = np.array([[0.2, 1.0, 0.0], [xi, sigma, mu]])
-    seg = fit_module._Segments(np.concatenate([other, z]), [other.size, n])
-    got = fit_module._ks_gev(theta, seg)
-    p = GevParams(xi, sigma, mu)
-    assert got[1] == fit_module._ks_sorted(z, lambda x: gev_cdf(p, x))
 
 
 def _quartic(th):
