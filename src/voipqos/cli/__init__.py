@@ -24,7 +24,7 @@ from pathlib import Path
 from ..errors import VoipQosError
 from ..evt import check_families, fit_gev_mle, select_model
 from ..ingest.codecs import load_codec_map
-from .analyze import AnalysisConfig, _gev_entry, analyze_capture
+from .analyze import AnalysisConfig, _gev_entry, analyze_capture, json_text
 from .report import merge_reports
 from .synth import load_scenario, synth_to_file
 
@@ -153,12 +153,11 @@ def _cmd_report(args) -> int:
 
 def _emit(doc: dict, out: str | None, what: str) -> int:
     """Write ``doc`` as JSON to the file ``out``, or to stdout without one."""
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(json_text(doc))
         print(f"wrote {what} to {out}")
     else:
-        print(text, end="")
+        print(json_text(doc), end="")
     return 0
 
 

@@ -64,6 +64,12 @@ SCHEMA_VERSION = 4
 QUANTILE_PROBS = np.linspace(0.0, 1.0, 21)
 
 
+def json_text(doc) -> str:
+    """``doc`` as every JSON document of the CLI is written: one line,
+    keys sorted, then a newline."""
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     inputs: tuple
@@ -327,7 +333,5 @@ def analyze_capture(config: AnalysisConfig) -> tuple[list, int, list]:
         written.append((report, session_dir))
     _fill_fits(pending, config.candidates)
     for report, session_dir in written:
-        (session_dir / "report.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n"
-        )
+        (session_dir / "report.json").write_text(json_text(report))
     return [report for report, _ in written], set_aside, failures

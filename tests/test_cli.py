@@ -659,7 +659,7 @@ class TestAnalyze:
                 report["session"]["directory"] = session.session_id
                 written = out / session.session_id
                 assert (written / "report.json").read_text() == \
-                    json.dumps(report, sort_keys=True, indent=2) + "\n"
+                    analyze_module.json_text(report)
                 for name, text in files.items():
                     assert (written / name).read_text() == text
 
