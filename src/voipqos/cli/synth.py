@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -165,13 +165,24 @@ def _gev_from_json(obj, what: str) -> GevParams | None:
 def _sip_from_json(obj) -> SipTimes | None:
     if obj is None:
         return None
-    need = {"invite", "ringing", "answer", "bye", "bye_ok"}
+    need = {f.name for f in fields(SipTimes)}
     if not isinstance(obj, dict) or set(obj) != need:
         raise BadSpec(f"sip must be an object of the event times {sorted(need)}")
     try:
         return SipTimes(**{k: float(v) for k, v in obj.items()})
     except (TypeError, ValueError) as exc:
         raise BadSpec(f"bad sip time: {exc}") from exc
+
+
+#: how a scenario value is read, by the type of its ScenarioSpec field
+_READERS = {
+    "str": lambda value, key: str(value),
+    "float": lambda value, key: float(value),
+    "int": lambda value, key: int(value),
+    "int | None": lambda value, key: None if value is None else int(value),
+    "GevParams | None": _gev_from_json,
+    "SipTimes | None": lambda value, key: _sip_from_json(value),
+}
 
 
 def load_scenario(source: str | Path | dict) -> ScenarioSpec:
@@ -187,40 +198,17 @@ def load_scenario(source: str | Path | dict) -> ScenarioSpec:
         raw = source
     if not isinstance(raw, dict):
         raise BadSpec("scenario must be a JSON object")
-    known = {
-        "codec", "duration", "interval", "seed", "loss_probability",
-        "jitter_model", "rtt_model", "xr_interval", "base_delay",
-        "payload_type", "payload_bytes", "scenario_tag", "call_id", "sip",
-    }
-    unknown = set(raw) - known
+    spec_fields = fields(ScenarioSpec)
+    unknown = set(raw) - {f.name for f in spec_fields}
     if unknown:
         raise BadSpec(f"unknown scenario keys: {sorted(unknown)}")
-    for key in ("codec", "duration", "interval"):
-        if key not in raw:
-            raise BadSpec(f"scenario is missing required key {key!r}")
+    for f in spec_fields:
+        if f.default is MISSING and f.name not in raw:
+            raise BadSpec(f"scenario is missing required key {f.name!r}")
     try:
-        return ScenarioSpec(
-            codec=str(raw["codec"]),
-            duration=float(raw["duration"]),
-            interval=float(raw["interval"]),
-            seed=int(raw.get("seed", 0)),
-            loss_probability=float(raw.get("loss_probability", 0.0)),
-            jitter_model=_gev_from_json(raw.get("jitter_model"), "jitter_model"),
-            rtt_model=_gev_from_json(raw.get("rtt_model"), "rtt_model"),
-            xr_interval=float(raw.get("xr_interval", 5.0)),
-            base_delay=float(raw.get("base_delay", 0.05)),
-            payload_type=(
-                None if raw.get("payload_type") is None
-                else int(raw["payload_type"])
-            ),
-            payload_bytes=(
-                None if raw.get("payload_bytes") is None
-                else int(raw["payload_bytes"])
-            ),
-            scenario_tag=str(raw.get("scenario_tag", "")),
-            call_id=str(raw.get("call_id", "synth-1")),
-            sip=_sip_from_json(raw.get("sip")),
-        )
+        # the keys given only, so that the others take ScenarioSpec's defaults
+        return ScenarioSpec(**{f.name: _READERS[f.type](raw[f.name], f.name)
+                               for f in spec_fields if f.name in raw})
     except (TypeError, ValueError) as exc:
         if isinstance(exc, BadSpec):
             raise

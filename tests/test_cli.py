@@ -7,6 +7,7 @@ are exercised exactly as a shell user would see them.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -28,6 +29,7 @@ from voipqos.cli import (
     merge_reports,
     synth_to_file,
 )
+from voipqos.cli.synth import ScenarioSpec
 from voipqos.errors import BadSpec, DomainError, NotConverged, VoipQosError
 from voipqos.evt import (
     GevParams,
@@ -1028,6 +1030,27 @@ class TestScenarioSpec:
                 sip={"invite": 5.0, "ringing": 1.0, "answer": 2.0,
                      "bye": 30.0, "bye_ok": 30.5}))
 
+    def test_absent_keys_take_the_spec_defaults(self):
+        raw = {"codec": "G711-A", "duration": 10.0, "interval": 0.02}
+        assert load_scenario(raw) == ScenarioSpec("G711-A", 10.0, 0.02)
+
+    @pytest.mark.parametrize("drop, change, message", [
+        ("codec", {}, "missing required key 'codec'"),
+        ("interval", {}, "missing required key 'interval'"),
+        (None, {"bogus": 1, "other": 2},
+         "unknown scenario keys: ['bogus', 'other']"),
+        (None, {"sip": {"invite": 1.0}}, "sip must be an object of the event "
+         "times ['answer', 'bye', 'bye_ok', 'invite', 'ringing']"),
+        (None, {"seed": None}, "bad scenario value"),
+        (None, {"payload_type": "x"}, "bad scenario value"),
+        (None, {"rtt_model": {"xi": 0.1}}, "rtt_model must be an object"),
+    ])
+    def test_bad_scenarios_name_what_is_wrong(self, drop, change, message):
+        raw = base_scenario(**change)
+        raw.pop(drop, None)
+        with pytest.raises(BadSpec, match=re.escape(message)):
+            load_scenario(raw)
+
     def test_synth_to_file_api(self, tmp_path):
         spec = load_scenario(base_scenario())
         n = synth_to_file(spec, tmp_path / "cap.jsonl", "jsonl")
@@ -1037,3 +1060,15 @@ class TestScenarioSpec:
         spec = load_scenario(base_scenario())
         with pytest.raises(VoipQosError):
             synth_to_file(spec, tmp_path / "cap.bin", "xml")
+
+
+def test_the_cli_loads_numpy_and_no_test_dependency():
+    # the runtime dependencies are numpy only; the test extras stay out
+    src = str(Path(voipqos.__file__).resolve().parents[1])
+    code = ("import sys, voipqos.cli; print(sorted("
+            "{name.partition('.')[0] for name in sys.modules} & "
+            "{'numpy', 'scipy', 'hypothesis', 'mpmath', 'jsonschema'}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         check=True)
+    assert out.stdout == "['numpy']\n"
