@@ -29,7 +29,7 @@ SCENARIO = {
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cap = Path(tmp) / "call.pcap"
-        n = synth_to_file(load_scenario(SCENARIO), cap, "pcap")
+        n = synth_to_file(load_scenario(SCENARIO), cap)
         print(f"wrote {n} packets to a classic pcap ({cap.stat().st_size} bytes)")
 
         records = parse_pcap(cap.read_bytes())

@@ -51,7 +51,6 @@ def _parse_candidates(text: str | None) -> tuple | None:
 def _cmd_analyze(args) -> int:
     config = AnalysisConfig(
         inputs=tuple(args.input),
-        fmt=args.format,
         out_dir=args.out,
         payload_type_map=load_codec_map(args.codecs_map),
         sigma_window=args.sigma_window,
@@ -138,12 +137,8 @@ def _cmd_synth(args) -> int:
     spec = load_scenario(args.scenario)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    fmt = args.format
-    if fmt == "auto":
-        fmt = "jsonl" if Path(args.out).suffix.lower() in (".jsonl", ".json") \
-            else "pcap"
-    count = synth_to_file(spec, args.out, fmt)
-    print(f"wrote {count} records to {args.out} ({fmt})")
+    count = synth_to_file(spec, args.out)
+    print(f"wrote {count} records to {args.out}")
     return 0
 
 
@@ -170,9 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="decode captures and report per call")
     pa.add_argument("--input", nargs="+", required=True,
-                    help="capture file(s), pcap or jsonl")
-    pa.add_argument("--format", choices=["auto", "pcap", "jsonl"],
-                    default="auto", help="capture format (default: by extension)")
+                    help="capture file(s), pcap or jsonl (read from the bytes)")
     pa.add_argument("--out", default="voipqos-out",
                     help="output directory (default: voipqos-out)")
     pa.add_argument("--sigma-window", type=float, default=1.0,
@@ -202,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("synth", help="generate a synthetic call capture")
     ps.add_argument("--scenario", required=True, help="scenario JSON file")
-    ps.add_argument("--out", required=True, help="capture path to write")
-    ps.add_argument("--format", choices=["auto", "pcap", "jsonl"],
-                    default="auto", help="output format (default: by extension)")
+    ps.add_argument("--out", required=True,
+                    help="capture path to write: jsonl if it ends in .jsonl "
+                    "or .json, else pcap")
     ps.add_argument("--seed", type=int, default=None,
                     help="override the scenario's seed")
     ps.set_defaults(func=_cmd_synth)

@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import (
+    BadRecord,
     DomainError,
     NotConverged,
     TooFewPoints,
@@ -73,7 +74,6 @@ def json_text(doc) -> str:
 @dataclass(frozen=True)
 class AnalysisConfig:
     inputs: tuple
-    fmt: str = "auto"  # pcap | jsonl | auto (by file extension)
     out_dir: str = "voipqos-out"
     payload_type_map: dict = field(default_factory=load_codec_map)
     sigma_window: float = 1.0
@@ -84,29 +84,28 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         if not self.inputs:
             raise DomainError("at least one input capture is required")
-        if self.fmt not in ("auto", "pcap", "jsonl"):
-            raise DomainError(f"format must be pcap or jsonl, got {self.fmt!r}")
         if not self.sigma_window > 0 or not self.bandwidth_window > 0:
             raise DomainError("windows must be positive")
         check_families(self.candidates or ())
 
 
-def read_records(path: str | Path, fmt: str = "auto") -> Capture:
-    """Load packet records from one capture file."""
-    p = Path(path)
-    if fmt == "auto":
-        suffix = p.suffix.lower()
-        if suffix in (".pcap", ".cap"):
-            fmt = "pcap"
-        elif suffix in (".jsonl", ".json"):
-            fmt = "jsonl"
-        else:
-            raise DomainError(
-                f"cannot infer format of {p.name!r}; pass --format pcap|jsonl"
-            )
-    if fmt == "pcap":
-        return parse_pcap(p.read_bytes())
-    return parse_jsonl(p.read_text())
+def read_records(path: str | Path) -> Capture:
+    """Load packet records from one capture file, whatever its name.
+
+    The file is line-delimited JSON when its first byte that is not ASCII
+    whitespace is ``{``, or when it has no such byte; any other file is
+    a pcap, so an unknown magic is refused with ``BadMagic``. Every
+    refusal names the file.
+    """
+    data = Path(path).read_bytes()
+    try:
+        if re.match(rb"\s*(\{|$)", data) is None:
+            return parse_pcap(data)
+        return parse_jsonl(data.decode())
+    except UnicodeDecodeError as exc:
+        raise BadRecord(f"{path}: a jsonl capture must be UTF-8 ({exc})") from None
+    except VoipQosError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _series_summary(series: MetricSeries, csv: str) -> dict:
@@ -307,7 +306,7 @@ def analyze_capture(config: AnalysisConfig) -> tuple[list, int, list]:
     [(session id, reason)] for each session whose report failed and was
     skipped)."""
     sessions, residue = assemble_sessions(
-        Capture.concat([read_records(p, config.fmt) for p in config.inputs]),
+        Capture.concat([read_records(p) for p in config.inputs]),
         config.payload_type_map,
     )
     set_aside = len(residue)

@@ -322,14 +322,16 @@ def generate_records(spec: ScenarioSpec) -> list[PacketRecord]:
     return records
 
 
-def synth_to_file(spec: ScenarioSpec, out_path: str | Path, fmt: str) -> int:
-    """Generate and write the capture; returns the record count."""
-    if fmt not in ("pcap", "jsonl"):
-        raise BadSpec(f"unknown capture format {fmt!r}; use pcap or jsonl")
+def synth_to_file(spec: ScenarioSpec, out_path: str | Path) -> int:
+    """Generate and write the capture; returns the record count.
+
+    The capture is jsonl when ``out_path`` ends in ``.jsonl`` or ``.json``
+    (any case), and a pcap otherwise.
+    """
     records = generate_records(spec)
-    data = write_pcap(records) if fmt == "pcap" else write_jsonl(records)
-    if isinstance(data, str):
-        Path(out_path).write_text(data)
+    out = Path(out_path)
+    if out.suffix.lower() in (".jsonl", ".json"):
+        out.write_text(write_jsonl(records))
     else:
-        Path(out_path).write_bytes(data)
+        out.write_bytes(write_pcap(records))
     return len(records)

@@ -30,7 +30,13 @@ from voipqos.cli import (
     synth_to_file,
 )
 from voipqos.cli.synth import ScenarioSpec
-from voipqos.errors import BadSpec, DomainError, NotConverged, VoipQosError
+from voipqos.errors import (
+    BadRecord,
+    BadSpec,
+    DomainError,
+    NotConverged,
+    VoipQosError,
+)
 from voipqos.evt import (
     GevParams,
     check_families,
@@ -58,6 +64,12 @@ from .gev_models import JITTER_MODELS, RTT_MODELS
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "voipqos" / "schemas"
      / "session_report.schema.json").read_text()
+)
+
+
+#: a pcapng section header block (draft-ietf-opsawg-pcapng), little-endian
+PCAPNG_HEADER = bytes.fromhex(
+    "0a0d0d0a" "1c000000" "4d3c2b1a" "01000000" "ffffffffffffffff" "1c000000"
 )
 
 
@@ -530,22 +542,47 @@ class TestAnalyze:
             assert (tmp_path / "b" / rel).read_bytes() == \
                 (tmp_path / "a" / rel).read_bytes(), rel
 
-    def test_format_flag_beats_extension(self, capture, tmp_path):
-        records = parse_pcap(capture.read_bytes())
-        odd = tmp_path / "capture.dat"
-        odd.write_text(write_jsonl(records))
-        rc = entrypoint(["analyze", "--input", str(odd), "--format", "jsonl",
-                         "--out", str(tmp_path / "out")])
-        assert rc == 0
-        assert (tmp_path / "out" / "call-1" / "report.json").exists()
+    def test_the_capture_bytes_pick_the_decoder(self, capture, tmp_path):
+        pcap = capture.read_bytes()
+        jsonl = write_jsonl(parse_pcap(pcap)).encode()
 
-    def test_unknown_extension_needs_format(self, capture, tmp_path, capsys):
-        odd = tmp_path / "capture.dat"
-        odd.write_bytes(capture.read_bytes())
-        rc = entrypoint(["analyze", "--input", str(odd),
+        def tree(name: str, data: bytes) -> dict:
+            (tmp_path / name).write_bytes(data)
+            assert entrypoint(["analyze", "--input", str(tmp_path / name),
+                               "--out", str(tmp_path / f"out-{name}")]) == 0
+            return _tree(tmp_path / f"out-{name}")
+
+        usual = {pcap: tree("usual.pcap", pcap),
+                 jsonl: tree("usual.jsonl", jsonl)}
+        # tcpdump -C rotates cap.pcap into cap.pcap1, cap.pcap2, ...
+        for name, data in (("cap.pcap1", pcap), ("cap", pcap),
+                           ("jsonl.pcap", jsonl), ("pcap.jsonl", pcap)):
+            assert tree(name, data) == usual[data], name
+
+    def test_pcapng_is_refused_with_bad_magic(self, tmp_path, capsys):
+        # a pcapng section header block, byte-order magic 0x1A2B3C4D
+        ng = tmp_path / "cap.pcapng"
+        ng.write_bytes(PCAPNG_HEADER)
+        rc = entrypoint(["analyze", "--input", str(ng),
                          "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert "--format" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {ng}: not a classic capture file (magic 0x0a0d0d0a)\n")
+
+    def test_non_utf8_jsonl_is_a_bad_record(self, tmp_path):
+        bad = tmp_path / "cap.jsonl"
+        bad.write_bytes(b'{"ts": "\xff"}\n')
+        with pytest.raises(BadRecord, match=re.escape(f"{bad}: a jsonl capture "
+                                                      "must be UTF-8")):
+            analyze_module.read_records(bad)
+
+    @pytest.mark.parametrize("name", ["empty.pcap", "empty.jsonl", "empty"])
+    def test_zero_byte_capture_reads_as_empty(self, tmp_path, capsys, name):
+        (tmp_path / name).write_bytes(b"")
+        rc = entrypoint(["analyze", "--input", str(tmp_path / name),
+                         "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert "no call sessions" in capsys.readouterr().err
 
     def test_dot_call_ids_stay_under_out(self, tmp_path, capsys):
         records = []
@@ -1051,15 +1088,15 @@ class TestScenarioSpec:
         with pytest.raises(BadSpec, match=re.escape(message)):
             load_scenario(raw)
 
-    def test_synth_to_file_api(self, tmp_path):
+    def test_synth_to_file_picks_the_format_by_suffix(self, tmp_path):
         spec = load_scenario(base_scenario())
-        n = synth_to_file(spec, tmp_path / "cap.jsonl", "jsonl")
-        assert n == len((tmp_path / "cap.jsonl").read_text().splitlines())
-
-    def test_bad_format_rejected(self, tmp_path):
-        spec = load_scenario(base_scenario())
-        with pytest.raises(VoipQosError):
-            synth_to_file(spec, tmp_path / "cap.bin", "xml")
+        for name in ("cap.jsonl", "cap.json", "cap.JSONL"):
+            n = synth_to_file(spec, tmp_path / name)
+            assert n == len((tmp_path / name).read_text().splitlines())
+        for name in ("cap.pcap", "cap.pcap1", "cap.bin", "cap"):
+            assert synth_to_file(spec, tmp_path / name) == n
+            assert (tmp_path / name).read_bytes()[:4] == \
+                bytes.fromhex("d4c3b2a1")
 
 
 def test_the_cli_loads_numpy_and_no_test_dependency():
