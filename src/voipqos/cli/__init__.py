@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -101,8 +100,12 @@ def _read_values(path: str):
             return values[:, 0]
     except (ValueError, OSError):
         pass
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise VoipQosError(f"{path}: not UTF-8 text ({exc})") from None
     values = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         text = line.strip()
         if not text:
             continue
@@ -216,7 +219,7 @@ def entrypoint(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (VoipQosError, OSError, json.JSONDecodeError) as exc:
+    except (VoipQosError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

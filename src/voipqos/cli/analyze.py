@@ -71,6 +71,16 @@ def json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
+def read_json(path: str | Path, error: type[VoipQosError], what: str):
+    """The JSON document in the file ``path``. A file that cannot be read,
+    is not UTF-8 or is not JSON raises ``error``, naming ``what`` and the
+    file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     inputs: tuple

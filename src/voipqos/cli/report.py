@@ -8,12 +8,11 @@ can be compared side by side the way fixed and mobile access were.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..errors import BadRecord, EmptyData, TooFewPoints, ZeroVariance
 from ..stats import boxplot_stats, pca
-from .analyze import SCHEMA_VERSION
+from .analyze import SCHEMA_VERSION, read_json
 
 
 def _collect(paths) -> list[dict]:
@@ -23,9 +22,9 @@ def _collect(paths) -> list[dict]:
         if path.is_dir():
             for rp in sorted(path.rglob("report.json")):
                 if rp.is_file():  # a session directory may be named so
-                    reports.append((rp, json.loads(rp.read_text())))
+                    reports.append((rp, read_json(rp, BadRecord, "report")))
         else:
-            reports.append((path, json.loads(path.read_text())))
+            reports.append((path, read_json(path, BadRecord, "report")))
     out = []
     for path, r in reports:
         if not isinstance(r, dict) or "session" not in r:

@@ -28,7 +28,6 @@ recoverable. Identical scenario + seed yields identical bytes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -42,6 +41,7 @@ from ..ingest.codecs import CODECS, STATIC_PAYLOAD_TYPES
 from ..ingest.rtcp_xr import VoipMetricsBlock, encode_xr_packet
 from ..ingest.rtp import encode_rtp
 from ..ingest.sip import format_sip_request, format_sip_response
+from .analyze import read_json
 
 CALLER_ADDR = "10.0.0.1"
 CALLEE_ADDR = "10.0.0.2"
@@ -188,12 +188,7 @@ _READERS = {
 def load_scenario(source: str | Path | dict) -> ScenarioSpec:
     """Parse and validate a scenario file (or pre-parsed dict)."""
     if isinstance(source, (str, Path)):
-        try:
-            raw = json.loads(Path(source).read_text())
-        except OSError as exc:
-            raise BadSpec(f"cannot read scenario file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise BadSpec(f"scenario is not valid JSON: {exc}") from exc
+        raw = read_json(source, BadSpec, "scenario")
     else:
         raw = source
     if not isinstance(raw, dict):

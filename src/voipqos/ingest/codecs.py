@@ -61,8 +61,8 @@ def load_codec_map(source: str | Path | dict | None = None) -> dict[int, str]:
         return table
     if isinstance(source, (str, Path)):
         try:
-            raw = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(Path(source).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # not UTF-8, or not JSON
             raise DomainError(f"cannot read codec map {source}: {exc}") from exc
     else:
         raw = source

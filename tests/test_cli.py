@@ -1099,6 +1099,59 @@ class TestScenarioSpec:
                 bytes.fromhex("d4c3b2a1")
 
 
+#: not UTF-8, in a line that a jsonl capture would otherwise begin
+NOT_UTF8 = b'{"\xff\xfe": 1}\n'
+#: UTF-8 text that is neither JSON nor a number
+NOT_JSON = b"8,G711-A\n"
+
+#: each file input of the CLI: the argv that reads the file ``bad``
+FILE_INPUTS = {
+    "analyze --input": lambda bad, tmp: [
+        "analyze", "--input", bad, "--out", tmp / "out"],
+    "analyze --codecs-map": lambda bad, tmp: [
+        "analyze", "--input", tmp / "capture.pcap", "--codecs-map", bad,
+        "--out", tmp / "out"],
+    "fit --input": lambda bad, tmp: ["fit", "--input", bad],
+    "synth --scenario": lambda bad, tmp: [
+        "synth", "--scenario", bad, "--out", tmp / "capture.pcap"],
+    "report --input": lambda bad, tmp: ["report", "--input", bad],
+}
+
+
+@pytest.mark.parametrize("content", ["not-utf8", "not-the-format"])
+@pytest.mark.parametrize("command", sorted(FILE_INPUTS))
+def test_a_malformed_input_file_is_one_error_naming_it(command, content,
+                                                       tmp_path, capsys):
+    (tmp_path / "capture.pcap").write_bytes(write_pcap([]))
+    bad = tmp_path / "input.bad"
+    if content == "not-utf8":
+        bad.write_bytes(NOT_UTF8)
+    else:
+        bad.write_bytes(PCAPNG_HEADER if command == "analyze --input"
+                        else NOT_JSON)
+    argv = [str(arg) for arg in FILE_INPUTS[command](bad, tmp_path)]
+    assert entrypoint(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(bad) in errors[0], err
+
+
+@pytest.mark.parametrize("read, error", [
+    (analyze_module.read_records, BadRecord),
+    (load_codec_map, DomainError),
+    (load_scenario, BadSpec),
+    (lambda path: merge_reports([path]), BadRecord),
+    (cli_module._read_values, VoipQosError),
+], ids=["capture", "codec-map", "scenario", "report", "values"])
+def test_a_file_that_is_not_utf8_raises_its_readers_error(read, error,
+                                                          tmp_path):
+    bad = tmp_path / "input.bad"
+    bad.write_bytes(NOT_UTF8)
+    with pytest.raises(error, match=re.escape(str(bad))):
+        read(bad)
+
+
 def test_the_cli_loads_numpy_and_no_test_dependency():
     # the runtime dependencies are numpy only; the test extras stay out
     src = str(Path(voipqos.__file__).resolve().parents[1])
