@@ -28,6 +28,7 @@ recoverable. Identical scenario + seed yields identical bytes.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -174,12 +175,39 @@ def _sip_from_json(obj) -> SipTimes | None:
         raise BadSpec(f"bad sip time: {exc}") from exc
 
 
-#: how a scenario value is read, by the type of its ScenarioSpec field
+def _bad_value(key: str, value, kind: str) -> BadSpec:
+    return BadSpec(f"bad scenario value: {key} must be {kind}, "
+                   f"got {json.dumps(value)}")
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise _bad_value(key, value, "a string")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _bad_value(key, value, "a number")
+    return float(value)
+
+
+def _integer(value, key: str, kind: str = "an integer") -> int:
+    whole = isinstance(value, int) or (isinstance(value, float)
+                                       and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise _bad_value(key, value, kind)
+    return int(value)
+
+
+#: how a scenario value is read, by the type of its ScenarioSpec field;
+#: a value of another JSON type is refused, never converted
 _READERS = {
-    "str": lambda value, key: str(value),
-    "float": lambda value, key: float(value),
-    "int": lambda value, key: int(value),
-    "int | None": lambda value, key: None if value is None else int(value),
+    "str": _string,
+    "float": _number,
+    "int": _integer,
+    "int | None": lambda value, key: None if value is None
+    else _integer(value, key, "an integer or null"),
     "GevParams | None": _gev_from_json,
     "SipTimes | None": lambda value, key: _sip_from_json(value),
 }
@@ -200,14 +228,9 @@ def load_scenario(source: str | Path | dict) -> ScenarioSpec:
     for f in spec_fields:
         if f.default is MISSING and f.name not in raw:
             raise BadSpec(f"scenario is missing required key {f.name!r}")
-    try:
-        # the keys given only, so that the others take ScenarioSpec's defaults
-        return ScenarioSpec(**{f.name: _READERS[f.type](raw[f.name], f.name)
-                               for f in spec_fields if f.name in raw})
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, BadSpec):
-            raise
-        raise BadSpec(f"bad scenario value: {exc}") from exc
+    # the keys given only, so that the others take ScenarioSpec's defaults
+    return ScenarioSpec(**{f.name: _READERS[f.type](raw[f.name], f.name)
+                           for f in spec_fields if f.name in raw})
 
 
 def _sip_record(ts: float, payload: bytes, from_caller: bool) -> PacketRecord:

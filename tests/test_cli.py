@@ -1088,6 +1088,26 @@ class TestScenarioSpec:
         with pytest.raises(BadSpec, match=re.escape(message)):
             load_scenario(raw)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("call_id", None, "call_id must be a string, got null"),
+        ("scenario_tag", None, "scenario_tag must be a string, got null"),
+        ("seed", 2.5, "seed must be an integer, got 2.5"),
+        ("seed", True, "seed must be an integer, got true"),
+        ("payload_type", 8.7,
+         "payload_type must be an integer or null, got 8.7"),
+        ("duration", True, "duration must be a number, got true"),
+    ], ids=["call_id-null", "scenario_tag-null", "seed-fraction",
+            "seed-bool", "payload_type-fraction", "duration-bool"])
+    def test_a_value_of_the_wrong_type_is_refused(self, key, value, message):
+        with pytest.raises(BadSpec, match=re.escape(message)):
+            load_scenario(base_scenario(**{key: value}))
+
+    def test_numbers_read_as_their_field_types(self):
+        spec = load_scenario(base_scenario(duration=10, seed=7.0,
+                                           payload_type=None))
+        assert (spec.duration, spec.seed, spec.payload_type) == (10.0, 7, None)
+        assert type(spec.duration) is float and type(spec.seed) is int
+
     def test_synth_to_file_picks_the_format_by_suffix(self, tmp_path):
         spec = load_scenario(base_scenario())
         for name in ("cap.jsonl", "cap.json", "cap.JSONL"):
