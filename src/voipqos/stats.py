@@ -40,16 +40,11 @@ class EmpiricalCdf:
         return float(out) if np.isscalar(x) else out
 
     def quantile(self, p) -> np.ndarray:
-        """Inverse CDF: the smallest point x with F(x) >= p, per p in [0, 1].
-
-        The same order statistics as ``np.quantile(data, p,
-        method="inverted_cdf")``.
-        """
+        """Inverse CDF: the smallest point x with F(x) >= p, per p in [0, 1]."""
         p = np.asarray(p, dtype=float)
         if not np.all((p >= 0.0) & (p <= 1.0)):
             raise DomainError("probabilities must lie in [0, 1]")
-        idx = np.maximum(np.ceil(len(self.points) * p - 1.0), 0.0)
-        return self.points[idx.astype(int)]
+        return np.quantile(self.points, p, method="inverted_cdf")
 
 
 def empirical_cdf(data) -> EmpiricalCdf:
