@@ -193,11 +193,11 @@ def _number(value, key: str) -> float:
 
 
 def _integer(value, key: str, kind: str = "an integer") -> int:
-    whole = isinstance(value, int) or (isinstance(value, float)
-                                       and value.is_integer())
-    if isinstance(value, bool) or not whole:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise _bad_value(key, value, kind)
-    return int(value)
+    return value
 
 
 #: how a scenario value is read, by the type of its ScenarioSpec field;
