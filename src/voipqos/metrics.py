@@ -18,8 +18,8 @@ smoothing is applied: each sample is |D| itself, not the running 1/16
 estimator of RFC 3550.
 
 Series leave as CSV text through ``series_csvs``: one file per time
-axis, with a column per series on it, so each axis and each repeated
-value is formatted once.
+axis, with a column per series on it, formatted in one pass, so each
+axis time and each repeated value is formatted once per file.
 """
 
 from __future__ import annotations
@@ -99,11 +99,6 @@ class MetricSeries:
         return len(self.t)
 
 
-#: Rows per block in series_csvs: only one block's cell and row strings
-#: are alive at a time.
-CSV_BLOCK_ROWS = 1024
-
-
 def float_cells(*columns: np.ndarray) -> list[list[str]]:
     """``repr`` of each float64 value, one list per column.
 
@@ -135,10 +130,10 @@ def series_csvs(series) -> tuple[dict[str, str], dict[str, str]]:
     axis, compared bit for bit; otherwise it starts ``<name>.csv``, whose
     axis is its times. A file's header is ``t`` and its series' names;
     a series' cells are empty on the rows before its first time. Each
-    cell is the float's shortest round-trip ``repr``. Rows are built one
-    block of CSV_BLOCK_ROWS axis rows at a time; one ``float_cells``
-    call formats the block's values of every series in the file. An
-    empty series has no row to place and is refused.
+    cell is the float's shortest round-trip ``repr``. A file is formatted
+    in one pass: one ``repr`` per axis time, then one ``float_cells``
+    call over the values of every series in the file. An empty series
+    has no row to place and is refused.
     """
     series = sorted(series, key=lambda s: list(UNIT_BY_NAME).index(s.name))
     names = [s.name for s in series]
@@ -160,20 +155,14 @@ def series_csvs(series) -> tuple[dict[str, str], dict[str, str]]:
     files, file_of = {}, {}
     for axis, members in axes:
         file_name = f"{members[0][0].name}.csv"
-        chunks = [",".join(["t"] + [s.name for s, _ in members]) + "\n"]
-        for start in range(0, len(axis), CSV_BLOCK_ROWS):
-            stop = start + CSV_BLOCK_ROWS
-            # strictly increasing times are distinct: nothing to reuse
-            times = list(map(repr, axis[start:stop].tolist()))
-            values = float_cells(*(
-                s.v[max(start - offset, 0):max(stop - offset, 0)]
-                for s, offset in members
-            ))
-            # a series' rows are a suffix of the axis: pad the rows before
-            columns = [[""] * (len(times) - len(cells)) + cells
-                       for cells in values]
-            chunks.append(csv_rows(times, *columns))
-        files[file_name] = "".join(chunks)
+        header = ",".join(["t"] + [s.name for s, _ in members]) + "\n"
+        # strictly increasing times are distinct: nothing to reuse
+        times = list(map(repr, axis.tolist()))
+        values = float_cells(*(s.v for s, _ in members))
+        # a series' rows are a suffix of the axis: pad the rows before
+        columns = [[""] * offset + cells
+                   for (_, offset), cells in zip(members, values)]
+        files[file_name] = header + csv_rows(times, *columns)
         file_of.update((s.name, file_name) for s, _ in members)
     return files, file_of
 
@@ -248,21 +237,22 @@ def moving_std(series: MetricSeries, window: float = 1.0) -> MetricSeries:
     count = np.arange(1, len(t) + 1) - lo
     rows = np.nonzero(count >= 2)[0]
     lo, count = lo[rows], count[rows]
-    # Windows are gathered as rows of a (rows, width) matrix, a block of
-    # about _BLOCK_CELLS cells at a time; a running sum along each row
-    # read at column count - 1 adds left to right, as a loop over the
-    # window would. Cells past a window's end only follow that column.
-    # Values are taken relative to the window's first one, so a window
-    # of equal values gives exactly 0.
+    # Windows are copied out as rows of a (rows, width) matrix, a block
+    # of about _BLOCK_CELLS cells at a time, from a strided view whose
+    # row i is v[i : i + width], zero-padded past the end. A running sum
+    # along each row read at column count - 1 adds left to right, as a
+    # loop over the window would; cells past a window's end only follow
+    # that column. Values are taken relative to the window's first one,
+    # so a window of equal values gives exactly 0.
     width = int(count.max(initial=0))
     step = max(1, _BLOCK_CELLS // max(width, 1))
-    offsets = np.arange(width)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((v, np.zeros(width))), width)
     squares = np.empty(len(rows))
     for start in range(0, len(rows), step):
         blo, bcount = lo[start:start + step], count[start:start + step]
         last = (np.arange(len(blo)), bcount - 1)
-        idx = np.minimum(blo[:, None] + offsets, len(v) - 1)
-        cells = v[idx]
+        cells = windows[blo]
         cells -= v[blo][:, None]
         mean = np.cumsum(cells, axis=1)[last] / bcount
         cells -= mean[:, None]

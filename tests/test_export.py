@@ -16,7 +16,6 @@ import hashlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -25,7 +24,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tests import export_reference
-from voipqos import metrics
 from voipqos.cli import entrypoint
 from voipqos.errors import DomainError, EmptyData
 from voipqos.ingest import assemble_sessions, parse_pcap, write_pcap
@@ -424,6 +422,7 @@ def _session_series(draw):
 
 
 _series = MetricSeries.create
+_LONG_AXIS = np.arange(3000) * 0.02 + 0.5
 
 
 def _files_by_rule(series) -> dict[str, str]:
@@ -462,23 +461,26 @@ class TestCsvText:
     ])
     @example([_series("rtt", [-0.0, 1.0], [1.0, 2.0]),
               _series("r_factor", [0.0, 1.0], [3.0, 4.0])])
+    # longer than a block of the old writer's 1024 rows, with a member
+    # whose first row is past the first such block
+    @example([_series("bandwidth", _LONG_AXIS, np.arange(3000) % 7 * 0.1),
+              _series("jitter", _LONG_AXIS[1500:], np.arange(1500) % 5 - 0.0),
+              _series("sigma_j", _LONG_AXIS[1:], np.arange(2999) % 3 * 1e-9)])
     def test_series_csvs_equal_the_old_writer(self, series):
         # an empty series is refused; the others' columns rebuild the
         # old writer's t,value text of each
         written = [s for s in series if len(s)]
         want = {s.name: export_reference.series_to_csv(s) for s in written}
-        for block in (3, metrics.CSV_BLOCK_ROWS):
-            with mock.patch.object(metrics, "CSV_BLOCK_ROWS", block):
-                if len(written) < len(series):
-                    with pytest.raises(EmptyData):
-                        series_csvs(series)
-                files, file_of = series_csvs(written)
-                assert export_reference.v3_series_csvs(files) == want
-                assert file_of == _files_by_rule(written)
-                assert set(files) == set(file_of.values())
-                for name, file_name in file_of.items():
-                    header = files[file_name].split("\n", 1)[0]
-                    assert name in header.split(",")
+        if len(written) < len(series):
+            with pytest.raises(EmptyData):
+                series_csvs(series)
+        files, file_of = series_csvs(written)
+        assert export_reference.v3_series_csvs(files) == want
+        assert file_of == _files_by_rule(written)
+        assert set(files) == set(file_of.values())
+        for name, file_name in file_of.items():
+            header = files[file_name].split("\n", 1)[0]
+            assert name in header.split(",")
 
     @given(
         nx=st.integers(1, 4), ny=st.integers(1, 4),

@@ -134,6 +134,18 @@ class TestMovingStd:
         assert got.times().tobytes() == expected.times().tobytes()
         assert got.values().tobytes() == expected.values().tobytes()
 
+    def test_widest_window_ends_at_the_last_sample(self):
+        # the gaps shrink, so the last window holds the most samples and
+        # its row of the window view ends where the zero padding begins
+        t = np.cumsum(np.linspace(0.05, 0.001, 400))
+        v = np.random.default_rng(5).normal(3.0, 1.0, t.size)
+        series = MetricSeries.create("jitter", t, v)
+        count = np.arange(1, t.size + 1) - np.searchsorted(t, t - 0.1,
+                                                           side="right")
+        assert count[-1] == count.max() > count[-2]
+        got, expected = moving_std(series, 0.1), ref.moving_std(series, 0.1)
+        assert got.values().tobytes() == expected.values().tobytes()
+
     def test_windows_span_several_blocks(self, monkeypatch):
         monkeypatch.setattr("voipqos.metrics._BLOCK_CELLS", 64)
         t = np.arange(1, 2001) * 0.01
