@@ -103,15 +103,16 @@ def read_records(path: str | Path) -> Capture:
     """Load packet records from one capture file, whatever its name.
 
     The file is line-delimited JSON when its first byte that is not ASCII
-    whitespace is ``{``, or when it has no such byte; any other file is
-    a pcap, so an unknown magic is refused with ``BadMagic``. Every
-    refusal names the file.
+    whitespace is ``{``, or when it has no such byte, after an optional
+    UTF-8 byte-order mark (no pcap magic starts with its ``EF``); any
+    other file is a pcap, so an unknown magic is refused with
+    ``BadMagic``. Every refusal names the file.
     """
     data = Path(path).read_bytes()
     try:
-        if re.match(rb"\s*(\{|$)", data) is None:
+        if re.match(rb"(\xef\xbb\xbf)?\s*(\{|$)", data) is None:
             return parse_pcap(data)
-        return parse_jsonl(data.decode())
+        return parse_jsonl(data.decode("utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise BadRecord(f"{path}: a jsonl capture must be UTF-8 ({exc})") from None
     except VoipQosError as exc:

@@ -155,24 +155,21 @@ def _gev_from_json(obj, what: str) -> GevParams | None:
         return None
     if not isinstance(obj, dict) or set(obj) != {"xi", "sigma", "mu"}:
         raise BadSpec(f"{what} must be an object with keys xi, sigma, mu")
+    params = {k: _number(v, f"{what}.{k}") for k, v in obj.items()}
     try:
-        return GevParams(
-            xi=float(obj["xi"]), sigma=float(obj["sigma"]), mu=float(obj["mu"])
-        )
-    except (TypeError, ValueError, DomainError) as exc:
+        return GevParams(**params)
+    except DomainError as exc:
         raise BadSpec(f"bad {what}: {exc}") from exc
 
 
-def _sip_from_json(obj) -> SipTimes | None:
+def _sip_from_json(obj, what: str) -> SipTimes | None:
     if obj is None:
         return None
     need = {f.name for f in fields(SipTimes)}
     if not isinstance(obj, dict) or set(obj) != need:
-        raise BadSpec(f"sip must be an object of the event times {sorted(need)}")
-    try:
-        return SipTimes(**{k: float(v) for k, v in obj.items()})
-    except (TypeError, ValueError) as exc:
-        raise BadSpec(f"bad sip time: {exc}") from exc
+        raise BadSpec(f"{what} must be an object of the event times "
+                      f"{sorted(need)}")
+    return SipTimes(**{k: _number(v, f"{what}.{k}") for k, v in obj.items()})
 
 
 def _bad_value(key: str, value, kind: str) -> BadSpec:
@@ -209,7 +206,7 @@ _READERS = {
     "int | None": lambda value, key: None if value is None
     else _integer(value, key, "an integer or null"),
     "GevParams | None": _gev_from_json,
-    "SipTimes | None": lambda value, key: _sip_from_json(value),
+    "SipTimes | None": _sip_from_json,
 }
 
 
