@@ -461,10 +461,9 @@ class TestCsvText:
     ])
     @example([_series("rtt", [-0.0, 1.0], [1.0, 2.0]),
               _series("r_factor", [0.0, 1.0], [3.0, 4.0])])
-    # longer than a block of the old writer's 1024 rows, with a member
-    # whose first row is past the first such block
+    # more than 1024 rows, with a member whose first row is past row 1024
     @example([_series("bandwidth", _LONG_AXIS, np.arange(3000) % 7 * 0.1),
-              _series("jitter", _LONG_AXIS[1500:], np.arange(1500) % 5 - 0.0),
+              _series("jitter", _LONG_AXIS[1500:], np.arange(1500) % 5),
               _series("sigma_j", _LONG_AXIS[1:], np.arange(2999) % 3 * 1e-9)])
     def test_series_csvs_equal_the_old_writer(self, series):
         # an empty series is refused; the others' columns rebuild the
